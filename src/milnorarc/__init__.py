@@ -20,7 +20,6 @@ from .milnor import (
     default_pivot,
     malgrange_quantity,
     milnor_equations,
-    pick_generic_center,
     rabier_nu,
 )
 from .arcs import (
@@ -43,6 +42,7 @@ from .tracer import (
     SInfinityReport,
     TraceConfig,
     estimate_limits,
+    pick_generic_center,
     s_a_estimate,
     s_infinity_estimate,
     slice_solve,

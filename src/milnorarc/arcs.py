@@ -17,13 +17,14 @@ float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .poly import LaurentScalar, Polynomial, RationalArc, compose_arc
+from .poly import CompiledPolynomials, Polynomial, RationalArc, compose_arc
 
 
 class WindowViolationError(ValueError):
@@ -386,13 +387,7 @@ class ArcSearchConfig:
     dedupe_dist: float = 1e-6
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "starts": self.starts,
-            "tol": self.tol,
-            "max_nfev": self.max_nfev,
-            "dedupe_dist": self.dedupe_dist,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -411,55 +406,6 @@ class ArcCandidate:
         }
 
 
-class _CompiledResiduals:
-    """All constraint equations flattened to term arrays for fast evaluation."""
-
-    def __init__(self, polys: Sequence[Polynomial], num_unknowns: int):
-        exps, coeffs, eq_idx = [], [], []
-        for e, poly in enumerate(polys):
-            for exp, c in poly.sorted_terms():
-                exps.append(exp)
-                coeffs.append(float(c))
-                eq_idx.append(e)
-            if poly.is_zero():
-                pass
-        self.num_eqs = len(polys)
-        self.N = num_unknowns
-        self.E = np.array(exps, dtype=np.int64) if exps else np.zeros((0, num_unknowns), np.int64)
-        self.c = np.array(coeffs, dtype=float)
-        self.eq_idx = np.array(eq_idx, dtype=np.int64)
-        # gradient terms: one row per (term, variable with positive exponent)
-        g_exps, g_coeffs, g_eq, g_var = [], [], [], []
-        for t in range(self.E.shape[0]):
-            for v in range(num_unknowns):
-                e = self.E[t, v]
-                if e > 0:
-                    row = self.E[t].copy()
-                    row[v] -= 1
-                    g_exps.append(row)
-                    g_coeffs.append(self.c[t] * e)
-                    g_eq.append(self.eq_idx[t])
-                    g_var.append(v)
-        self.GE = np.array(g_exps, dtype=np.int64) if g_exps else np.zeros((0, num_unknowns), np.int64)
-        self.Gc = np.array(g_coeffs, dtype=float)
-        self.Geq = np.array(g_eq, dtype=np.int64)
-        self.Gvar = np.array(g_var, dtype=np.int64)
-
-    def fun(self, u: np.ndarray) -> np.ndarray:
-        F = np.zeros(self.num_eqs)
-        if self.c.size:
-            tv = np.prod(u[None, :] ** self.E, axis=1) * self.c
-            np.add.at(F, self.eq_idx, tv)
-        return F
-
-    def jac(self, u: np.ndarray) -> np.ndarray:
-        J = np.zeros((self.num_eqs, self.N))
-        if self.Gc.size:
-            tv = np.prod(u[None, :] ** self.GE, axis=1) * self.Gc
-            np.add.at(J, (self.Geq, self.Gvar), tv)
-        return J
-
-
 def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List[ArcCandidate]:
     """Multistart least-squares minimization of the constraint violations.
 
@@ -473,8 +419,13 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     cs = emit_constraints(f)
     N = cs.num_unknowns
     window = cs.window
-    polys = [poly for _, poly in cs.equations] + [cs.sphere]
-    compiled = _CompiledResiduals(polys, N)
+    compiled = CompiledPolynomials([poly for _, poly in cs.equations] + [cs.sphere])
+
+    def residuals(u: np.ndarray) -> np.ndarray:
+        return compiled.values(u[None, :])[0]
+
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        return compiled.jacobians(u[None, :])[0]
 
     # constant coefficient of f(xi(t)) as a polynomial in the unknowns
     names, comps, index = _generic_arc(f.num_vars, window)
@@ -483,7 +434,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
         b0_poly = Polynomial.constant(N, Fc)
     else:
         b0_poly = Fc.coefficient(0)
-    b0_compiled = _CompiledResiduals([b0_poly], N)
+    b0 = CompiledPolynomials([b0_poly])
 
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.starts, N)) * 0.5
@@ -499,9 +450,9 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     kept_points: List[np.ndarray] = []
     for si in range(config.starts):
         res = least_squares(
-            compiled.fun,
+            residuals,
             starts[si],
-            jac=compiled.jac,
+            jac=jacobian,
             method="trf",
             max_nfev=config.max_nfev,
             xtol=1e-14,
@@ -509,7 +460,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
             gtol=1e-14,
         )
         u = res.x
-        residual = float(np.sum(compiled.fun(u) ** 2))
+        residual = float(np.sum(residuals(u) ** 2))
         if residual >= config.tol:
             continue
         if any(np.linalg.norm(u - p) < config.dedupe_dist for p in kept_points):
@@ -520,7 +471,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
             vec = tuple(float(u[index[(k, j)]]) for j in range(f.num_vars))
             if any(abs(v) > 1e-12 for v in vec):
                 coeffs[k] = vec
-        b0_est = float(b0_compiled.fun(u)[0])
+        b0_est = float(b0.values(u[None, :])[0, 0])
         candidates.append(ArcCandidate(coeffs=coeffs, b0_estimate=b0_est,
                                        residual=residual, start_index=si))
     return candidates

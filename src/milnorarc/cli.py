@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -73,12 +72,9 @@ def _parse_center(text: str, n: int) -> Tuple[Fraction, ...]:
 def _parse_radii(spec: str) -> Tuple[float, float, int]:
     try:
         r0_s, factor_s, count_s = spec.split(":")
-        r0, factor, count = float(r0_s), float(factor_s), int(count_s)
+        return float(r0_s), float(factor_s), int(count_s)
     except ValueError as exc:
         raise UserError(f"--radii must look like R0:factor:count, got {spec!r}") from exc
-    if r0 <= 0 or factor <= 1 or count < 4:
-        raise UserError("--radii requires R0 > 0, factor > 1, count >= 4")
-    return r0, factor, count
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +138,14 @@ def _parse_arc_terms(body: str) -> List[Tuple[Fraction, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _trace_config(args, seed_default: int = 0) -> TraceConfig:
-    cfg = TraceConfig(seed=getattr(args, "seed", None) or seed_default)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise UserError("--tol must be positive")
-        cfg = replace(cfg, tol=args.tol)
-    if getattr(args, "radii", None) is not None:
-        r0, factor, count = _parse_radii(args.radii)
-        cfg = replace(cfg, r0=r0, radius_factor=factor, radius_count=count)
-    if getattr(args, "grid", None) is not None:
-        cfg = replace(cfg, grid=args.grid)
-    return cfg
+def _trace_config(args) -> TraceConfig:
+    fields = {k: getattr(args, k) for k in ("seed", "tol", "grid") if getattr(args, k) is not None}
+    if args.radii is not None:
+        fields["r0"], fields["radius_factor"], fields["radius_count"] = _parse_radii(args.radii)
+    try:
+        return TraceConfig(**fields)
+    except ValueError as exc:
+        raise UserError(str(exc)) from exc
 
 
 def _resolve_centers(args, f: Polynomial, cfg: TraceConfig) -> List[Tuple[Fraction, ...]]:
@@ -169,18 +159,18 @@ def _resolve_centers(args, f: Polynomial, cfg: TraceConfig) -> List[Tuple[Fracti
         if spec.isdigit():
             count = int(spec)
             for i in range(count):
-                centers.append(milnor.pick_generic_center(f, seed=cfg.seed + i))
+                centers.append(tracer.pick_generic_center(f, seed=cfg.seed + i))
         else:
             for c in spec.split(";"):
                 if c.strip():
                     centers.append(_parse_center(c, n))
     if not centers:
         for i in range(3):
-            centers.append(milnor.pick_generic_center(f, seed=cfg.seed + i))
+            centers.append(tracer.pick_generic_center(f, seed=cfg.seed + i))
     return centers
 
 
-def _traces_csv(traces, num_vars: int, id_offset: int = 0) -> List[List]:
+def _traces_csv(traces, id_offset: int = 0) -> List[List]:
     rows = []
     for t in traces:
         for s in t.samples:
@@ -207,18 +197,21 @@ def cmd_analyze(args) -> int:
     cfg = _trace_config(args)
     centers = _resolve_centers(args, f, cfg)
 
-    if len(centers) == 1:
-        report = tracer.s_a_estimate(f, centers[0], cfg)
-        payload = report.to_dict()
-        payload["mode"] = "single-center"
-        statuses = [report.status]
-        all_traces = [(report, 0)]
-    else:
-        sreport = tracer.s_infinity_estimate(f, centers, cfg)
-        payload = sreport.to_dict()
-        payload["mode"] = "multi-center"
-        statuses = [r.status for r in sreport.per_center]
-        all_traces = [(r, 1000 * i) for i, r in enumerate(sreport.per_center)]
+    try:
+        if len(centers) == 1:
+            report = tracer.s_a_estimate(f, centers[0], cfg)
+            payload = report.to_dict()
+            payload["mode"] = "single-center"
+            statuses = [report.status]
+            all_traces = [(report, 0)]
+        else:
+            sreport = tracer.s_infinity_estimate(f, centers, cfg)
+            payload = sreport.to_dict()
+            payload["mode"] = "multi-center"
+            statuses = [r.status for r in sreport.per_center]
+            all_traces = [(r, 1000 * i) for i, r in enumerate(sreport.per_center)]
+    except ValueError as exc:  # e.g. radii too large for float evaluation
+        raise UserError(str(exc)) from exc
 
     payload["polynomial"] = args.poly
     payload["vars"] = var_names
@@ -227,7 +220,7 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         rows = []
         for report, offset in all_traces:
-            rows.extend(_traces_csv(report.traces, f.num_vars, offset))
+            rows.extend(_traces_csv(report.traces, offset))
         _write_csv(rows, f.num_vars, args.out)
     else:
         _emit(_json_dumps(payload), args.out)
@@ -308,12 +301,14 @@ def cmd_trace(args) -> int:
     f = _parse_poly(args.poly, var_names)
     cfg = _trace_config(args)
     center = _parse_center(args.center, f.num_vars) if args.center else \
-        milnor.pick_generic_center(f, seed=cfg.seed)
+        tracer.pick_generic_center(f, seed=cfg.seed)
     try:
         traces = tracer.trace_branches(f, center, cfg)
     except tracer.DegenerateMilnorError as exc:
         sys.stderr.write(f"degenerate Milnor system: {exc}\n")
         return 2
+    except ValueError as exc:
+        raise UserError(str(exc)) from exc
     tracer.estimate_limits(traces, cfg)
     if args.format == "json":
         payload = {
@@ -342,7 +337,7 @@ def cmd_trace(args) -> int:
         }
         _emit(_json_dumps(payload), args.out)
     else:
-        _write_csv(_traces_csv(traces, f.num_vars), f.num_vars, args.out)
+        _write_csv(_traces_csv(traces), f.num_vars, args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Milnor set equations, the Rabier distance-to-singularity and center selection.
+"""Milnor set equations and the Rabier distance-to-singularity.
 
 For a single polynomial f and a center a, the Milnor set is the locus where
 grad f is parallel to x - a.  In the pivot chart (valid where one chosen
@@ -13,14 +13,14 @@ minors of the Jacobian of (f, rho_a).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .poly import Polynomial, Rational
+from .poly import CompiledPolynomials, Polynomial, Rational
 
 PIVOT_MINORS = "minors"
 
@@ -52,6 +52,30 @@ class MilnorSystem:
 
     def has_zero_equation(self) -> bool:
         return any(eq.is_zero() for eq in self.equations)
+
+    # float evaluators, compiled on first use and kept with the system
+
+    @cached_property
+    def compiled(self) -> CompiledPolynomials:
+        """The equations."""
+        return CompiledPolynomials(self.equations)
+
+    @cached_property
+    def compiled_source(self) -> CompiledPolynomials:
+        """The source map; its Jacobian rows are the gradients of f."""
+        return CompiledPolynomials(self.source)
+
+    @cached_property
+    def compiled_partials(self) -> CompiledPolynomials:
+        """First partials of the equations; their Jacobians are the Hessians."""
+        return CompiledPolynomials([eq.partial(k) for eq in self.equations for k in range(self.num_vars)])
+
+    @cached_property
+    def compiled_revalidation(self) -> CompiledPolynomials:
+        """Pivot mode only: the pivot partial followed by the maximal minors,
+        which recheck points where the pivot chart degenerates."""
+        minors = milnor_equations(self.source, self.center, pivot=PIVOT_MINORS)
+        return CompiledPolynomials([self.source[0].partial(self.pivot), *minors.equations])
 
     def to_dict(self, var_names: Optional[Sequence[str]] = None) -> dict:
         return {
@@ -164,11 +188,14 @@ def rabier_nu(J) -> float:
     return float(np.sqrt(max(w[0], 0.0)))
 
 
-def jacobian_at(source: Sequence[Polynomial], x: Sequence[float]) -> np.ndarray:
-    """Float Jacobian matrix of the map at x (rows are gradients)."""
-    fs = [source] if isinstance(source, Polynomial) else list(source)
-    point = [float(v) for v in x]
-    return np.array([[float(f.partial(i).evaluate(point)) for i in range(f.num_vars)] for f in fs])
+def jacobian_at(source, x: Sequence[float]) -> np.ndarray:
+    """Float Jacobian matrix of the map at x (rows are gradients).
+
+    `source` is a Polynomial, a sequence of them, or their compiled form.
+    """
+    if not isinstance(source, CompiledPolynomials):
+        source = CompiledPolynomials([source] if isinstance(source, Polynomial) else source)
+    return source.jacobians(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def malgrange_quantity(source, x: Sequence[float]) -> float:
@@ -178,59 +205,3 @@ def malgrange_quantity(source, x: Sequence[float]) -> float:
         raise ValueError("non-finite point")
     J = jacobian_at(source, point)
     return float(np.linalg.norm(point)) * rabier_nu(J)
-
-
-def _screen_center(f: Polynomial, a: Tuple[Fraction, ...], radii=(10.0, 40.0)) -> Tuple[bool, str]:
-    """Heuristic genericity screen: sampled Milnor points must have a rank
-    n-1 Jacobian of the pivot-chart equations.  Not a certificate."""
-    from . import tracer  # local import; tracer depends on this module
-
-    i = default_pivot(f)
-    sys = milnor_equations([f], a, pivot=i)
-    if sys.has_zero_equation():
-        return False, "identically zero pivot-chart equation"
-    n = f.num_vars
-    grad = f.gradient()
-    cfg = tracer.TraceConfig(seed=0, grid=1024, starts=64)
-    for R in radii:
-        try:
-            points = tracer.slice_solve(sys, R, cfg)
-        except Exception as exc:  # solver trouble counts as screen failure
-            return False, f"slice solve failed at R={R}: {exc}"
-        for x in points[:16]:
-            gnorm = float(np.linalg.norm([float(g.evaluate(list(x))) for g in grad]))
-            if gnorm < 1e-9 * (1.0 + R):
-                continue  # near Sing f, excluded from the screen
-            Jm = np.array(
-                [[float(eq.partial(k).evaluate(list(x))) for k in range(n)] for eq in sys.equations]
-            )
-            sv = np.linalg.svd(Jm, compute_uv=False)
-            if sv[-1] < 1e-8 * (sv[0] + 1.0):
-                return False, f"rank-deficient Milnor Jacobian at R={R}"
-    return True, "ok"
-
-
-def pick_generic_center(
-    f: Polynomial,
-    seed: int,
-    retries: int = 16,
-) -> Tuple[Fraction, ...]:
-    """Draw a small-height rational center passing the genericity screen.
-
-    Deterministic in `seed`.  Entries have numerator in [-100, 100] and
-    denominator in [1, 100].  Raises DegenerateCenterError if every retry
-    fails; the caller may then supply a center manually.
-    """
-    if f.num_vars < 2:
-        raise ValueError("need at least two variables")
-    rng = random.Random(seed)
-    diagnostics = []
-    for attempt in range(retries):
-        a = tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(f.num_vars))
-        ok, reason = _screen_center(f, a)
-        if ok:
-            return a
-        diagnostics.append(f"attempt {attempt}: a={tuple(str(c) for c in a)}: {reason}")
-    raise DegenerateCenterError(
-        f"no generic center found in {retries} attempts (seed {seed})", diagnostics
-    )

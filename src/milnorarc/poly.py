@@ -4,6 +4,10 @@ A polynomial is a finite map from exponent tuples to nonzero Fraction
 coefficients; the zero polynomial is the empty map.  All arithmetic in this
 module is exact: no floats enter unless the caller evaluates at a float point.
 
+`CompiledPolynomials` is the one float lowering of a `Polynomial`: the
+tracer and the numerical arc search evaluate values, Jacobians and scale
+bounds at float points only through it.
+
 Terms are ordered by graded lexicographic order on the exponent tuple (total
 degree first, then the tuple itself), which fixes printing and iteration
 order.
@@ -13,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 Exponent = Tuple[int, ...]
 Rational = Union[int, Fraction]
@@ -291,6 +298,95 @@ def _horner(items, var: int, values, num_vars: int):
     if prev:
         acc = acc * (x ** prev)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Compiled float evaluation
+# ---------------------------------------------------------------------------
+
+
+class _TermTable:
+    """Float terms c * x^e, each summed into one output cell.
+
+    Terms are stored cell by cell; a cell without terms holds one 0 * x^0
+    term, so every cell is a nonempty contiguous segment for reduceat.
+    """
+
+    def __init__(self, cells: Sequence[List[Tuple[Exponent, Fraction]]], num_vars: int, stride: int):
+        zero = [((0,) * num_vars, Fraction(0))]
+        exps, coeffs, starts = [], [], []
+        for terms in cells:
+            starts.append(len(coeffs))
+            for exp, c in terms or zero:
+                exps.append(exp)
+                coeffs.append(float(c))
+        exps = np.array(exps, dtype=np.int64)
+        # column of x_k^e in the flattened power table is k * stride + e
+        self.index = exps + stride * np.arange(num_vars)
+        self.degrees = exps.sum(axis=1)
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.starts = np.array(starts, dtype=np.int64)
+
+    def evaluate(self, powers: np.ndarray) -> np.ndarray:
+        """Cell sums (m, cells) from a power table (m, num_vars * stride)."""
+        terms = powers.take(self.index, axis=1).prod(axis=2) * self.coeffs
+        return np.add.reduceat(terms, self.starts, axis=1)
+
+
+class CompiledPolynomials:
+    """Polynomials in the same variables lowered once to float term tables.
+
+    Built from p polynomials in n variables; evaluates a batch of m points
+    X (m, n) to values (m, p) and Jacobians (m, p, n), the derivative table
+    coming from the exact partials.  Both read one table of the powers
+    x_k^e, 0 <= e <= the largest exponent.  Each term table is built on first
+    use, since most callers need only one of them.
+    """
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        polys = list(polys)
+        if not polys:
+            raise ValueError("need at least one polynomial")
+        n = polys[0].num_vars
+        if any(f.num_vars != n for f in polys):
+            raise ValueError("all polynomials must share num_vars")
+        self.num_vars = n
+        self.num_polys = len(polys)
+        self._polys = polys
+        top = max((max(e) for f in polys for e in f.terms), default=0)
+        self._powers = np.arange(top + 1, dtype=float)
+
+    @cached_property
+    def _values(self) -> _TermTable:
+        return _TermTable([f.sorted_terms() for f in self._polys], self.num_vars, self._powers.size)
+
+    @cached_property
+    def _jacobians(self) -> _TermTable:
+        partials = [f.partial(k).sorted_terms() for f in self._polys for k in range(self.num_vars)]
+        return _TermTable(partials, self.num_vars, self._powers.size)
+
+    def _power_table(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return (X[:, :, None] ** self._powers).reshape(len(X), self.num_vars * self._powers.size)
+
+    def values(self, X) -> np.ndarray:
+        """Values at the rows of X (m, n): shape (m, p)."""
+        return self._values.evaluate(self._power_table(X))
+
+    def jacobians(self, X) -> np.ndarray:
+        """Jacobian matrices at the rows of X (m, n): shape (m, p, n)."""
+        J = self._jacobians.evaluate(self._power_table(X))
+        return J.reshape(-1, self.num_polys, self.num_vars)
+
+    def scales(self, bound: float) -> np.ndarray:
+        """Magnitude bounds sum |c| * bound^deg + 1, one per polynomial.
+
+        Scale-aware residuals divide by these; an overflow gives inf.
+        """
+        table = self._values
+        with np.errstate(over="ignore"):
+            terms = np.abs(table.coeffs) * float(bound) ** table.degrees
+        return np.add.reduceat(terms, table.starts) + 1.0
 
 
 # ---------------------------------------------------------------------------

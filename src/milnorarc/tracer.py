@@ -19,16 +19,18 @@ explicitly best-effort (branches may be missed).
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field, replace
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import milnor
-from .milnor import MilnorSystem, malgrange_quantity, milnor_equations
-from .poly import Polynomial
+from .milnor import DegenerateCenterError, MilnorSystem, malgrange_quantity, milnor_equations
+from .poly import CompiledPolynomials, Polynomial
 
 STATUS_CONVERGENT = "convergent"
 STATUS_DIVERGENT = "divergent"
@@ -47,6 +49,8 @@ class TraceConfig:
     zero when |eq(x)| < tol * S where S sums |coeff| * B^deg over the terms
     with B = ||a|| + R + 1.  A raw absolute tolerance would be meaningless at
     large radii where polynomial values grow like R^deg.
+
+    Construction raises ValueError on a bad tolerance, grid or radius schedule.
     """
 
     seed: int = 0
@@ -64,25 +68,24 @@ class TraceConfig:
     match_tol: float = 0.5        # max direction drift between consecutive radii
     newton_iters: int = 60
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.grid < 0:
+            raise ValueError(f"grid must be nonnegative, got {self.grid}")
+        try:
+            largest = self.r0 * self.radius_factor ** (self.radius_count - 1)
+        except OverflowError:
+            largest = math.inf
+        if not (self.r0 > 0 and self.radius_factor > 1 and self.radius_count >= 4 and math.isfinite(largest)):
+            raise ValueError("radii need r0 > 0, radius_factor > 1, radius_count >= 4 "
+                             "and a finite largest radius r0 * radius_factor^(radius_count - 1)")
+
     def radii(self) -> List[float]:
         return [self.r0 * self.radius_factor ** k for k in range(self.radius_count)]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "tol": self.tol,
-            "merge_dist": self.merge_dist,
-            "conv_tol": self.conv_tol,
-            "cluster_tol": self.cluster_tol,
-            "div_threshold": self.div_threshold,
-            "alpha_min": self.alpha_min,
-            "r0": self.r0,
-            "radius_factor": self.radius_factor,
-            "radius_count": self.radius_count,
-            "grid": self.grid,
-            "starts": self.starts,
-            "match_tol": self.match_tol,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -178,74 +181,29 @@ class SInfinityReport:
 
 
 # ---------------------------------------------------------------------------
-# Compiled float evaluation
-# ---------------------------------------------------------------------------
-
-
-class _Compiled:
-    """Polynomial lowered to exponent/coefficient arrays for vectorized eval."""
-
-    __slots__ = ("exps", "coeffs", "term_degrees", "abs_coeffs", "num_vars")
-
-    def __init__(self, f: Polynomial):
-        items = f.sorted_terms()
-        self.num_vars = f.num_vars
-        if items:
-            self.exps = np.array([e for e, _ in items], dtype=np.int64)
-            self.coeffs = np.array([float(c) for _, c in items], dtype=float)
-        else:
-            self.exps = np.zeros((0, f.num_vars), dtype=np.int64)
-            self.coeffs = np.zeros(0, dtype=float)
-        self.term_degrees = self.exps.sum(axis=1)
-        self.abs_coeffs = np.abs(self.coeffs)
-
-    def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of points, X of shape (m, n)."""
-        if self.coeffs.size == 0:
-            return np.zeros(X.shape[0])
-        return np.prod(X[:, None, :] ** self.exps[None, :, :], axis=2) @ self.coeffs
-
-    def eval_one(self, x: np.ndarray) -> float:
-        return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def scale(self, bound: float) -> float:
-        """Magnitude bound sum |c| * B^deg used for scale-aware residuals."""
-        if self.coeffs.size == 0:
-            return 1.0
-        return float(np.sum(self.abs_coeffs * bound ** self.term_degrees)) + 1.0
-
-
-def _compile_system(sys: MilnorSystem):
-    return [_Compiled(eq) for eq in sys.equations]
-
-
-def _scaled_residual(compiled: Sequence[_Compiled], x: np.ndarray, bound: float) -> float:
-    return max(abs(c.eval_one(x)) / c.scale(bound) for c in compiled)
-
-
-# ---------------------------------------------------------------------------
 # Slice solving
 # ---------------------------------------------------------------------------
+
+
+def _scaled_values(compiled: CompiledPolynomials, X: np.ndarray, bound: float) -> np.ndarray:
+    """|p_i(x)| / S_i at the rows of X, with S_i the scale bound at `bound`."""
+    return np.abs(compiled.values(X)) / compiled.scales(bound)
 
 
 def _pivot_revalidate(sys: MilnorSystem, x: np.ndarray, bound: float, tol: float) -> bool:
     """Where the pivot partial nearly vanishes, recheck against minors mode."""
     if sys.pivot == milnor.PIVOT_MINORS:
         return True
-    f = sys.source[0]
-    fi = _Compiled(f.partial(int(sys.pivot)))
-    if abs(fi.eval_one(x)) / fi.scale(bound) > math.sqrt(tol):
-        return True
-    minors = milnor_equations(list(sys.source), sys.center, pivot=milnor.PIVOT_MINORS)
-    comp = _compile_system(minors)
-    return _scaled_residual(comp, x, bound) < tol
+    partial, *minors = _scaled_values(sys.compiled_revalidation, x[None, :], bound)[0]
+    return partial > math.sqrt(tol) or max(minors) < tol
 
 
 def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] = None) -> List[np.ndarray]:
     """Points of the Milnor set on the sphere ||x - a|| = radius.
 
     Returns de-duplicated float points; each satisfies every equation to the
-    scale-aware tolerance.  An empty list is a valid outcome.
+    scale-aware tolerance.  An empty list is a valid outcome.  Raises
+    ValueError when the equations overflow floating point at this radius.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -255,20 +213,18 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     n = sys.num_vars
     a = np.array([float(c) for c in sys.center])
     bound = float(np.linalg.norm(a)) + radius + 1.0
-    compiled = _compile_system(sys)
+    scales = sys.compiled.scales(bound)
+    if not np.all(np.isfinite(scales)):
+        raise ValueError(f"radius {radius:g} is too large: the Milnor equations overflow floating point")
 
     if n == 2:
-        points = _slice_solve_circle(sys, compiled, a, radius, config)
+        points = _slice_solve_circle(sys, a, radius, config)
     else:
-        points = _slice_solve_newton(sys, compiled, a, radius, config)
+        points = _slice_solve_newton(sys, a, radius, scales, config)
 
-    accepted = []
-    for x in points:
-        if _scaled_residual(compiled, x, bound) >= config.tol:
-            continue
-        if not _pivot_revalidate(sys, x, bound, config.tol):
-            continue
-        accepted.append(x)
+    residuals = _scaled_values(sys.compiled, np.reshape(points, (-1, n)), bound).max(axis=1)
+    accepted = [x for x, res in zip(points, residuals)
+                if res < config.tol and _pivot_revalidate(sys, x, bound, config.tol)]
     return _dedupe(accepted, max(config.merge_dist, 4e-12 * (1.0 + radius)))
 
 
@@ -329,43 +285,6 @@ def _half_angle_poly(eq: Polynomial, a, radius: float) -> List[Fraction]:
     return total
 
 
-class _CircleFuncs:
-    """The equation and its first two derivatives along the circle."""
-
-    def __init__(self, eq: Polynomial, a: np.ndarray, radius: float):
-        self.a = a
-        self.R = radius
-        self.v0 = _Compiled(eq)
-        gx, gy = eq.partial(0), eq.partial(1)
-        self.gx, self.gy = _Compiled(gx), _Compiled(gy)
-        self.hxx = _Compiled(gx.partial(0))
-        self.hxy = _Compiled(gx.partial(1))
-        self.hyy = _Compiled(gy.partial(1))
-
-    def point(self, theta: float) -> np.ndarray:
-        return self.a + self.R * np.array([math.cos(theta), math.sin(theta)])
-
-    def v(self, theta: float) -> float:
-        return self.v0.eval_one(self.point(theta))
-
-    def dv(self, theta: float) -> float:
-        x = self.point(theta)
-        s, c = math.sin(theta), math.cos(theta)
-        return self.R * (-s * self.gx.eval_one(x) + c * self.gy.eval_one(x))
-
-    def ddv(self, theta: float) -> float:
-        x = self.point(theta)
-        s, c = math.sin(theta), math.cos(theta)
-        R = self.R
-        quad = R * R * (
-            s * s * self.hxx.eval_one(x)
-            - 2.0 * s * c * self.hxy.eval_one(x)
-            + c * c * self.hyy.eval_one(x)
-        )
-        lin = -R * (c * self.gx.eval_one(x) + s * self.gy.eval_one(x))
-        return quad + lin
-
-
 def _bisect(fn, lo: float, hi: float, flo: float) -> float:
     for _ in range(120):
         mid = 0.5 * (lo + hi)
@@ -381,14 +300,32 @@ def _bisect(fn, lo: float, hi: float, flo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _slice_solve_circle(sys: MilnorSystem, compiled, a: np.ndarray, radius: float,
+def _slice_solve_circle(sys: MilnorSystem, a: np.ndarray, radius: float,
                         config: TraceConfig) -> List[np.ndarray]:
-    eq = sys.equations[0]
-    fns = _CircleFuncs(eq, a, radius)
+    eq, hessian = sys.compiled, sys.compiled_partials
     two_pi = 2.0 * math.pi
 
+    # the equation v and its first two derivatives along the circle
+    def point(theta: float) -> np.ndarray:
+        return a + radius * np.array([math.cos(theta), math.sin(theta)])
+
+    def v(theta: float) -> float:
+        return float(eq.values(point(theta)[None, :])[0, 0])
+
+    def dv(theta: float) -> float:
+        gx, gy = eq.jacobians(point(theta)[None, :])[0, 0]
+        return radius * (-math.sin(theta) * gx + math.cos(theta) * gy)
+
+    def ddv(theta: float) -> float:
+        x = point(theta)[None, :]
+        s, c = math.sin(theta), math.cos(theta)
+        gx, gy = eq.jacobians(x)[0, 0]
+        (hxx, hxy), (_, hyy) = hessian.jacobians(x)[0]
+        quad = radius * radius * (s * s * hxx - 2.0 * s * c * hxy + c * c * hyy)
+        return quad - radius * (c * gx + s * gy)
+
     # root candidates from the exact half-angle polynomial
-    coeffs = _half_angle_poly(eq, sys.center, radius)
+    coeffs = _half_angle_poly(sys.equations[0], sys.center, radius)
     cf = np.array([float(c) for c in coeffs], dtype=float)
     candidates: List[float] = [math.pi]  # tau = infinity is not covered below
     top = np.max(np.abs(cf)) if cf.size else 0.0
@@ -406,7 +343,7 @@ def _slice_solve_circle(sys: MilnorSystem, compiled, a: np.ndarray, radius: floa
     # grid sign changes as an extra candidate source
     grid = np.linspace(0.0, two_pi, config.grid, endpoint=False)
     X = a[None, :] + radius * np.stack([np.cos(grid), np.sin(grid)], axis=1)
-    vals = fns.v0.eval_many(X)
+    vals = eq.values(X)[:, 0]
     for i in range(config.grid):
         j = (i + 1) % config.grid
         if vals[i] == 0.0 or vals[i] * vals[j] < 0.0:
@@ -423,7 +360,7 @@ def _slice_solve_circle(sys: MilnorSystem, compiled, a: np.ndarray, radius: floa
         # transversal root: polish by Newton, then verify with a sign bracket
         theta_n = theta_c
         for _ in range(60):
-            val, slope = fns.v(theta_n), fns.dv(theta_n)
+            val, slope = v(theta_n), dv(theta_n)
             if slope == 0.0:
                 break
             step = val / slope
@@ -436,13 +373,13 @@ def _slice_solve_circle(sys: MilnorSystem, compiled, a: np.ndarray, radius: floa
         bracketed = False
         delta = 1e-14
         while delta <= 1e-4:
-            flo, fhi = fns.v(theta_n - delta), fns.v(theta_n + delta)
+            flo, fhi = v(theta_n - delta), v(theta_n + delta)
             if flo == 0.0:
                 push(theta_n - delta)
                 bracketed = True
                 break
             if flo * fhi < 0.0:
-                push(_bisect(fns.v, theta_n - delta, theta_n + delta, flo))
+                push(_bisect(v, theta_n - delta, theta_n + delta, flo))
                 bracketed = True
                 break
             delta *= 10.0
@@ -452,7 +389,7 @@ def _slice_solve_circle(sys: MilnorSystem, compiled, a: np.ndarray, radius: floa
         theta_s = theta_c
         ok = False
         for _ in range(80):
-            slope, curv = fns.dv(theta_s), fns.ddv(theta_s)
+            slope, curv = dv(theta_s), ddv(theta_s)
             if curv == 0.0:
                 break
             step = slope / curv
@@ -468,20 +405,20 @@ def _slice_solve_circle(sys: MilnorSystem, compiled, a: np.ndarray, radius: floa
             ok = True
         if not ok:
             continue
-        v_star, curv = fns.v(theta_s), fns.ddv(theta_s)
+        v_star, curv = v(theta_s), ddv(theta_s)
         if curv == 0.0 or v_star * curv >= 0.0:
             continue  # one-sided tangency or no real pair here
         h = math.sqrt(-2.0 * v_star / curv)
         for sign in (-1.0, 1.0):
             lo, hi = sorted((theta_s, theta_s + sign * 3.0 * h))
-            flo, fhi = fns.v(lo), fns.v(hi)
+            flo, fhi = v(lo), v(hi)
             if flo * fhi < 0.0:
-                push(_bisect(fns.v, lo, hi, flo))
+                push(_bisect(v, lo, hi, flo))
 
-    return [fns.point(t) for t in sorted(roots)]
+    return [point(t) for t in sorted(roots)]
 
 
-def _slice_solve_newton(sys: MilnorSystem, compiled, a: np.ndarray, radius: float,
+def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales: np.ndarray,
                         config: TraceConfig) -> List[np.ndarray]:
     n = a.shape[0]
     rng = np.random.default_rng([config.seed, int(round(radius * 1024)) & 0x7FFFFFFF])
@@ -489,22 +426,14 @@ def _slice_solve_newton(sys: MilnorSystem, compiled, a: np.ndarray, radius: floa
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     X = a[None, :] + radius * U
 
-    grads = [[_Compiled(eq.partial(k)) for k in range(n)] for eq in sys.equations]
-    scales = np.array([c.scale(float(np.linalg.norm(a)) + radius + 1.0) for c in compiled] + [radius ** 2])
+    scales = np.append(scales, radius ** 2)
 
     def residuals(X):
-        F = np.stack([c.eval_many(X) for c in compiled], axis=1)
         sphere = np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2
-        return np.concatenate([F, sphere[:, None]], axis=1)
+        return np.concatenate([sys.compiled.values(X), sphere[:, None]], axis=1)
 
     def jacobians(X):
-        m = X.shape[0]
-        J = np.zeros((m, len(compiled) + 1, n))
-        for r, g in enumerate(grads):
-            for k in range(n):
-                J[:, r, k] = g[k].eval_many(X)
-        J[:, -1, :] = 2.0 * (X - a[None, :])
-        return J
+        return np.concatenate([sys.compiled.jacobians(X), 2.0 * (X - a[None, :])[:, None, :]], axis=1)
 
     for _ in range(config.newton_iters):
         F = residuals(X)
@@ -563,7 +492,6 @@ def trace_branches(
         raise DegenerateMilnorError(
             "Milnor system has an identically zero equation; the center is degenerate"
         )
-    compiled = _compile_system(sys)
     a = np.array([float(c) for c in sys.center])
 
     branches: List[BranchTrace] = []
@@ -588,7 +516,7 @@ def trace_branches(
                 matched_old.add(i_old)
                 matched_new.add(j_new)
                 trace = open_branches[i_old][0]
-                trace.samples.append(_make_sample(sys, compiled, points[j_new], R, bound))
+                trace.samples.append(_make_sample(sys, points[j_new], R, bound))
                 open_branches[i_old] = (trace, dirs[j_new])
                 dist[i_old, :] = np.inf
                 dist[:, j_new] = np.inf
@@ -610,18 +538,19 @@ def trace_branches(
                 continue
             trace = BranchTrace(branch_id=next_id)
             next_id += 1
-            trace.samples.append(_make_sample(sys, compiled, x, R, bound))
+            trace.samples.append(_make_sample(sys, x, R, bound))
             branches.append(trace)
             open_branches.append((trace, dirs[j_new]))
 
     return branches
 
 
-def _make_sample(sys: MilnorSystem, compiled, x: np.ndarray, R: float, bound: float) -> Sample:
-    f = sys.source[0]
-    fx = float(f.evaluate([float(v) for v in x]))
-    mal = malgrange_quantity(list(sys.source), x)
-    res = _scaled_residual(compiled, x, bound)
+def _make_sample(sys: MilnorSystem, x: np.ndarray, R: float, bound: float) -> Sample:
+    # exact at the float point: float sums of a degree-d f cancel to errors
+    # of ~1e-16 * sum |c| R^d, above conv_tol at the outer radii
+    fx = float(sys.source[0].evaluate([Fraction(v) for v in x]))
+    mal = malgrange_quantity(sys.compiled_source, x)
+    res = float(np.max(_scaled_values(sys.compiled, x[None, :], bound)))
     return Sample(radius=R, point=tuple(float(v) for v in x), f_value=fx, malgrange=mal, residual=res)
 
 
@@ -815,3 +744,57 @@ def s_infinity_estimate(
                 intersection.append(LimitValue(value, unc, ids))
     return SInfinityReport(per_center=reports, intersection=intersection,
                            cluster_tol=config.cluster_tol, note=note)
+
+
+# ---------------------------------------------------------------------------
+# Center selection
+# ---------------------------------------------------------------------------
+
+
+def _screen_center(f: Polynomial, a: Tuple[Fraction, ...], radii=(10.0, 40.0)) -> Tuple[bool, str]:
+    """Heuristic genericity screen: sampled Milnor points must have a rank
+    n-1 Jacobian of the pivot-chart equations.  Not a certificate."""
+    sys = milnor_equations([f], a, pivot=milnor.default_pivot(f))
+    if sys.has_zero_equation():
+        return False, "identically zero pivot-chart equation"
+    cfg = TraceConfig(seed=0, grid=1024, starts=64)
+    for R in radii:
+        try:
+            points = slice_solve(sys, R, cfg)
+        except Exception as exc:  # solver trouble counts as screen failure
+            return False, f"slice solve failed at R={R}: {exc}"
+        X = np.reshape(points[:16], (-1, f.num_vars))
+        gnorms = np.linalg.norm(sys.compiled_source.jacobians(X)[:, 0, :], axis=1)
+        for gnorm, Jm in zip(gnorms, sys.compiled.jacobians(X)):
+            if gnorm < 1e-9 * (1.0 + R):
+                continue  # near Sing f, excluded from the screen
+            sv = np.linalg.svd(Jm, compute_uv=False)
+            if sv[-1] < 1e-8 * (sv[0] + 1.0):
+                return False, f"rank-deficient Milnor Jacobian at R={R}"
+    return True, "ok"
+
+
+def pick_generic_center(
+    f: Polynomial,
+    seed: int,
+    retries: int = 16,
+) -> Tuple[Fraction, ...]:
+    """Draw a small-height rational center passing the genericity screen.
+
+    Deterministic in `seed`.  Entries have numerator in [-100, 100] and
+    denominator in [1, 100].  Raises DegenerateCenterError if every retry
+    fails; the caller may then supply a center manually.
+    """
+    if f.num_vars < 2:
+        raise ValueError("need at least two variables")
+    rng = random.Random(seed)
+    diagnostics = []
+    for attempt in range(retries):
+        a = tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(f.num_vars))
+        ok, reason = _screen_center(f, a)
+        if ok:
+            return a
+        diagnostics.append(f"attempt {attempt}: a={tuple(str(c) for c in a)}: {reason}")
+    raise DegenerateCenterError(
+        f"no generic center found in {retries} attempts (seed {seed})", diagnostics
+    )

@@ -140,6 +140,22 @@ class TestAnalyze:
         assert code == 1
         assert "R0:factor:count" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"],
+        ["--grid", "-5"],
+        ["--radii", "1e300:2:8"],
+        ["--radii", "10:1:8"],
+        ["--radii", "1e200:1e100:8"],
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "trace"])
+    def test_bad_trace_config_is_one_error_line(self, capsys, command, flags):
+        code, _, err = run_cli(
+            capsys, command, "x + x^2*y", "--vars", "x,y", "--center", "0,0", *flags
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestTraceCommand:
     def test_csv_default(self, capsys):

@@ -1,0 +1,38 @@
+"""Module layering: poly -> milnor -> tracer, and arcs -> poly."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "milnorarc"
+
+
+def sibling_imports(module: str) -> set:
+    """Names of package modules that `module` imports, at any depth."""
+    siblings = {p.stem for p in PACKAGE.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "milnorarc":
+                parts = node.module.split(".")
+                found.update([parts[1]] if len(parts) > 1 else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "milnorarc" and len(parts) > 1:
+                    found.add(parts[1])
+    return found & siblings
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("poly", set()),
+    ("milnor", {"poly"}),
+    ("arcs", {"poly"}),
+])
+def test_module_imports_only_lower_layers(module, allowed):
+    assert sibling_imports(module) <= allowed

@@ -179,7 +179,7 @@ class TestCenters:
             pick_generic_center(parse("x^2", ["x"]), seed=0)
 
     def test_degenerate_reports_diagnostics(self, monkeypatch):
-        import milnorarc.milnor as m
+        import milnorarc.tracer as m
 
         monkeypatch.setattr(m, "_screen_center", lambda f, a: (False, "forced failure"))
         f = parse("x + x^2*y", VARS2)

@@ -4,7 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from milnorarc import (
     LaurentScalar,
@@ -14,6 +15,7 @@ from milnorarc import (
     compose_arc,
     parse,
 )
+from milnorarc.poly import CompiledPolynomials
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -37,6 +39,10 @@ def polynomials(num_vars: int, max_degree: int = 4, max_terms: int = 6):
 
 def points(num_vars: int):
     return st.tuples(*([rationals] * num_vars))
+
+
+def small_integer_points(num_vars: int):
+    return st.lists(st.tuples(*([st.integers(-3, 3)] * num_vars)), min_size=1, max_size=4)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +209,52 @@ class TestSubstitute:
         pt = list(p)
         composed = f.substitute([g1, g2])
         assert composed.evaluate(pt) == f.evaluate([g1.evaluate(pt), g2.evaluate(pt)])
+
+
+class TestCompiledPolynomials:
+    """The float lowering against exact evaluation.
+
+    Each polynomial is scaled to integer coefficients and evaluated at
+    small-integer points, where every float operation is exact.
+    """
+
+    @staticmethod
+    def _integral(f):
+        return f * math.lcm(*(c.denominator for c in f.terms.values()))
+
+    def _check(self, fs, pts):
+        fs = [self._integral(f) for f in fs]
+        n = fs[0].num_vars
+        compiled = CompiledPolynomials(fs)
+        X = np.array(pts, dtype=float).reshape(-1, n)
+        values, jacobians = compiled.values(X), compiled.jacobians(X)
+        assert values.shape == (len(pts), len(fs))
+        assert jacobians.shape == (len(pts), len(fs), n)
+        for m, pt in enumerate(pts):
+            for r, f in enumerate(fs):
+                assert values[m, r] == f.evaluate(list(pt))
+                for i in range(n):
+                    assert jacobians[m, r, i] == f.partial(i).evaluate(list(pt))
+        for r, f in enumerate(fs):
+            expected = sum(abs(c) * 2 ** sum(e) for e, c in f.terms.items()) + 1
+            assert compiled.scales(2.0)[r] == expected
+
+    @given(polynomials(2), polynomials(2), small_integer_points(2))
+    @example(Polynomial.zero(2), Polynomial.constant(2, Fraction(-7, 3)), [(0, 0), (2, -3)])
+    @settings(max_examples=40, deadline=None)
+    def test_two_variables(self, f, g, pts):
+        self._check([f, g], pts)
+
+    @given(polynomials(3), polynomials(3), small_integer_points(3))
+    @example(Polynomial.constant(3, 5), Polynomial.zero(3), [(1, -1, 3)])
+    @settings(max_examples=40, deadline=None)
+    def test_three_variables(self, f, g, pts):
+        self._check([f, g], pts)
+
+    def test_empty_batch(self):
+        compiled = CompiledPolynomials([parse("x + x^2*y", VARS2)])
+        assert compiled.values(np.zeros((0, 2))).shape == (0, 1)
+        assert compiled.jacobians(np.zeros((0, 2))).shape == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for sphere slicing, branch tracing and limit estimation."""
 
+import dataclasses
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from milnorarc import (
+    ArcSearchConfig,
     BranchTrace,
     DegenerateMilnorError,
     TraceConfig,
@@ -103,6 +105,11 @@ class TestTraceBranches:
             dirs = [np.array(s.point) / np.linalg.norm(s.point) for s in t.samples]
             for d1, d2 in zip(dirs, dirs[1:]):
                 assert np.linalg.norm(d1 - d2) < 0.5
+
+    def test_f_values_are_exact_at_the_sample_points(self):
+        for t in trace_branches(F_FLAG, (0, 0), TraceConfig()):
+            for s in t.samples:
+                assert s.f_value == float(F_FLAG.evaluate([Fraction(v) for v in s.point]))
 
     def test_requires_enough_radii(self):
         with pytest.raises(ValueError):
@@ -221,3 +228,8 @@ class TestReports:
         f = parse("x^2 + y^2", VARS2)
         report = s_infinity_estimate(f, [(0, 0), (1, 0)], TraceConfig())
         assert "excluded" in report.note
+
+
+@pytest.mark.parametrize("config", [TraceConfig(), ArcSearchConfig()])
+def test_config_to_dict_lists_every_field(config):
+    assert set(config.to_dict()) == {f.name for f in dataclasses.fields(config)}
