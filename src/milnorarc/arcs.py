@@ -18,13 +18,14 @@ float.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .poly import CompiledPolynomials, Polynomial, RationalArc, compose_arc
+from .poly import CompiledPolynomials, LaurentScalar, Polynomial, RationalArc, compose_arc, compose_laurent
 
 
 class WindowViolationError(ValueError):
@@ -192,80 +193,6 @@ def truncate(xi: RationalArc, window: ArcWindow) -> RationalArc:
 # ---------------------------------------------------------------------------
 
 
-class _LaurentOverRing:
-    """Laurent polynomial in t whose coefficients are Polynomials in the
-    unknown arc coefficients.  Internal helper for emit_constraints."""
-
-    __slots__ = ("terms", "num_unknowns")
-
-    def __init__(self, num_unknowns: int, terms: Optional[Dict[int, Polynomial]] = None):
-        self.num_unknowns = num_unknowns
-        clean: Dict[int, Polynomial] = {}
-        if terms:
-            for k, p in terms.items():
-                if not p.is_zero():
-                    clean[int(k)] = p
-        self.terms = clean
-
-    def coefficient(self, k: int) -> Polynomial:
-        return self.terms.get(k, Polynomial.zero(self.num_unknowns))
-
-    def support(self) -> List[int]:
-        return sorted(self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, _LaurentOverRing):
-            return other
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _LaurentOverRing(self.num_unknowns)
-            return _LaurentOverRing(
-                self.num_unknowns, {0: Polynomial.constant(self.num_unknowns, other)}
-            )
-        if isinstance(other, Polynomial):
-            return _LaurentOverRing(self.num_unknowns, {0: other})
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            out[k] = out[k] + p if k in out else p
-        return _LaurentOverRing(self.num_unknowns, out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _LaurentOverRing(self.num_unknowns, {k: p * other for k, p in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: Dict[int, Polynomial] = {}
-        for ka, pa in self.terms.items():
-            for kb, pb in other.terms.items():
-                prod = pa * pb
-                key = ka + kb
-                out[key] = out[key] + prod if key in out else prod
-        return _LaurentOverRing(self.num_unknowns, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-
 def unknown_name(k: int, j: int) -> str:
     """Coefficient symbol for exponent k, component j (1-based); negative
     exponents spell their absolute value with an m prefix."""
@@ -282,6 +209,7 @@ class ConstraintSystem:
     unknowns: List[str]
     equations: List[Tuple[str, Polynomial]]   # (label, polynomial in the unknowns)
     sphere: Polynomial
+    b0: Polynomial   # t^0 coefficient of f(xi(t)); the limit value along a solution
 
     @property
     def num_unknowns(self) -> int:
@@ -311,22 +239,17 @@ class ConstraintSystem:
         }
 
 
-def _generic_arc(n: int, window: ArcWindow) -> Tuple[List[str], List[_LaurentOverRing], Dict[Tuple[int, int], int]]:
-    names: List[str] = []
-    index: Dict[Tuple[int, int], int] = {}
-    for k in range(window.k_min, window.k_max + 1):
-        for j in range(n):
-            index[(k, j)] = len(names)
-            names.append(unknown_name(k, j + 1))
+def _generic_arc(n: int, window: ArcWindow) -> Tuple[List[str], List[LaurentScalar]]:
+    """Unknown names and the components of the arc whose coefficients are the
+    unknowns.  The unknowns run k-major: a_k occupies indices
+    (k - k_min) * n .. (k - k_min) * n + n - 1, so the positive-exponent
+    block is the tail."""
+    ks = range(window.k_min, window.k_max + 1)
+    names = [unknown_name(k, j + 1) for k in ks for j in range(n)]
     N = len(names)
-    comps = []
-    for j in range(n):
-        terms = {
-            k: Polynomial.variable(N, index[(k, j)])
-            for k in range(window.k_min, window.k_max + 1)
-        }
-        comps.append(_LaurentOverRing(N, terms))
-    return names, comps, index
+    comps = [LaurentScalar({k: Polynomial.variable(N, (k - window.k_min) * n + j) for k in ks})
+             for j in range(n)]
+    return names, comps
 
 
 def emit_constraints(f: Polynomial) -> ConstraintSystem:
@@ -337,39 +260,31 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
         raise ValueError("polynomial degree must be at least 2")
     n = f.num_vars
     window = arc_window(n, int(d))
-    names, comps, index = _generic_arc(n, window)
+    names, comps = _generic_arc(n, window)
     N = len(names)
+    zero = Polynomial.zero(N)  # adding it lifts a Fraction coefficient into the unknowns' ring
 
     equations: List[Tuple[str, Polynomial]] = []
 
-    Fc = f.evaluate_in(comps)
-    if isinstance(Fc, (int, Fraction)):
-        Fc = _LaurentOverRing(N)._coerce(Fc)
-    for m in Fc.support():
-        if m >= 1:
-            equations.append((f"b:t^{m}", Fc.coefficient(m)))
+    def forbid(label: str, L: LaurentScalar, lowest: int) -> None:
+        equations.extend((f"{label}t^{m}", zero + L.terms[m]) for m in L.support() if m >= lowest)
 
+    F = compose_laurent(f, comps)
+    forbid("b:", F, 1)
     for i in range(n):
-        g = f.partial(i).evaluate_in(comps)
-        if isinstance(g, (int, Fraction)):
-            g = _LaurentOverRing(N)._coerce(g)
-        for m in g.support():
-            if m >= 0:
-                equations.append((f"c:{i + 1}:t^{m}", g.coefficient(m)))
+        g = compose_laurent(f.partial(i), comps)
+        forbid(f"c:{i + 1}:", g, 0)
         for j in range(n):
-            h = comps[j] * g
-            for m in h.support():
-                if m >= 0:
-                    equations.append((f"d:{i + 1},{j + 1}:t^{m}", h.coefficient(m)))
+            forbid(f"d:{i + 1},{j + 1}:", comps[j] * g, 0)
 
     sphere = Polynomial.constant(N, -1)
-    for k in range(1, window.k_max + 1):
-        for j in range(n):
-            v = Polynomial.variable(N, index[(k, j)])
-            sphere = sphere + v * v
+    for idx in range((1 - window.k_min) * n, N):
+        v = Polynomial.variable(N, idx)
+        sphere = sphere + v * v
 
     return ConstraintSystem(
-        num_vars=n, window=window, unknowns=names, equations=equations, sphere=sphere
+        num_vars=n, window=window, unknowns=names, equations=equations, sphere=sphere,
+        b0=zero + F.coefficient(0),
     )
 
 
@@ -380,11 +295,23 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
 
 @dataclass(frozen=True)
 class ArcSearchConfig:
+    """Multistart settings; construction raises ValueError on a bad value."""
+
     seed: int = 0
     starts: int = 32
     tol: float = 1e-8        # acceptance threshold on the sum of squared violations
     max_nfev: int = 400
     dedupe_dist: float = 1e-6
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_nfev < 1:
+            raise ValueError(f"max_nfev must be at least 1, got {self.max_nfev}")
+        if not (math.isfinite(self.dedupe_dist) and self.dedupe_dist >= 0):
+            raise ValueError(f"dedupe_dist must be finite and nonnegative, got {self.dedupe_dist}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -427,24 +354,17 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     def jacobian(u: np.ndarray) -> np.ndarray:
         return compiled.jacobians(u[None, :])[0]
 
-    # constant coefficient of f(xi(t)) as a polynomial in the unknowns
-    names, comps, index = _generic_arc(f.num_vars, window)
-    Fc = f.evaluate_in(comps)
-    if isinstance(Fc, (int, Fraction)):
-        b0_poly = Polynomial.constant(N, Fc)
-    else:
-        b0_poly = Fc.coefficient(0)
-    b0 = CompiledPolynomials([b0_poly])
+    b0 = CompiledPolynomials([cs.b0])
 
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.starts, N)) * 0.5
     # normalize the positive-exponent block toward the sphere for a sane start
-    pos_idx = [index[(k, j)] for k in range(1, window.k_max + 1) for j in range(f.num_vars)]
-    pos_idx = np.array(pos_idx, dtype=np.int64)
+    n = f.num_vars
     for s in starts:
-        norm = np.linalg.norm(s[pos_idx])
+        positive = s[(1 - window.k_min) * n:]
+        norm = np.linalg.norm(positive)
         if norm > 1e-9:
-            s[pos_idx] /= norm
+            positive /= norm
 
     candidates: List[ArcCandidate] = []
     kept_points: List[np.ndarray] = []
@@ -467,8 +387,8 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
             continue
         kept_points.append(u)
         coeffs: Dict[int, Tuple[float, ...]] = {}
-        for k in range(window.k_min, window.k_max + 1):
-            vec = tuple(float(u[index[(k, j)]]) for j in range(f.num_vars))
+        for k, block in zip(range(window.k_min, window.k_max + 1), u.reshape(-1, n)):
+            vec = tuple(float(v) for v in block)
             if any(abs(v) > 1e-12 for v in vec):
                 coeffs[k] = vec
         b0_est = float(b0.values(u[None, :])[0, 0])

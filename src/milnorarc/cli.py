@@ -158,6 +158,8 @@ def _resolve_centers(args, f: Polynomial, cfg: TraceConfig) -> List[Tuple[Fracti
         spec = args.centers.strip()
         if spec.isdigit():
             count = int(spec)
+            if count < 1:
+                raise UserError("--centers needs a count of at least 1")
             for i in range(count):
                 centers.append(tracer.pick_generic_center(f, seed=cfg.seed + i))
         else:
@@ -273,12 +275,12 @@ def cmd_arc_check(args) -> int:
 def cmd_arc_search(args) -> int:
     var_names = _parse_vars(args.vars)
     f = _parse_poly(args.poly, var_names)
-    cfg = arcs.ArcSearchConfig(
-        seed=args.seed or 0,
-        starts=args.starts,
-        tol=args.tol if args.tol is not None else arcs.ArcSearchConfig.tol,
-    )
     try:
+        cfg = arcs.ArcSearchConfig(
+            seed=args.seed or 0,
+            starts=args.starts,
+            tol=args.tol if args.tol is not None else arcs.ArcSearchConfig.tol,
+        )
         found = arcs.search_arcs(f, cfg)
     except ValueError as exc:
         raise UserError(str(exc)) from exc

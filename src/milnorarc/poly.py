@@ -4,6 +4,11 @@ A polynomial is a finite map from exponent tuples to nonzero Fraction
 coefficients; the zero polynomial is the empty map.  All arithmetic in this
 module is exact: no floats enter unless the caller evaluates at a float point.
 
+`LaurentScalar` is the one Laurent polynomial in t.  Its coefficients are
+Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
+whose coefficients are unknowns); `compose_laurent` substitutes Laurent
+components into a polynomial.
+
 `CompiledPolynomials` is the one float lowering of a `Polynomial`: the
 tracer and the numerical arc search evaluate values, Jacobians and scale
 bounds at float points only through it.
@@ -95,6 +100,9 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         """Terms in ascending graded lexicographic order."""
@@ -545,48 +553,41 @@ def parse(text: str, var_names: Sequence[str]) -> Polynomial:
 
 
 class LaurentScalar:
-    """Finite Laurent polynomial in one variable t with Fraction coefficients."""
+    """Finite Laurent polynomial in one variable t over a coefficient ring.
+
+    The coefficients are Fractions (arcs, the circle restriction) or
+    Polynomials (the generic arc of the constraint system); int and Fraction
+    scalars enter at t^0.  A falsy coefficient is dropped.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[int, Rational]] = None):
-        clean: Dict[int, Fraction] = {}
-        if terms:
-            for k, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(k)] = c
+    def __init__(self, terms: Optional[Mapping] = None):
+        clean = {int(k): c for k, c in terms.items() if c} if terms else {}
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentScalar is immutable")
 
     @classmethod
-    def term(cls, coeff: Rational, power: int) -> "LaurentScalar":
+    def term(cls, coeff, power: int) -> "LaurentScalar":
         return cls({power: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, power: int) -> Fraction:
+    def coefficient(self, power: int):
+        """The coefficient of t^power; Fraction(0) when absent."""
         return self.terms.get(power, Fraction(0))
 
     def support(self) -> List[int]:
         return sorted(self.terms)
 
-    @property
-    def min_exp(self) -> Optional[int]:
-        return min(self.terms) if self.terms else None
-
-    @property
-    def max_exp(self) -> Optional[int]:
-        return max(self.terms) if self.terms else None
-
     def _coerce(self, other) -> Optional["LaurentScalar"]:
         if isinstance(other, LaurentScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentScalar({0: other})
+            return LaurentScalar({0: Fraction(other)})
         return None
 
     def __add__(self, other):
@@ -595,7 +596,7 @@ class LaurentScalar:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out[k] + c if k in out else c
         return LaurentScalar(out)
 
     __radd__ = __add__
@@ -614,17 +615,15 @@ class LaurentScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return LaurentScalar()
-            return LaurentScalar({k: c * v for k, v in self.terms.items()})
+            return LaurentScalar({k: c * other for k, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, object] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                out[ka + kb] = out.get(ka + kb, Fraction(0)) + ca * cb
+                k, c = ka + kb, ca * cb
+                out[k] = out[k] + c if k in out else c
         return LaurentScalar(out)
 
     __rmul__ = __mul__
@@ -632,7 +631,7 @@ class LaurentScalar:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a Laurent scalar")
-        result = LaurentScalar({0: 1})
+        result = LaurentScalar({0: Fraction(1)})
         base = self
         while n:
             if n & 1:
@@ -670,6 +669,12 @@ class LaurentScalar:
 
     def __repr__(self) -> str:
         return f"LaurentScalar({dict(sorted(self.terms.items()))})"
+
+
+def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
+    """f(components) as a LaurentScalar; a constant result is lifted to t^0."""
+    result = f.evaluate_in(components)
+    return result if isinstance(result, LaurentScalar) else LaurentScalar({0: result})
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +750,4 @@ def compose_arc(f: Polynomial, xi: RationalArc) -> LaurentScalar:
     """Exact Laurent expansion of f(xi(t))."""
     if f.num_vars != xi.num_vars:
         raise ValueError(f"polynomial has {f.num_vars} variables, arc has {xi.num_vars}")
-    result = f.evaluate_in(xi.components())
-    if isinstance(result, (int, Fraction)):
-        return LaurentScalar({0: result})
-    return result
+    return compose_laurent(f, xi.components())

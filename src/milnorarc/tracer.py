@@ -30,7 +30,7 @@ import numpy as np
 
 from . import milnor
 from .milnor import DegenerateCenterError, MilnorSystem, malgrange_quantity, milnor_equations
-from .poly import CompiledPolynomials, Polynomial
+from .poly import CompiledPolynomials, LaurentScalar, Polynomial, compose_laurent
 
 STATUS_CONVERGENT = "convergent"
 STATUS_DIVERGENT = "divergent"
@@ -236,53 +236,24 @@ def _dedupe(points: List[np.ndarray], dist: float) -> List[np.ndarray]:
     return kept
 
 
-# -- exact univariate polynomial helpers (Fraction coefficient lists) --------
-
-
-def _upoly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _upoly_pow(a: List[Fraction], n: int) -> List[Fraction]:
-    result = [Fraction(1)]
-    base = a
-    while n:
-        if n & 1:
-            result = _upoly_mul(result, base)
-        base = _upoly_mul(base, base)
-        n >>= 1
-    return result
-
-
 def _half_angle_poly(eq: Polynomial, a, radius: float) -> List[Fraction]:
-    """Exact coefficients of the circle restriction under tau = tan(theta/2).
+    """Exact coefficients c_0..c_2D of the circle restriction under tau = tan(theta/2).
 
     With x = a1 + R(1-tau^2)/(1+tau^2), y = a2 + 2R tau/(1+tau^2), the
-    equation times (1+tau^2)^deg is a polynomial in tau.  The radius (a
-    dyadic float) and the center are exact, so the coefficients are exact.
+    equation of degree D times (1+tau^2)^D is a polynomial in tau: the
+    homogenised equation at X = a1(1+tau^2) + R(1-tau^2), Y = a2(1+tau^2) +
+    2R tau, W = 1+tau^2.  The radius (a dyadic float) and the center are
+    exact, so the coefficients are exact.
     """
     Rq = Fraction(radius)
     a1, a2 = Fraction(a[0]), Fraction(a[1])
-    Xp = [a1 + Rq, Fraction(0), a1 - Rq]        # a1(1+tau^2) + R(1-tau^2)
-    Yp = [a2, 2 * Rq, a2]                       # a2(1+tau^2) + 2R tau
-    W = [Fraction(1), Fraction(0), Fraction(1)]  # 1 + tau^2
     D = int(eq.degree)
-    total = [Fraction(0)]
-    for exp, coeff in eq.sorted_terms():
-        i, j = exp
-        piece = _upoly_mul(_upoly_pow(Xp, i), _upoly_pow(Yp, j))
-        piece = _upoly_mul(piece, _upoly_pow(W, D - i - j))
-        piece = [coeff * c for c in piece]
-        if len(piece) > len(total):
-            total += [Fraction(0)] * (len(piece) - len(total))
-        for k, c in enumerate(piece):
-            total[k] += c
-    return total
+    homogenised = Polynomial(3, {(i, j, D - i - j): c for (i, j), c in eq.terms.items()})
+    X = LaurentScalar({0: a1 + Rq, 2: a1 - Rq})
+    Y = LaurentScalar({0: a2, 1: 2 * Rq, 2: a2})
+    W = LaurentScalar({0: Fraction(1), 2: Fraction(1)})
+    restriction = compose_laurent(homogenised, [X, Y, W])
+    return [restriction.coefficient(k) for k in range(2 * D + 1)]
 
 
 def _bisect(fn, lo: float, hi: float, flo: float) -> float:

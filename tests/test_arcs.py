@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from milnorarc import (
     ArcSearchConfig,
+    Polynomial,
     RationalArc,
     WindowViolationError,
     arc_window,
@@ -231,7 +232,8 @@ class TestConstraints:
 
     def test_consistency_with_compose_arc(self):
         # substituting a concrete arc's coefficients into each symbolic
-        # equation reproduces the Laurent coefficient computed directly
+        # equation (Polynomial-coefficient Laurent arithmetic) reproduces the
+        # Laurent coefficient computed directly (Fraction coefficients)
         cs = emit_constraints(F_FLAG)
         window = cs.window
         rng = random.Random(5)
@@ -245,12 +247,22 @@ class TestConstraints:
             for k in range(window.k_min, window.k_max + 1):
                 vec = xi.coeffs.get(k, (Fraction(0), Fraction(0)))
                 values.extend(vec)
-            F = compose_arc(F_FLAG, xi)
+            expected = {"b:": compose_arc(F_FLAG, xi)}
+            for i in range(2):
+                g = compose_arc(F_FLAG.partial(i), xi)
+                expected[f"c:{i + 1}:"] = g
+                for j in range(2):
+                    expected[f"d:{i + 1},{j + 1}:"] = xi.component(j) * g
             for label, eq in cs.equations:
-                if not label.startswith("b:"):
-                    continue
-                m = int(label.split("t^")[1])
-                assert eq.evaluate(values) == F.coefficient(m)
+                prefix, m = label.split("t^")
+                assert eq.evaluate(values) == expected[prefix].coefficient(int(m))
+            assert cs.b0.evaluate(values) == expected["b:"].coefficient(0)
+
+    def test_constant_partial_gives_a_polynomial_equation(self):
+        # df/dx = 1 for x + y^3: the c equation at t^0 is the constant 1
+        cs = emit_constraints(parse("x + y^3", VARS2))
+        eq = dict(cs.equations)["c:1:t^0"]
+        assert eq == Polynomial.constant(cs.num_unknowns, 1)
 
     def test_export_text_parses_back(self):
         cs = emit_constraints(F_FLAG)
@@ -291,6 +303,18 @@ class TestSearch:
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError):
             search_arcs(parse("x - y", VARS2))
+
+    @pytest.mark.parametrize("field", [
+        {"starts": 0},
+        {"tol": float("nan")},
+        {"tol": 0.0},
+        {"max_nfev": 0},
+        {"dedupe_dist": -1.0},
+        {"dedupe_dist": float("inf")},
+    ])
+    def test_config_rejects_bad_values(self, field):
+        with pytest.raises(ValueError):
+            ArcSearchConfig(**field)
 
     def test_candidate_serialization(self):
         found = search_arcs(F_FLAG, ArcSearchConfig(seed=0, starts=8))

@@ -156,6 +156,20 @@ class TestAnalyze:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["arc-search", "--starts", "-3"],
+        ["arc-search", "--starts", "0"],
+        ["arc-search", "--tol", "nan"],
+        ["arc-search", "--tol", "-1"],
+        ["analyze", "--centers", "0"],
+    ])
+    def test_bad_search_or_center_flag_is_one_error_line(self, capsys, argv):
+        command, *flags = argv
+        code, _, err = run_cli(capsys, command, "x + x^2*y", "--vars", "x,y", *flags)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestTraceCommand:
     def test_csv_default(self, capsys):

@@ -33,6 +33,7 @@ def sibling_imports(module: str) -> set:
     ("poly", set()),
     ("milnor", {"poly"}),
     ("arcs", {"poly"}),
+    ("tracer", {"poly", "milnor"}),
 ])
 def test_module_imports_only_lower_layers(module, allowed):
     assert sibling_imports(module) <= allowed

@@ -22,7 +22,7 @@ from milnorarc import (
     slice_solve,
     trace_branches,
 )
-from milnorarc.tracer import Sample
+from milnorarc.tracer import Sample, _half_angle_poly
 
 VARS2 = ["x", "y"]
 F_FLAG = parse("x + x^2*y", VARS2)
@@ -87,6 +87,32 @@ class TestSliceSolve:
         for x in pts:
             center = np.array([1 / 3, -1 / 7, 1 / 2])
             assert abs(np.linalg.norm(x - center) - 10.0) < 1e-6
+
+
+class TestHalfAngle:
+    @pytest.mark.parametrize("text", [
+        "y + 2*x*y^2 - x^3",
+        "x^4 - 3*x*y^2 + 5*y - 7/2",
+        "x - 2*y + 1",
+    ])
+    @pytest.mark.parametrize("center", [
+        (Fraction(0), Fraction(0)),
+        (Fraction(1, 3), Fraction(-2, 7)),
+        (Fraction(100), Fraction(-77, 64)),
+    ])
+    def test_exact_restriction_to_the_circle(self, text, center):
+        eq = parse(text, VARS2)
+        D = int(eq.degree)
+        a1, a2 = center
+        for radius in (10.0, 1280.0, 0.375):
+            coeffs = _half_angle_poly(eq, center, radius)
+            assert len(coeffs) == 2 * D + 1
+            assert all(isinstance(c, Fraction) for c in coeffs)
+            R = Fraction(radius)
+            for tau in (Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(7, 5)):
+                w = 1 + tau * tau
+                point = [a1 + R * (1 - tau * tau) / w, a2 + 2 * R * tau / w]
+                assert sum(c * tau ** k for k, c in enumerate(coeffs)) == w ** D * eq.evaluate(point)
 
 
 class TestTraceBranches:
