@@ -139,7 +139,7 @@ def _parse_arc_terms(body: str) -> List[Tuple[Fraction, int]]:
 
 
 def _trace_config(args) -> TraceConfig:
-    fields = {k: getattr(args, k) for k in ("seed", "tol", "grid") if getattr(args, k) is not None}
+    fields = {k: getattr(args, k) for k in ("seed", "tol") if getattr(args, k) is not None}
     if args.radii is not None:
         fields["r0"], fields["radius_factor"], fields["radius_count"] = _parse_radii(args.radii)
     try:
@@ -259,8 +259,6 @@ def cmd_arc_check(args) -> int:
     xi = parse_arc_spec(args.arc, var_names)
     try:
         report = arcs.check_membership(f, xi)
-    except arcs.WindowViolationError as exc:
-        raise UserError(str(exc)) from exc
     except ValueError as exc:
         raise UserError(str(exc)) from exc
     payload = report.to_dict()
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", help="count of seeded random centers, or 'c1,c2;c1,c2' explicit list")
     p.add_argument("--radii", help="radius schedule R0:factor:count")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_analyze)
 
@@ -410,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", help="center 'c1,c2,...' (default: seeded generic draw)")
     p.add_argument("--radii", help="radius schedule R0:factor:count")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(func=cmd_trace)
 

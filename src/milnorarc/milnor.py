@@ -66,11 +66,6 @@ class MilnorSystem:
         return CompiledPolynomials(self.source)
 
     @cached_property
-    def compiled_partials(self) -> CompiledPolynomials:
-        """First partials of the equations; their Jacobians are the Hessians."""
-        return CompiledPolynomials([eq.partial(k) for eq in self.equations for k in range(self.num_vars)])
-
-    @cached_property
     def compiled_revalidation(self) -> CompiledPolynomials:
         """Pivot mode only: the pivot partial followed by the maximal minors,
         which recheck points where the pivot chart degenerates."""

@@ -9,6 +9,9 @@ Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
 whose coefficients are unknowns); `compose_laurent` substitutes Laurent
 components into a polynomial.
 
+`real_roots` isolates the real roots of a univariate polynomial over Q
+exactly, by Sturm sequences and sign bisection.
+
 `CompiledPolynomials` is the one float lowering of a `Polynomial`: the
 tracer and the numerical arc search evaluate values, Jacobians and scale
 bounds at float points only through it.
@@ -20,6 +23,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -675,6 +679,134 @@ def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> Laure
     """f(components) as a LaurentScalar; a constant result is lifted to t^0."""
     result = f.evaluate_in(components)
     return result if isinstance(result, LaurentScalar) else LaurentScalar({0: result})
+
+
+# ---------------------------------------------------------------------------
+# Real roots of univariate polynomials
+# ---------------------------------------------------------------------------
+
+
+def _scaled_value(p: List[int], k: int, e: int) -> int:
+    """2^(e * deg p) * p(k / 2^e), exactly; it has the sign of p(k / 2^e)."""
+    h = 0
+    for i, c in enumerate(reversed(p)):
+        h = h * k + (c << (e * i))
+    return h
+
+
+def _sign_at(p: List[int], x: Fraction) -> int:
+    h = _scaled_value(p, x.numerator, x.denominator.bit_length() - 1)
+    return (h > 0) - (h < 0)
+
+
+def _negated_remainder(a: List[int], b: List[int]) -> List[int]:
+    """A positive multiple of -(a mod b) with coprime integer coefficients;
+    empty when b divides a."""
+    r, lead, steps = list(a), b[-1], 0
+    while len(r) >= len(b):
+        top, shift = r[-1], len(r) - len(b)
+        r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        steps += 1
+        while r and r[-1] == 0:
+            r.pop()
+    # r = lead^steps * (a mod b)
+    sign = 1 if lead < 0 and steps % 2 else -1
+    content = math.gcd(*r)
+    return [sign * c // content for c in r]
+
+
+def _sturm_sequence(p: List[int]) -> List[List[int]]:
+    """p, p' and the negated remainders.  With repeated roots it ends in
+    gcd(p, p'); its sign variations still count the distinct roots between
+    two points, provided neither point is a root of p."""
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        r = _negated_remainder(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append(r)
+
+
+def _variations(seq: List[List[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(q, x) for q in seq) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _refine(p: List[int], lo: Fraction, hi: Fraction) -> Fraction:
+    """Bisect [lo, hi], across which p changes sign, to relative width 2^-60."""
+    e = max(lo.denominator, hi.denominator).bit_length() - 1
+    L, H = int(lo * 2 ** e), int(hi * 2 ** e)   # the interval is [L, H] / 2^e
+    positive_at_lo = _sign_at(p, lo) > 0
+    while (H - L) << 60 > max(abs(L), abs(H)):
+        L, M, H, e = 2 * L, L + H, 2 * H, e + 1
+        value = _scaled_value(p, M, e)
+        if value == 0:
+            return Fraction(M, 2 ** e)
+        if (value > 0) == positive_at_lo:
+            L = M
+        else:
+            H = M
+    return Fraction(L + H, 2 ** (e + 1))
+
+
+def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
+    """The real roots of odd multiplicity of sum_k coeffs[k] t^k, ascending.
+
+    Exact: the distinct real roots are isolated by the Sturm sequence over Q
+    with bisection at dyadic points, and each isolating interval across
+    which the polynomial changes sign is refined by exact sign bisection to
+    relative width 2^-60.  A root is returned as the midpoint of its
+    interval, or exactly when a bisection point hits it.  Roots of even
+    multiplicity (no sign change) are not reported; the zero polynomial and
+    the nonzero constants have no roots.
+    """
+    q = [Fraction(c) for c in coeffs]
+    while q and q[-1] == 0:
+        q.pop()
+    if len(q) < 2:
+        return []
+    den = math.lcm(*(c.denominator for c in q))
+    p = [int(c * den) for c in q]
+    seq = _sturm_sequence(p)
+
+    # Fujiwara's bound |t| <= 2 max_i |p[n-i] / p[n]|^(1/i), raised to a power of two
+    lead = abs(p[-1]).bit_length()
+    exponent = max([0] + [-((lead - 1 - abs(c).bit_length()) // i)
+                          for i, c in enumerate(reversed(p[:-1]), 1) if c])
+    bound = Fraction(2 ** (exponent + 1))
+
+    roots: List[Fraction] = []
+    stack = [(-bound, bound, _variations(seq, -bound), _variations(seq, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            if _sign_at(p, lo) != _sign_at(p, hi):
+                roots.append(_refine(p, lo, hi))
+            continue
+        if v_lo == v_hi:
+            continue
+        mid = (lo + hi) / 2
+        if _sign_at(p, mid):
+            v_mid = _variations(seq, mid)
+            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+            continue
+        # a root on the bisection point: step off it to two points that are
+        # not roots and enclose no other root, as Sturm counts need
+        step = (hi - lo) / 4
+        while True:
+            left, right = mid - step, mid + step
+            s_left, s_right = _sign_at(p, left), _sign_at(p, right)
+            if s_left and s_right:
+                v_left, v_right = _variations(seq, left), _variations(seq, right)
+                if v_left - v_right == 1:
+                    break
+            step /= 2
+        if s_left != s_right:
+            roots.append(mid)
+        stack += [(lo, left, v_lo, v_left), (right, hi, v_right, v_hi)]
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ extrapolates the value of f along each branch, and monitors the decay of
 
 For n = 2 the sphere is a circle; the restriction of the single equation to
 it becomes, under the tangent half-angle substitution, a univariate
-polynomial whose coefficients are computed exactly, so all its real roots
-are recovered from the companion matrix and refined by bracketed bisection.
-A uniform angular scan (config.grid nodes) supplies additional root
-candidates as a safety net.  Near-tangent root pairs, which arise for
-branches approaching the same escape direction from both sides and can be
-separated by ~1e-10 radians, are split by a local critical-point analysis.
+polynomial whose coefficients are computed exactly.  Its real roots of odd
+multiplicity (the crossings of the circle) are isolated exactly by Sturm
+sequences over Q and refined by exact sign bisection; tangencies (even
+multiplicity) are not reported.
+
 For n >= 3 a multistart damped Newton solver is used and results are
 explicitly best-effort (branches may be missed).
 """
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import milnor
 from .milnor import DegenerateCenterError, MilnorSystem, malgrange_quantity, milnor_equations
-from .poly import CompiledPolynomials, LaurentScalar, Polynomial, compose_laurent
+from .poly import CompiledPolynomials, LaurentScalar, Polynomial, compose_laurent, real_roots
 
 STATUS_CONVERGENT = "convergent"
 STATUS_DIVERGENT = "divergent"
@@ -50,7 +49,7 @@ class TraceConfig:
     with B = ||a|| + R + 1.  A raw absolute tolerance would be meaningless at
     large radii where polynomial values grow like R^deg.
 
-    Construction raises ValueError on a bad tolerance, grid or radius schedule.
+    Construction raises ValueError on a bad tolerance or radius schedule.
     """
 
     seed: int = 0
@@ -63,7 +62,6 @@ class TraceConfig:
     r0: float = 10.0
     radius_factor: float = 2.0
     radius_count: int = 8
-    grid: int = 4096
     starts: int = 512
     match_tol: float = 0.5        # max direction drift between consecutive radii
     newton_iters: int = 60
@@ -71,8 +69,6 @@ class TraceConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.grid < 0:
-            raise ValueError(f"grid must be nonnegative, got {self.grid}")
         try:
             largest = self.r0 * self.radius_factor ** (self.radius_count - 1)
         except OverflowError:
@@ -218,7 +214,7 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
         raise ValueError(f"radius {radius:g} is too large: the Milnor equations overflow floating point")
 
     if n == 2:
-        points = _slice_solve_circle(sys, a, radius, config)
+        points = _slice_solve_circle(sys, a, radius)
     else:
         points = _slice_solve_newton(sys, a, radius, scales, config)
 
@@ -256,137 +252,15 @@ def _half_angle_poly(eq: Polynomial, a, radius: float) -> List[Fraction]:
     return [restriction.coefficient(k) for k in range(2 * D + 1)]
 
 
-def _bisect(fn, lo: float, hi: float, flo: float) -> float:
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _slice_solve_circle(sys: MilnorSystem, a: np.ndarray, radius: float,
-                        config: TraceConfig) -> List[np.ndarray]:
-    eq, hessian = sys.compiled, sys.compiled_partials
-    two_pi = 2.0 * math.pi
-
-    # the equation v and its first two derivatives along the circle
-    def point(theta: float) -> np.ndarray:
-        return a + radius * np.array([math.cos(theta), math.sin(theta)])
-
-    def v(theta: float) -> float:
-        return float(eq.values(point(theta)[None, :])[0, 0])
-
-    def dv(theta: float) -> float:
-        gx, gy = eq.jacobians(point(theta)[None, :])[0, 0]
-        return radius * (-math.sin(theta) * gx + math.cos(theta) * gy)
-
-    def ddv(theta: float) -> float:
-        x = point(theta)[None, :]
-        s, c = math.sin(theta), math.cos(theta)
-        gx, gy = eq.jacobians(x)[0, 0]
-        (hxx, hxy), (_, hyy) = hessian.jacobians(x)[0]
-        quad = radius * radius * (s * s * hxx - 2.0 * s * c * hxy + c * c * hyy)
-        return quad - radius * (c * gx + s * gy)
-
-    # root candidates from the exact half-angle polynomial
+def _slice_solve_circle(sys: MilnorSystem, a: np.ndarray, radius: float) -> List[np.ndarray]:
     coeffs = _half_angle_poly(sys.equations[0], sys.center, radius)
-    cf = np.array([float(c) for c in coeffs], dtype=float)
-    candidates: List[float] = [math.pi]  # tau = infinity is not covered below
-    top = np.max(np.abs(cf)) if cf.size else 0.0
-    if top > 0.0:
-        cf = cf / top
-        desc = cf[::-1]
-        nz = np.nonzero(np.abs(desc) > 1e-13)[0]
-        if nz.size:
-            desc = desc[nz[0]:]
-        if desc.size > 1:
-            for root in np.roots(desc):
-                if abs(root.imag) <= 1e-6 * (1.0 + abs(root.real)):
-                    candidates.append(2.0 * math.atan(float(root.real)) % two_pi)
-
-    # grid sign changes as an extra candidate source
-    grid = np.linspace(0.0, two_pi, config.grid, endpoint=False)
-    X = a[None, :] + radius * np.stack([np.cos(grid), np.sin(grid)], axis=1)
-    vals = eq.values(X)[:, 0]
-    for i in range(config.grid):
-        j = (i + 1) % config.grid
-        if vals[i] == 0.0 or vals[i] * vals[j] < 0.0:
-            candidates.append(float(grid[i]))
-
-    roots: List[float] = []
-
-    def push(theta: float) -> None:
-        theta %= two_pi
-        if all(min(abs(theta - r), two_pi - abs(theta - r)) > 1e-12 for r in roots):
-            roots.append(theta)
-
-    for theta_c in sorted(candidates):
-        # transversal root: polish by Newton, then verify with a sign bracket
-        theta_n = theta_c
-        for _ in range(60):
-            val, slope = v(theta_n), dv(theta_n)
-            if slope == 0.0:
-                break
-            step = val / slope
-            if abs(step) > 0.1:
-                step = math.copysign(0.1, step)
-            theta_new = theta_n - step
-            if theta_new == theta_n:
-                break
-            theta_n = theta_new
-        bracketed = False
-        delta = 1e-14
-        while delta <= 1e-4:
-            flo, fhi = v(theta_n - delta), v(theta_n + delta)
-            if flo == 0.0:
-                push(theta_n - delta)
-                bracketed = True
-                break
-            if flo * fhi < 0.0:
-                push(_bisect(v, theta_n - delta, theta_n + delta, flo))
-                bracketed = True
-                break
-            delta *= 10.0
-        if bracketed:
-            continue
-        # near-tangent pair: walk to the critical point of v along the circle
-        theta_s = theta_c
-        ok = False
-        for _ in range(80):
-            slope, curv = dv(theta_s), ddv(theta_s)
-            if curv == 0.0:
-                break
-            step = slope / curv
-            if abs(step) > 0.05:
-                step = math.copysign(0.05, step)
-            theta_new = theta_s - step
-            if abs(theta_new - theta_s) < 1e-15:
-                ok = True
-                theta_s = theta_new
-                break
-            theta_s = theta_new
-        else:
-            ok = True
-        if not ok:
-            continue
-        v_star, curv = v(theta_s), ddv(theta_s)
-        if curv == 0.0 or v_star * curv >= 0.0:
-            continue  # one-sided tangency or no real pair here
-        h = math.sqrt(-2.0 * v_star / curv)
-        for sign in (-1.0, 1.0):
-            lo, hi = sorted((theta_s, theta_s + sign * 3.0 * h))
-            flo, fhi = v(lo), v(hi)
-            if flo * fhi < 0.0:
-                push(_bisect(v, lo, hi, flo))
-
-    return [point(t) for t in sorted(roots)]
+    thetas = [2.0 * math.atan(float(tau)) % (2.0 * math.pi) for tau in real_roots(coeffs)]
+    # tau = infinity (theta = pi) is a root of the multiplicity of the
+    # vanishing top coefficients; it is a crossing when that is odd
+    drop = next((k for k, c in enumerate(reversed(coeffs)) if c), 0)
+    if drop % 2:
+        thetas.append(math.pi)
+    return [a + radius * np.array([math.cos(t), math.sin(t)]) for t in sorted(thetas)]
 
 
 def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales: np.ndarray,
@@ -728,7 +602,7 @@ def _screen_center(f: Polynomial, a: Tuple[Fraction, ...], radii=(10.0, 40.0)) -
     sys = milnor_equations([f], a, pivot=milnor.default_pivot(f))
     if sys.has_zero_equation():
         return False, "identically zero pivot-chart equation"
-    cfg = TraceConfig(seed=0, grid=1024, starts=64)
+    cfg = TraceConfig(seed=0, starts=64)
     for R in radii:
         try:
             points = slice_solve(sys, R, cfg)

@@ -142,7 +142,6 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "nan"],
-        ["--grid", "-5"],
         ["--radii", "1e300:2:8"],
         ["--radii", "10:1:8"],
         ["--radii", "1e200:1e100:8"],

@@ -15,7 +15,7 @@ from milnorarc import (
     compose_arc,
     parse,
 )
-from milnorarc.poly import CompiledPolynomials
+from milnorarc.poly import CompiledPolynomials, real_roots
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -255,6 +255,80 @@ class TestCompiledPolynomials:
         compiled = CompiledPolynomials([parse("x + x^2*y", VARS2)])
         assert compiled.values(np.zeros((0, 2))).shape == (0, 1)
         assert compiled.jacobians(np.zeros((0, 2))).shape == (0, 1, 2)
+
+
+def _product(*factors):
+    """Ascending coefficients of the product of ascending coefficient lists."""
+    out = [Fraction(1)]
+    for g in factors:
+        prod = [Fraction(0)] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@st.composite
+def root_polynomials(draw):
+    """A small integer polynomial times linear factors (b t - a)^m, so that
+    repeated and rational (often dyadic) roots are common."""
+    base = draw(st.lists(st.integers(-6, 6), max_size=5))
+    linear = draw(st.lists(st.tuples(st.integers(-8, 8), st.sampled_from([1, 2, 3, 4, 8]),
+                                     st.integers(1, 3)), max_size=3))
+    return _product(base or [1], *[[-a, b] for a, b, m in linear for _ in range(m)])
+
+
+class TestRealRoots:
+    """Exact root isolation against sympy's real roots."""
+
+    @staticmethod
+    def _sympy_odd_roots(coeffs):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t)
+        if poly.is_zero or poly.degree() < 1:
+            return []
+        roots = poly.real_roots()
+        return [r for r in sorted(set(roots), key=float) if roots.count(r) % 2]
+
+    @given(root_polynomials())
+    @example([Fraction(0)])
+    @example([Fraction(7)])
+    @settings(max_examples=60, deadline=None)
+    def test_against_sympy(self, coeffs):
+        expected = self._sympy_odd_roots(coeffs)
+        got = real_roots(coeffs)
+        assert len(got) == len(expected)
+        for r, e in zip(got, expected):
+            assert math.isclose(float(r), float(e), rel_tol=1e-15, abs_tol=0.0)
+
+    def test_repeated_factors(self):
+        # (t - 1)^2 (t + 2)^3 (t - 3): the double root 1 does not change sign
+        coeffs = _product([-1, 1], [-1, 1], [2, 1], [2, 1], [2, 1], [-3, 1])
+        assert real_roots(coeffs) == [-2, 3]
+        assert real_roots(_product([0, 1], [0, 1], [-1, 1], [-1, 1])) == []
+
+    def test_roots_at_zero_and_at_a_dyadic_point(self):
+        # t^3 (t - 1/2) (t + 5/8): 0 is a bisection point, and is hit exactly
+        roots = real_roots(_product([0, 1], [0, 1], [0, 1], [Fraction(-1, 2), 1], [Fraction(5, 8), 1]))
+        assert len(roots) == 3
+        assert roots[1] == 0
+        for r, e in zip(roots[::2], (Fraction(-5, 8), Fraction(1, 2))):
+            assert abs(r - e) <= abs(e) * Fraction(1, 2 ** 60)
+
+    def test_constants_have_no_roots(self):
+        assert real_roots([]) == []
+        assert real_roots([0, 0, 0]) == []
+        assert real_roots([Fraction(-3, 7)]) == []
+        assert real_roots([5, 0, 0]) == []
+
+    def test_close_roots_are_separated(self):
+        # (t - 1)(t - 1 - 2^-40): two crossings 2^-40 apart
+        eps = Fraction(1, 2 ** 40)
+        roots = real_roots(_product([-1, 1], [-1 - eps, 1]))
+        assert len(roots) == 2
+        assert roots[0] < 1 + eps / 2 < roots[1]
 
 
 # ---------------------------------------------------------------------------

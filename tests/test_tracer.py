@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,13 +47,28 @@ class TestSliceSolve:
                 scale = sum(abs(float(c)) * (R + 1) ** sum(e) for e, c in eq.terms.items())
                 assert abs(float(eq.evaluate(list(map(float, x))))) < 1e-8 * scale
 
-    def test_grid_doubling_does_not_change_the_count(self):
-        sys = _system(F_FLAG, (0, 0))
-        base = TraceConfig()
-        for R in (10.0, 40.0):
-            n1 = len(slice_solve(sys, R, base))
-            n2 = len(slice_solve(sys, R, replace(base, grid=2 * base.grid)))
-            assert n1 == n2
+    @pytest.mark.parametrize("text, center, count", [
+        ("6*y^2 + x^5", (Fraction(-1, 43), Fraction(-4)), 6),
+        ("-1/2*x^2 + x^3 - 3*x^3*y + 3*x^5", (Fraction(-50, 97), Fraction(-23, 20)), 8),
+    ])
+    def test_every_crossing_is_found_at_a_large_radius(self, text, center, count):
+        # count = the real roots of odd multiplicity of the half-angle
+        # polynomial at R = 1280, as sympy counts them; its coefficients
+        # span many orders of magnitude
+        pts = slice_solve(_system(parse(text, VARS2), center), 1280.0, TraceConfig())
+        assert len(pts) == count
+
+    def test_roots_on_a_bisection_point_and_at_infinity(self):
+        # the equation is 4x^3 (y - a2): theta = 0 is the exact root tau = 0,
+        # which the Sturm bisection hits; theta = pi is tau = infinity, where
+        # the half-angle polynomial drops one degree; x = 0 crosses the
+        # circle with multiplicity 3
+        a1, a2 = Fraction(-15, 29), Fraction(-26, 33)
+        pts = slice_solve(_system(parse("x^4", VARS2), (a1, a2)), 10.0, TraceConfig())
+        a1, a2 = float(a1), float(a2)
+        h = math.sqrt(100.0 - a1 * a1)
+        expected = [(a1 + 10.0, a2), (0.0, a2 + h), (a1 - 10.0, a2), (0.0, a2 - h)]
+        assert np.allclose(pts, expected, rtol=0.0, atol=1e-12)
 
     def test_near_tangent_pair_is_split(self):
         # for this map with center (0, 1) two extra intersection points sit a
