@@ -351,8 +351,11 @@ class CompiledPolynomials:
     Built from p polynomials in n variables; evaluates a batch of m points
     X (m, n) to values (m, p) and Jacobians (m, p, n), the derivative table
     coming from the exact partials.  Both read one table of the powers
-    x_k^e, 0 <= e <= the largest exponent.  Each term table is built on first
-    use, since most callers need only one of them.
+    x_k^e, 0 <= e <= the largest exponent, built by repeated multiplication
+    (relative error at most (e - 1) ulp, exact on small integers).  Each term
+    table is built on first use, since most callers need only one of them.
+    Every row of X is evaluated on its own: a row's result does not depend on
+    the other rows, not even on an inf or nan among them.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -365,21 +368,24 @@ class CompiledPolynomials:
         self.num_vars = n
         self.num_polys = len(polys)
         self._polys = polys
-        top = max((max(e) for f in polys for e in f.terms), default=0)
-        self._powers = np.arange(top + 1, dtype=float)
+        self._stride = max((max(e) for f in polys for e in f.terms), default=0) + 1
 
     @cached_property
     def _values(self) -> _TermTable:
-        return _TermTable([f.sorted_terms() for f in self._polys], self.num_vars, self._powers.size)
+        return _TermTable([f.sorted_terms() for f in self._polys], self.num_vars, self._stride)
 
     @cached_property
     def _jacobians(self) -> _TermTable:
         partials = [f.partial(k).sorted_terms() for f in self._polys for k in range(self.num_vars)]
-        return _TermTable(partials, self.num_vars, self._powers.size)
+        return _TermTable(partials, self.num_vars, self._stride)
 
     def _power_table(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return (X[:, :, None] ** self._powers).reshape(len(X), self.num_vars * self._powers.size)
+        P = np.empty((len(X), self.num_vars, self._stride))
+        P[:, :, 0] = 1.0
+        for e in range(1, self._stride):
+            P[:, :, e] = P[:, :, e - 1] * X
+        return P.reshape(len(X), self.num_vars * self._stride)
 
     def values(self, X) -> np.ndarray:
         """Values at the rows of X (m, n): shape (m, p)."""

@@ -186,14 +186,6 @@ def _scaled_values(compiled: CompiledPolynomials, X: np.ndarray, bound: float) -
     return np.abs(compiled.values(X)) / compiled.scales(bound)
 
 
-def _pivot_revalidate(sys: MilnorSystem, x: np.ndarray, bound: float, tol: float) -> bool:
-    """Where the pivot partial nearly vanishes, recheck against minors mode."""
-    if sys.pivot == milnor.PIVOT_MINORS:
-        return True
-    partial, *minors = _scaled_values(sys.compiled_revalidation, x[None, :], bound)[0]
-    return partial > math.sqrt(tol) or max(minors) < tol
-
-
 def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] = None) -> List[np.ndarray]:
     """Points of the Milnor set on the sphere ||x - a|| = radius.
 
@@ -218,18 +210,25 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     else:
         points = _slice_solve_newton(sys, a, radius, scales, config)
 
-    residuals = _scaled_values(sys.compiled, np.reshape(points, (-1, n)), bound).max(axis=1)
-    accepted = [x for x, res in zip(points, residuals)
-                if res < config.tol and _pivot_revalidate(sys, x, bound, config.tol)]
-    return _dedupe(accepted, max(config.merge_dist, 4e-12 * (1.0 + radius)))
+    X = np.reshape(points, (-1, n))
+    keep = _scaled_values(sys.compiled, X, bound).max(axis=1) < config.tol
+    if sys.pivot != milnor.PIVOT_MINORS:
+        # where the pivot partial nearly vanishes, recheck against minors mode
+        revalidation = _scaled_values(sys.compiled_revalidation, X[keep], bound)
+        keep[keep] = ((revalidation[:, 0] > math.sqrt(config.tol))
+                      | (revalidation[:, 1:].max(axis=1) < config.tol))
+    return _dedupe(X[keep], max(config.merge_dist, 4e-12 * (1.0 + radius)))
 
 
-def _dedupe(points: List[np.ndarray], dist: float) -> List[np.ndarray]:
-    kept: List[np.ndarray] = []
+def _dedupe(points: np.ndarray, dist: float) -> List[np.ndarray]:
+    """The points (m, n) farther than `dist` from every earlier kept one, in order."""
+    kept = np.empty_like(points)
+    count = 0
     for x in points:
-        if all(np.linalg.norm(x - y) > dist for y in kept):
-            kept.append(x)
-    return kept
+        if np.all(np.linalg.norm(kept[:count] - x, axis=1) > dist):
+            kept[count] = x
+            count += 1
+    return list(kept[:count])
 
 
 def _half_angle_poly(eq: Polynomial, a, radius: float) -> List[Fraction]:
@@ -264,7 +263,7 @@ def _slice_solve_circle(sys: MilnorSystem, a: np.ndarray, radius: float) -> List
 
 
 def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales: np.ndarray,
-                        config: TraceConfig) -> List[np.ndarray]:
+                        config: TraceConfig) -> np.ndarray:
     n = a.shape[0]
     rng = np.random.default_rng([config.seed, int(round(radius * 1024)) & 0x7FFFFFFF])
     U = rng.standard_normal((config.starts, n))
@@ -288,25 +287,27 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
             step = np.linalg.solve(J, F[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.stack([np.linalg.lstsq(J[i], F[i], rcond=None)[0] for i in range(X.shape[0])])
-        # damped update: halve the step while the scaled residual grows
+        # damped update: up to 6 times, halve the step of the rows whose
+        # scaled residual grew and re-evaluate only those; rows are evaluated
+        # independently, so a row that did not grow keeps its step
         alpha = np.ones(X.shape[0])
         Xn = X - step
+        rows = np.arange(X.shape[0])
         for _ in range(6):
-            norm_after = np.linalg.norm(residuals(Xn) / scales[None, :], axis=1)
-            worse = norm_after > norm_before
-            if not np.any(worse):
+            norm_after = np.linalg.norm(residuals(Xn[rows]) / scales[None, :], axis=1)
+            rows = rows[norm_after > norm_before[rows]]
+            if rows.size == 0:
                 break
-            alpha = np.where(worse, alpha * 0.5, alpha)
-            Xn = X - alpha[:, None] * step
+            alpha[rows] *= 0.5
+            Xn[rows] = X[rows] - alpha[rows, None] * step[rows]
         X = Xn
-        if np.max(np.linalg.norm(F / scales[None, :], axis=1)) < 1e-15:
+        if np.max(norm_before) < 1e-15:
             break
 
     F = residuals(X)
     ok = np.all(np.abs(F / scales[None, :]) < config.tol, axis=1)
     sphere_ok = np.abs(np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2) < 1e-10 * radius ** 2 * 10
-    keep = ok & sphere_ok & np.all(np.isfinite(X), axis=1)
-    return [X[i] for i in range(X.shape[0]) if keep[i]]
+    return X[ok & sphere_ok & np.all(np.isfinite(X), axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +346,16 @@ def trace_branches(
 
     for idx, R in enumerate(radii):
         points = slice_solve(sys, R, config)
-        dirs = [(x - a) / np.linalg.norm(x - a) for x in points]
+        offsets = np.reshape(points, (-1, a.size)) - a
+        dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
         bound = float(np.linalg.norm(a)) + R + 1.0
 
         matched_old = set()
         matched_new = set()
         if open_branches and points:
-            dist = np.array([[float(np.linalg.norm(d_old - d_new)) for d_new in dirs]
-                             for (_, d_old) in open_branches])
+            old_dirs = np.array([d_old for _, d_old in open_branches])
+            # one column per new point keeps the temporaries at (k_old, n)
+            dist = np.stack([np.linalg.norm(old_dirs - d_new, axis=1) for d_new in dirs], axis=1)
             while True:
                 k = np.unravel_index(np.argmin(dist), dist.shape)
                 if dist[k] > config.match_tol:

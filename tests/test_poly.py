@@ -256,6 +256,25 @@ class TestCompiledPolynomials:
         assert compiled.values(np.zeros((0, 2))).shape == (0, 1)
         assert compiled.jacobians(np.zeros((0, 2))).shape == (0, 1, 2)
 
+    @given(polynomials(3), polynomials(3),
+           st.lists(st.tuples(*([st.floats(-1e3, 1e3)] * 3)), min_size=1, max_size=6),
+           st.sampled_from([math.inf, -math.inf, math.nan]), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_evaluated_independently(self, f, g, pts, bad, at):
+        # the n >= 3 line search re-evaluates a subset of rows and relies on
+        # getting the bits of the full batch back
+        compiled = CompiledPolynomials([f, g])
+        rows = list(pts)
+        rows.insert(min(at, len(rows)), (1.0, bad, -2.0))
+        X = np.array(rows)
+        with np.errstate(all="ignore"):
+            values, jacobians = compiled.values(X), compiled.jacobians(X)
+            for i, row in enumerate(X):
+                if not np.all(np.isfinite(row)):
+                    continue
+                assert values[i].tobytes() == compiled.values(X[i:i + 1])[0].tobytes()
+                assert jacobians[i].tobytes() == compiled.jacobians(X[i:i + 1])[0].tobytes()
+
 
 def _product(*factors):
     """Ascending coefficients of the product of ascending coefficient lists."""

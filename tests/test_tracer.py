@@ -21,7 +21,7 @@ from milnorarc import (
     slice_solve,
     trace_branches,
 )
-from milnorarc.tracer import Sample, _half_angle_poly
+from milnorarc.tracer import Sample, _dedupe, _half_angle_poly
 
 VARS2 = ["x", "y"]
 F_FLAG = parse("x + x^2*y", VARS2)
@@ -93,6 +93,30 @@ class TestSliceSolve:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             slice_solve(_system(F_FLAG, (0, 0)), -1.0, TraceConfig())
+
+    def test_three_variables_exact_oracle(self):
+        # every returned point is checked in exact arithmetic at its float
+        # coordinates: scaled equations below tol, and on the sphere
+        f = parse("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", ["x", "y", "z"])
+        sys = _system(f, (0, 0, 0))
+        config, R = TraceConfig(), 80
+        pts = slice_solve(sys, float(R), config)
+        assert pts
+        bound = R + 1  # ||a|| + R + 1 with a = 0
+        scales = [sum(abs(c) * bound ** sum(e) for e, c in eq.terms.items()) + 1 for eq in sys.equations]
+        for x in pts:
+            xq = [Fraction(v) for v in x]
+            for eq, scale in zip(sys.equations, scales):
+                assert abs(eq.evaluate(xq)) / scale < config.tol
+            assert abs(sum(v * v for v in xq) - R ** 2) < config.tol * R ** 2
+
+    def test_dedupe_keeps_first_seen_order(self):
+        pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.5], [3.0, 0.25]])
+        kept = _dedupe(pts, 1.0)
+        # (0.5, 0) and (3, 0.25) are within 1 of a kept point; (1, 0) is at
+        # distance exactly 1 and only points farther than that are kept
+        assert [tuple(x) for x in kept] == [(0.0, 0.0), (3.0, 0.0), (0.0, 1.5)]
+        assert _dedupe(np.zeros((0, 3)), 1.0) == []
 
     def test_three_variables_best_effort(self):
         f = parse("x^2 + y^2 - z^2 + x", ["x", "y", "z"])
