@@ -237,6 +237,8 @@ def cmd_milnor(args) -> int:
     f = _parse_poly(args.poly, var_names)
     if f.num_vars < 2:
         raise UserError("milnor requires at least 2 variables")
+    if args.pivot is not None and args.minors:
+        raise UserError("--pivot and --minors are mutually exclusive")
     center = _parse_center(args.center, f.num_vars) if args.center else (Fraction(0),) * f.num_vars
     pivot = milnor.PIVOT_MINORS if args.minors else (
         args.pivot - 1 if args.pivot is not None else milnor.default_pivot(f)
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--center", help="center 'c1,c2,...' (default all zeros)")
     p.add_argument("--pivot", type=int, default=None, help="1-based pivot variable")
-    p.add_argument("--minors", action="store_true", help="use the maximal-minor description")
+    p.add_argument("--minors", action="store_true", help="use all 2x2 minors of [grad f; x - a]")
     p.set_defaults(func=cmd_milnor)
 
     p = sub.add_parser("arc-check", help="exact asymptotic membership check for an arc")

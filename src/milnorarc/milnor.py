@@ -1,13 +1,14 @@
 """Milnor set equations and the Rabier distance-to-singularity.
 
-For a single polynomial f and a center a, the Milnor set is the locus where
-grad f is parallel to x - a.  In the pivot chart (valid where one chosen
-partial derivative does not vanish) it is cut out by the n-1 equations
+For a polynomial f: R^n -> R and a center a, the Milnor set is the locus
+where grad f is parallel to x - a, that is where the 2 x n matrix
+[grad f; x - a] has rank at most 1.  Both descriptions are 2x2 minors
 
-    m_j = (df/dx_i) * (x_j - a_j) - (df/dx_j) * (x_i - a_i),   j != i.
+    m_ij = (df/dx_i) * (x_j - a_j) - (df/dx_j) * (x_i - a_i):
 
-For maps with several components the general description uses the maximal
-minors of the Jacobian of (f, rho_a).
+the pivot chart (valid where the pivot partial df/dx_i does not vanish)
+takes the n-1 minors m_ij, j != i; the minors description takes all C(n, 2)
+minors m_ij, i < j.
 """
 
 from __future__ import annotations
@@ -35,20 +36,20 @@ class DegenerateCenterError(RuntimeError):
 
 @dataclass(frozen=True)
 class MilnorSystem:
-    """Defining equations of the Milnor set for a chosen center.
+    """Defining equations of the Milnor set of f for a chosen center.
 
-    `pivot` is the 0-based pivot variable index in single-polynomial mode, or
-    the string "minors" for the general maximal-minor description.
+    `pivot` is the 0-based pivot variable index of the pivot chart, or the
+    string "minors" for the description by all 2x2 minors.
     """
 
-    source: Tuple[Polynomial, ...]
+    f: Polynomial
     center: Tuple[Fraction, ...]
     pivot: Union[int, str]
     equations: Tuple[Polynomial, ...]
 
     @property
     def num_vars(self) -> int:
-        return self.source[0].num_vars
+        return self.f.num_vars
 
     def has_zero_equation(self) -> bool:
         return any(eq.is_zero() for eq in self.equations)
@@ -61,16 +62,16 @@ class MilnorSystem:
         return CompiledPolynomials(self.equations)
 
     @cached_property
-    def compiled_source(self) -> CompiledPolynomials:
-        """The source map; its Jacobian rows are the gradients of f."""
-        return CompiledPolynomials(self.source)
+    def compiled_f(self) -> CompiledPolynomials:
+        """f itself; its Jacobian is the row grad f."""
+        return CompiledPolynomials([self.f])
 
     @cached_property
     def compiled_revalidation(self) -> CompiledPolynomials:
-        """Pivot mode only: the pivot partial followed by the maximal minors,
+        """Pivot mode only: the pivot partial followed by all the minors,
         which recheck points where the pivot chart degenerates."""
-        minors = milnor_equations(self.source, self.center, pivot=PIVOT_MINORS)
-        return CompiledPolynomials([self.source[0].partial(self.pivot), *minors.equations])
+        minors = milnor_equations([self.f], self.center, pivot=PIVOT_MINORS)
+        return CompiledPolynomials([self.f.partial(self.pivot), *minors.equations])
 
     def to_dict(self, var_names: Optional[Sequence[str]] = None) -> dict:
         return {
@@ -94,25 +95,11 @@ def default_pivot(f: Polynomial) -> int:
     return int(max(range(f.num_vars), key=lambda i: (degrees[i], -i)))
 
 
-def _shift_terms(num_vars: int, index: int, a_i: Fraction) -> Polynomial:
-    # x_index - a_index
-    return Polynomial.variable(num_vars, index) - Polynomial.constant(num_vars, a_i)
-
-
-def _det(matrix: List[List[Polynomial]]) -> Polynomial:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    nv = matrix[0][0].num_vars
-    total = Polynomial.zero(nv)
-    for col in range(n):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != col] for row in matrix[1:]]
-        term = entry * _det(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return total
+def _the_polynomial(source: Sequence[Polynomial]) -> Polynomial:
+    fs = list(source)
+    if len(fs) != 1:
+        raise ValueError(f"need exactly one polynomial f, got {len(fs)}")
+    return fs[0]
 
 
 def milnor_equations(
@@ -120,81 +107,58 @@ def milnor_equations(
     center: Sequence[Rational],
     pivot: Union[int, str, None] = None,
 ) -> MilnorSystem:
-    """Build the Milnor system for the given center.
+    """Build the Milnor system of `source` = [f] for the given center.
 
-    With `pivot` an integer (0-based, requires a single polynomial) the n-1
-    pivot-chart equations m_j are produced.  With `pivot` None or "minors"
-    all (p+1)x(p+1) minors of the stacked matrix [Df(x); x - a] are used.
+    Every equation is a 2x2 minor f_i * (x_j - a_j) - f_j * (x_i - a_i) of
+    [grad f; x - a].  With `pivot` an integer i (0-based) these are the n-1
+    pairs (i, j), j != i, in increasing j; with `pivot` None or "minors" they
+    are all C(n, 2) pairs i < j in lexicographic order.
     """
-    fs = list(source)
-    if not fs:
-        raise ValueError("need at least one polynomial")
-    n = fs[0].num_vars
-    p = len(fs)
-    if any(f.num_vars != n for f in fs):
-        raise ValueError("all polynomials must share num_vars")
-    if p >= n:
-        raise ValueError(f"need p < n, got p={p}, n={n}")
+    f = _the_polynomial(source)
+    n = f.num_vars
+    if n < 2:
+        raise ValueError(f"need at least two variables, got {n}")
     a = tuple(Fraction(c) for c in center)
     if len(a) != n:
         raise ValueError(f"center has length {len(a)}, expected {n}")
 
     if pivot is None or pivot == PIVOT_MINORS:
-        rows = [f.gradient() for f in fs]
-        rows.append([_shift_terms(n, j, a[j]) for j in range(n)])
-        equations = []
-        for cols in itertools.combinations(range(n), p + 1):
-            minor = [[row[c] for c in cols] for row in rows]
-            equations.append(_det(minor))
-        return MilnorSystem(tuple(fs), a, PIVOT_MINORS, tuple(equations))
-
-    i = int(pivot)
-    if p != 1:
-        raise ValueError("pivot mode requires a single polynomial")
-    if not 0 <= i < n:
-        raise IndexError(f"pivot index {i} out of range for {n} variables")
-    f = fs[0]
-    f_i = f.partial(i)
-    x_i = _shift_terms(n, i, a[i])
-    equations = []
-    for j in range(n):
-        if j == i:
-            continue
-        m_j = f_i * _shift_terms(n, j, a[j]) - f.partial(j) * x_i
-        equations.append(m_j)
-    return MilnorSystem(tuple(fs), a, i, tuple(equations))
+        pivot = PIVOT_MINORS
+        pairs = itertools.combinations(range(n), 2)
+    else:
+        pivot = int(pivot)
+        if not 0 <= pivot < n:
+            raise IndexError(f"pivot index {pivot} out of range for {n} variables")
+        pairs = [(pivot, j) for j in range(n) if j != pivot]
+    grad = f.gradient()
+    shifts = [Polynomial.variable(n, j) - Polynomial.constant(n, a[j]) for j in range(n)]
+    equations = tuple(grad[i] * shifts[j] - grad[j] * shifts[i] for i, j in pairs)
+    return MilnorSystem(f, a, pivot, equations)
 
 
 def rabier_nu(J) -> float:
-    """Smallest singular value of the Jacobian matrix J (p x n, p <= n).
+    """Rabier's nu(Df) for one polynomial: the Euclidean norm of grad f.
 
-    Computed from the eigenvalues of J J^T; for p = 1 this is the Euclidean
-    norm of the single row.
+    `J` is the Jacobian of f, a single gradient row (shape (n,) or (1, n)).
+    Raises ValueError for any other row count or a non-finite entry.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
+    if J.ndim != 2 or J.shape[0] != 1:
+        raise ValueError(f"need a single gradient row, got shape {J.shape}")
     if not np.all(np.isfinite(J)):
         raise ValueError("non-finite entries in Jacobian")
-    p, n = J.shape
-    if p > n:
-        raise ValueError(f"need p <= n, got shape {J.shape}")
-    if p == 1:
-        return float(np.linalg.norm(J[0]))
-    w = np.linalg.eigvalsh(J @ J.T)
-    return float(np.sqrt(max(w[0], 0.0)))
+    return float(np.linalg.norm(J[0]))
 
 
-def jacobian_at(source, x: Sequence[float]) -> np.ndarray:
-    """Float Jacobian matrix of the map at x (rows are gradients).
-
-    `source` is a Polynomial, a sequence of them, or their compiled form.
-    """
-    if not isinstance(source, CompiledPolynomials):
-        source = CompiledPolynomials([source] if isinstance(source, Polynomial) else source)
-    return source.jacobians(np.asarray(x, dtype=float)[None, :])[0]
+def jacobian_at(source: Sequence[Polynomial], x: Sequence[float]) -> np.ndarray:
+    """Float Jacobian of `source` = [f] at x: grad f as a 1 x n matrix."""
+    f = _the_polynomial(source)
+    return CompiledPolynomials([f]).jacobians(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def malgrange_quantity(source, x: Sequence[float]) -> float:
-    """The product ||x|| * nu(Df(x)) monitored along branches at infinity."""
+def malgrange_quantity(source: Sequence[Polynomial], x: Sequence[float]) -> float:
+    """The product ||x|| * nu(Df(x)) = ||x|| * ||grad f(x)|| for `source` = [f],
+    monitored along branches at infinity."""
     point = np.asarray([float(v) for v in x], dtype=float)
     if not np.all(np.isfinite(point)):
         raise ValueError("non-finite point")

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import milnor
-from .milnor import DegenerateCenterError, MilnorSystem, malgrange_quantity, milnor_equations
+from .milnor import DegenerateCenterError, MilnorSystem, milnor_equations, rabier_nu
 from .poly import CompiledPolynomials, LaurentScalar, Polynomial, compose_laurent, real_roots
 
 STATUS_CONVERGENT = "convergent"
@@ -348,7 +348,7 @@ def trace_branches(
         points = slice_solve(sys, R, config)
         offsets = np.reshape(points, (-1, a.size)) - a
         dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-        bound = float(np.linalg.norm(a)) + R + 1.0
+        samples = _make_samples(sys, points, R, float(np.linalg.norm(a)) + R + 1.0)
 
         matched_old = set()
         matched_new = set()
@@ -364,7 +364,7 @@ def trace_branches(
                 matched_old.add(i_old)
                 matched_new.add(j_new)
                 trace = open_branches[i_old][0]
-                trace.samples.append(_make_sample(sys, points[j_new], R, bound))
+                trace.samples.append(samples[j_new])
                 open_branches[i_old] = (trace, dirs[j_new])
                 dist[i_old, :] = np.inf
                 dist[:, j_new] = np.inf
@@ -381,25 +381,29 @@ def trace_branches(
         open_branches = still_open
 
         # open new branches for unmatched points
-        for j_new, x in enumerate(points):
+        for j_new, sample in enumerate(samples):
             if j_new in matched_new:
                 continue
             trace = BranchTrace(branch_id=next_id)
             next_id += 1
-            trace.samples.append(_make_sample(sys, x, R, bound))
+            trace.samples.append(sample)
             branches.append(trace)
             open_branches.append((trace, dirs[j_new]))
 
     return branches
 
 
-def _make_sample(sys: MilnorSystem, x: np.ndarray, R: float, bound: float) -> Sample:
-    # exact at the float point: float sums of a degree-d f cancel to errors
-    # of ~1e-16 * sum |c| R^d, above conv_tol at the outer radii
-    fx = float(sys.source[0].evaluate([Fraction(v) for v in x]))
-    mal = malgrange_quantity(sys.compiled_source, x)
-    res = float(np.max(_scaled_values(sys.compiled, x[None, :], bound)))
-    return Sample(radius=R, point=tuple(float(v) for v in x), f_value=fx, malgrange=mal, residual=res)
+def _make_samples(sys: MilnorSystem, points: List[np.ndarray], R: float, bound: float) -> List[Sample]:
+    """One sample per slice point, with the float parts evaluated in one batch."""
+    X = np.reshape(points, (-1, sys.num_vars))
+    gradients = sys.compiled_f.jacobians(X)
+    residuals = _scaled_values(sys.compiled, X, bound).max(axis=1)
+    # f exactly at the float point: float sums of a degree-d f cancel to
+    # errors of ~1e-16 * sum |c| R^d, above conv_tol at the outer radii
+    return [Sample(radius=R, point=tuple(float(v) for v in x),
+                   f_value=float(sys.f.evaluate([Fraction(v) for v in x])),
+                   malgrange=float(np.linalg.norm(x)) * rabier_nu(g), residual=float(res))
+            for x, g, res in zip(X, gradients, residuals)]
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +616,7 @@ def _screen_center(f: Polynomial, a: Tuple[Fraction, ...], radii=(10.0, 40.0)) -
         except Exception as exc:  # solver trouble counts as screen failure
             return False, f"slice solve failed at R={R}: {exc}"
         X = np.reshape(points[:16], (-1, f.num_vars))
-        gnorms = np.linalg.norm(sys.compiled_source.jacobians(X)[:, 0, :], axis=1)
+        gnorms = np.linalg.norm(sys.compiled_f.jacobians(X)[:, 0, :], axis=1)
         for gnorm, Jm in zip(gnorms, sys.compiled.jacobians(X)):
             if gnorm < 1e-9 * (1.0 + R):
                 continue  # near Sing f, excluded from the screen

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,40 @@ class TestMilnorCommand:
         code, _, err = run_cli(capsys, "milnor", "x + ", "--vars", "x,y")
         assert code == 1
         assert "parse error" in err
+
+    def test_pivot_with_minors_is_one_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "milnor", "x+y", "--vars", "x,y", "--pivot", "1", "--minors"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --pivot and --minors are mutually exclusive\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestMilnorGolden:
+    """`milnor` JSON at the origin, pinned byte for byte (files in golden/).
+
+    The files hold the package version, so a version bump regenerates them.
+    """
+
+    EXAMPLES = {
+        "flagship": ("x + x^2*y", "x,y"),
+        "tangent": ("y*(x^2*y^2 + 3*x*y + 3)", "x,y"),
+        "criterion10": ("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", "x,y,z"),
+    }
+
+    @pytest.mark.parametrize("minors", [False, True], ids=["pivot", "minors"])
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_output_is_pinned(self, capsys, name, minors):
+        text, names = self.EXAMPLES[name]
+        code, out, _ = run_cli(capsys, "milnor", text, "--vars", names,
+                               *(["--minors"] if minors else []))
+        assert code == 0
+        golden = GOLDEN / f"milnor-{name}{'-minors' if minors else ''}.json"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 class TestArcCheck:

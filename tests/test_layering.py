@@ -1,4 +1,4 @@
-"""Module layering: poly -> milnor -> tracer, and arcs -> poly."""
+"""Module layering (poly -> milnor -> tracer, arcs -> poly) and source syntax."""
 
 import ast
 from pathlib import Path
@@ -37,3 +37,11 @@ def sibling_imports(module: str) -> set:
 ])
 def test_module_imports_only_lower_layers(module, allowed):
     assert sibling_imports(module) <= allowed
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_sources_parse_as_python_3_10(path):
+    """The package declares requires-python >= 3.10.  This checks only that
+    every module parses with the 3.10 grammar; it does not check that the
+    stdlib APIs a module uses exist in 3.10."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -1,11 +1,13 @@
 """Tests for Milnor set equations, the Rabier function and center selection."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milnorarc import (
     DegenerateCenterError,
@@ -17,6 +19,7 @@ from milnorarc import (
     rabier_nu,
 )
 from milnorarc.milnor import PIVOT_MINORS, jacobian_at
+from milnorarc.poly import Polynomial
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -66,11 +69,68 @@ class TestEquations:
         with pytest.raises(ValueError):
             milnor_equations([f, f], (0, 0))  # p >= n
 
+    def test_rejects_several_polynomials(self):
+        f, g = CORPUS[3], CORPUS[4]
+        with pytest.raises(ValueError, match="exactly one polynomial"):
+            milnor_equations([f, g], (0, 0, 0))
+
+    def test_rejects_univariate(self):
+        with pytest.raises(ValueError):
+            milnor_equations([parse("x^2", ["x"])], (0,))
+
     def test_to_dict(self):
         f = parse("x + x^2*y", VARS2)
         d = milnor_equations([f], (0, 0), pivot=0).to_dict(VARS2)
         assert d["equations"] == ["y + 2*x*y^2 - x^3"]
         assert d["pivot"] == 0
+
+
+@st.composite
+def polynomials_and_centers(draw):
+    """A small integer polynomial in 2-4 variables and a rational center."""
+    n = draw(st.integers(2, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exponents, st.integers(-5, 5), min_size=1, max_size=5))
+    center = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                           min_size=n, max_size=n))
+    return Polynomial(n, terms), tuple(center), draw(st.integers(0, n - 1))
+
+
+class TestAgainstSympyDeterminants:
+    """Each equation is the matching 2x2 determinant of [grad f; x - a],
+    computed independently by sympy."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(polynomials_and_centers())
+    def test_equations_are_the_minors(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        f, center, pivot = drawn
+        n = f.num_vars
+        xs = sympy.symbols(f"x0:{n}")
+
+        def to_sympy(p):
+            return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                               * sympy.Mul(*[x ** e for x, e in zip(xs, exp)])
+                               for exp, c in p.terms.items()])
+
+        fs = to_sympy(f)
+        rows = sympy.Matrix([[sympy.diff(fs, x) for x in xs],
+                             [x - sympy.Rational(c.numerator, c.denominator)
+                              for x, c in zip(xs, center)]])
+
+        def minor(i, j):
+            return rows.extract([0, 1], [i, j]).det()
+
+        minors = milnor_equations([f], center, pivot=PIVOT_MINORS).equations
+        pairs = list(itertools.combinations(range(n), 2))
+        assert len(minors) == len(pairs)
+        for eq, (i, j) in zip(minors, pairs):
+            assert sympy.expand(to_sympy(eq) - minor(i, j)) == 0
+        chart = milnor_equations([f], center, pivot=pivot).equations
+        others = [j for j in range(n) if j != pivot]
+        assert len(chart) == len(others)
+        for eq, j in zip(chart, others):
+            assert sympy.expand(to_sympy(eq) - minor(pivot, j)) == 0
 
 
 class TestPivotMinorsEquivalence:
@@ -115,19 +175,13 @@ class TestRabier:
     def test_homogeneity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            J = rng.standard_normal((2, 4))
+            J = rng.standard_normal((1, 4))
             c = float(rng.uniform(0.1, 5.0))
             assert rabier_nu(c * J) == pytest.approx(abs(c) * rabier_nu(J), rel=1e-10)
 
-    def test_matches_smallest_singular_value(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            J = rng.standard_normal((3, 5))
-            sv = np.linalg.svd(J, compute_uv=False)
-            assert rabier_nu(J) == pytest.approx(float(sv[-1]), rel=1e-9)
-
-    def test_singular_matrix(self):
-        assert rabier_nu([[1.0, 0.0], [2.0, 0.0]]) == pytest.approx(0.0, abs=1e-12)
+    def test_rejects_two_rows(self):
+        with pytest.raises(ValueError):
+            rabier_nu([[1.0, 0.0], [2.0, 0.0]])
 
     def test_rejects_wide_input(self):
         with pytest.raises(ValueError):
