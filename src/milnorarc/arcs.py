@@ -13,6 +13,14 @@ decided exactly over Q.  The sphere normalization itself generally requires
 an irrational scale, so the membership check works on the un-normalized arc
 (the vanishing conditions are scale invariant) and reports the scale as a
 float.
+
+The numerical search (`search_arcs`) solves the same conditions plus the
+sphere by least squares over the arc coefficients.  It composes float Laurent
+arcs: each residual and Jacobian entry is a Laurent coefficient of a
+polynomial of degree <= d composed with the current arc, so the system is
+never expanded in the unknowns.  `emit_constraints` is that expansion,
+exact over Q; it is the export of the system and the tests' oracle for the
+search's rows.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .poly import CompiledPolynomials, LaurentScalar, Polynomial, RationalArc, compose_arc, compose_laurent
+from .poly import LaurentScalar, Polynomial, RationalArc, compose_arc, compose_laurent
 
 
 class WindowViolationError(ValueError):
@@ -55,6 +63,14 @@ def arc_window(n: int, d: int) -> ArcWindow:
         raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     top = d ** (n - 1)
     return ArcWindow(n=n, d=d, k_min=-(d - 1) * top, k_max=top)
+
+
+def _window_of(f: Polynomial) -> ArcWindow:
+    """The window of f's degree and variable count; f must have degree >= 2."""
+    d = f.degree
+    if d == float("-inf") or d < 2:
+        raise ValueError("polynomial degree must be at least 2")
+    return arc_window(f.num_vars, int(d))
 
 
 def dims(n: int, d: int) -> Tuple[int, int]:
@@ -143,10 +159,7 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
     """Exact membership report for the asymptotic conditions (b)-(d)."""
     if f.num_vars != xi.num_vars:
         raise ValueError("num_vars mismatch between polynomial and arc")
-    d = f.degree
-    if d == float("-inf") or d < 2:
-        raise ValueError("polynomial degree must be at least 2")
-    window = arc_window(f.num_vars, int(d))
+    window = _window_of(f)
     if enforce_window:
         for k in xi.support():
             if not window.k_min <= k <= window.k_max:
@@ -255,11 +268,8 @@ def _generic_arc(n: int, window: ArcWindow) -> Tuple[List[str], List[LaurentScal
 def emit_constraints(f: Polynomial) -> ConstraintSystem:
     """Symbolic composition of f and its derivative products with a
     generic-coefficient arc; one equation per forbidden power of t."""
-    d = f.degree
-    if d == float("-inf") or d < 2:
-        raise ValueError("polynomial degree must be at least 2")
     n = f.num_vars
-    window = arc_window(n, int(d))
+    window = _window_of(f)
     names, comps = _generic_arc(n, window)
     N = len(names)
     zero = Polynomial.zero(N)  # adding it lifts a Fraction coefficient into the unknowns' ring
@@ -333,8 +343,141 @@ class ArcCandidate:
         }
 
 
+class _LaurentSystem:
+    """The rows of `emit_constraints` plus the sphere, by float Laurent composition.
+
+    Each row is one coefficient [P(xi)]_m, where P is f, df/dx_i or
+    x_j * df/dx_i, in `emit_constraints`' order and with its labels.  For a
+    generic arc P(xi) has support exactly [deg P * k_min, deg P * k_max] (the
+    coefficients of different monomials of P are different monomials in the
+    unknowns, so nothing cancels), and a zero P gives no row.  By the chain
+    rule d[P(xi)]_m / da_{k,l} = [(dP/dx_l)(xi)]_{m-k}, so every residual and
+    Jacobian entry is a coefficient of some polynomial of degree <= d composed
+    with xi.  The setup lowers all of them to one coefficient matrix C over
+    the monomials of degree <= d, and fixes the gather indices of the
+    residuals and the Jacobian into S = C @ M, where M holds the series of
+    every monomial.  Column c of M and S holds t^(c + d * k_min); one more
+    column is always zero and is where out-of-range entries read.
+    """
+
+    def __init__(self, f: Polynomial):
+        window = _window_of(f)
+        n, d = f.num_vars, int(f.degree)
+        K = window.k_max - window.k_min + 1
+        L = d * (K - 1) + 1
+        self.window = window
+        self.num_unknowns = n * K
+        self._L = L
+        self._lo = d * window.k_min
+
+        # monomials of degree <= d, level by level: a monomial of degree s is
+        # a monomial of degree s - 1 times x_j, with j its last variable
+        monos: List[Tuple[int, ...]] = [(0,) * n]
+        prev = slice(0, 1)
+        self._levels = []
+        for _ in range(d):
+            first, pick = len(monos), []
+            for j in range(n):
+                for p in range(prev.start, prev.stop):
+                    if not any(monos[p][j + 1:]):
+                        e = list(monos[p])
+                        e[j] += 1
+                        monos.append(tuple(e))
+                        pick.append((p - prev.start) * n + j)
+            self._levels.append((prev, slice(first, len(monos)), np.array(pick)))
+            prev = slice(first, len(monos))
+        column = {e: c for c, e in enumerate(monos)}
+
+        polys: List[Polynomial] = []
+        index: Dict[tuple, int] = {}
+
+        def register(P: Polynomial) -> int:
+            key = tuple(P.sorted_terms())
+            if key not in index:
+                index[key] = len(polys)
+                polys.append(P)
+            return index[key]
+
+        blocks = [("b:", f, 1)]
+        for i in range(n):
+            g = f.partial(i)
+            blocks.append((f"c:{i + 1}:", g, 0))
+            blocks.extend((f"d:{i + 1},{j + 1}:", Polynomial.variable(n, j) * g, 0) for j in range(n))
+        self.labels: List[str] = []
+        rows, partials = [], []
+        for label, P, lowest in blocks:
+            if P.is_zero():
+                continue
+            p = register(P)
+            dP = [register(dPl) if dPl else -1 for dPl in P.gradient()]
+            for m in range(max(lowest, P.degree * window.k_min), P.degree * window.k_max + 1):
+                self.labels.append(f"{label}t^{m}")
+                rows.append((p, m))
+                partials.append(dP)
+
+        self._C = np.zeros((len(polys), len(monos)))
+        for p, P in enumerate(polys):
+            for e, c in P.terms.items():
+                self._C[p, column[e]] = float(c)
+
+        # Toeplitz gather from u plus a trailing zero: column j * L + c of
+        # T = (u, 0)[toeplitz] multiplies a series by xi_j into column c,
+        # since row i holds a_{k,j} for k = c - i
+        shift = np.arange(L)[None, :] - np.arange(L)[:, None] - window.k_min
+        inside = (shift >= 0) & (shift < K)
+        self._toeplitz = np.concatenate(
+            [np.where(inside, shift * n + j, n * K) for j in range(n)], axis=1)
+
+        zero = L   # the zero cell (0, L) of S
+        p, m = np.array(rows).T
+        self._res_index = p * (L + 1) + m - self._lo
+        ks = np.repeat(np.arange(window.k_min, window.k_max + 1), n)
+        q = np.array(partials)[:, np.tile(np.arange(n), K)]
+        col = m[:, None] - ks[None, :] - self._lo
+        ok = (q >= 0) & (col >= 0) & (col < L)
+        self._jac_index = np.where(ok, q * (L + 1) + col, zero)
+        self._sphere = (1 - window.k_min) * n
+        self._last: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _series(self, u: np.ndarray) -> np.ndarray:
+        """S = C @ M at u, flattened; reused while u is unchanged, since the
+        solver asks for the Jacobian at the point it just evaluated."""
+        if self._last is not None and np.array_equal(self._last[0], u):
+            return self._last[1]
+        L = self._L
+        T = np.append(u, 0.0)[self._toeplitz]
+        M = np.zeros((self._C.shape[1], L + 1))
+        M[0, -self._lo] = 1.0
+        for prev, level, pick in self._levels:
+            M[level, :L] = (M[prev, :L] @ T).reshape(-1, L)[pick]
+        S = (self._C @ M).ravel()
+        self._last = (u.copy(), S)
+        return S
+
+    def residuals(self, u: np.ndarray) -> np.ndarray:
+        S = self._series(u)
+        positive = u[self._sphere:]
+        return np.append(S[self._res_index], positive @ positive - 1.0)
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        S = self._series(u)
+        J = np.zeros((len(self._res_index) + 1, self.num_unknowns))
+        J[:-1] = S[self._jac_index]
+        J[-1, self._sphere:] = 2.0 * u[self._sphere:]
+        return J
+
+    def b0(self, u: np.ndarray) -> float:
+        """The t^0 coefficient of f(xi); f was registered first, as row 0 of S."""
+        return float(self._series(u)[-self._lo])
+
+
 def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List[ArcCandidate]:
     """Multistart least-squares minimization of the constraint violations.
+
+    The residuals are the rows of `emit_constraints` plus the sphere, but they
+    are computed by composing float Laurent arcs, never by expanding the
+    system symbolically (`emit_constraints` is the exact export and the
+    tests' oracle for these rows).
 
     Approximate and deliberately incomplete: finding a candidate proves
     nothing about exhausting the asymptotic arc set, and an empty result does
@@ -343,18 +486,9 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     from scipy.optimize import least_squares
 
     config = config or ArcSearchConfig()
-    cs = emit_constraints(f)
-    N = cs.num_unknowns
-    window = cs.window
-    compiled = CompiledPolynomials([poly for _, poly in cs.equations] + [cs.sphere])
-
-    def residuals(u: np.ndarray) -> np.ndarray:
-        return compiled.values(u[None, :])[0]
-
-    def jacobian(u: np.ndarray) -> np.ndarray:
-        return compiled.jacobians(u[None, :])[0]
-
-    b0 = CompiledPolynomials([cs.b0])
+    system = _LaurentSystem(f)
+    N = system.num_unknowns
+    window = system.window
 
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.starts, N)) * 0.5
@@ -370,9 +504,9 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     kept_points: List[np.ndarray] = []
     for si in range(config.starts):
         res = least_squares(
-            residuals,
+            system.residuals,
             starts[si],
-            jac=jacobian,
+            jac=system.jacobian,
             method="trf",
             max_nfev=config.max_nfev,
             xtol=1e-14,
@@ -380,7 +514,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
             gtol=1e-14,
         )
         u = res.x
-        residual = float(np.sum(residuals(u) ** 2))
+        residual = float(np.sum(system.residuals(u) ** 2))
         if residual >= config.tol:
             continue
         if any(np.linalg.norm(u - p) < config.dedupe_dist for p in kept_points):
@@ -391,7 +525,6 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
             vec = tuple(float(v) for v in block)
             if any(abs(v) > 1e-12 for v in vec):
                 coeffs[k] = vec
-        b0_est = float(b0.values(u[None, :])[0, 0])
-        candidates.append(ArcCandidate(coeffs=coeffs, b0_estimate=b0_est,
+        candidates.append(ArcCandidate(coeffs=coeffs, b0_estimate=system.b0(u),
                                        residual=residual, start_index=si))
     return candidates

@@ -12,9 +12,10 @@ components into a polynomial.
 `real_roots` isolates the real roots of a univariate polynomial over Q
 exactly, by Sturm sequences and sign bisection.
 
-`CompiledPolynomials` is the one float lowering of a `Polynomial`: the
-tracer and the numerical arc search evaluate values, Jacobians and scale
-bounds at float points only through it.
+`CompiledPolynomials` is the float lowering of a `Polynomial` at points: the
+tracer and `milnor` evaluate values, Jacobians and scale bounds at float
+points only through it.  (The numerical arc search composes float Laurent
+arcs instead; see `arcs.py`.)
 
 Terms are ordered by graded lexicographic order on the exponent tuple (total
 degree first, then the tuple itself), which fixes printing and iteration

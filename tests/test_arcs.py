@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,9 +22,11 @@ from milnorarc import (
     search_arcs,
     truncate,
 )
-from milnorarc.arcs import unknown_name
+from milnorarc.arcs import _LaurentSystem, unknown_name
+from milnorarc.poly import CompiledPolynomials
 
 VARS2 = ["x", "y"]
+VARS3 = ["x", "y", "z"]
 
 F_FLAG = parse("x + x^2*y", VARS2)
 WITNESS = RationalArc(2, {-1: (Fraction(1, 2), 0), 1: (0, -1)})
@@ -208,13 +212,20 @@ class TestTruncate:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _emitted(text, names):
+    """The symbolic system of one map, expanded once per test session (no
+    test changes it)."""
+    return emit_constraints(parse(text, list(names)))
+
+
 class TestConstraints:
     def test_unknown_names(self):
         assert unknown_name(3, 1) == "a_3_1"
         assert unknown_name(-2, 2) == "a_m2_2"
 
     def test_flagship_system_shape(self):
-        cs = emit_constraints(F_FLAG)
+        cs = _emitted("x + x^2*y", ("x", "y"))
         assert cs.num_unknowns == 20  # dims(2, 3) arc count
         assert cs.num_equations > 0
         labels = [label for label, _ in cs.equations]
@@ -225,7 +236,7 @@ class TestConstraints:
     def test_top_coefficient_equation(self):
         # the t^9 coefficient of f(xi) for f = x + x^2 y comes only from the
         # leading coefficients: a_3_1^2 * a_3_2
-        cs = emit_constraints(F_FLAG)
+        cs = _emitted("x + x^2*y", ("x", "y"))
         eq = dict(cs.equations)["b:t^9"]
         text = eq.to_text(cs.unknowns)
         assert text == "a_3_1^2*a_3_2"
@@ -234,7 +245,7 @@ class TestConstraints:
         # substituting a concrete arc's coefficients into each symbolic
         # equation (Polynomial-coefficient Laurent arithmetic) reproduces the
         # Laurent coefficient computed directly (Fraction coefficients)
-        cs = emit_constraints(F_FLAG)
+        cs = _emitted("x + x^2*y", ("x", "y"))
         window = cs.window
         rng = random.Random(5)
         for _ in range(10):
@@ -260,19 +271,19 @@ class TestConstraints:
 
     def test_constant_partial_gives_a_polynomial_equation(self):
         # df/dx = 1 for x + y^3: the c equation at t^0 is the constant 1
-        cs = emit_constraints(parse("x + y^3", VARS2))
+        cs = _emitted("x + y^3", ("x", "y"))
         eq = dict(cs.equations)["c:1:t^0"]
         assert eq == Polynomial.constant(cs.num_unknowns, 1)
 
     def test_export_text_parses_back(self):
-        cs = emit_constraints(F_FLAG)
+        cs = _emitted("x + x^2*y", ("x", "y"))
         lines = cs.export_text().strip().split("\n")
         assert len(lines) == cs.num_equations + 1  # sphere last
         for line in lines:
             parse(line, cs.unknowns)  # must not raise
 
     def test_sphere_uses_positive_block_only(self):
-        cs = emit_constraints(F_FLAG)
+        cs = _emitted("x + x^2*y", ("x", "y"))
         sphere = cs.sphere
         for k in range(cs.window.k_min, 1):
             for j in (1, 2):
@@ -321,3 +332,116 @@ class TestSearch:
         for c in found:
             d = c.to_dict()
             assert set(d) == {"coeffs", "b0_estimate", "residual", "start_index"}
+
+    def test_degree_four_search_finishes(self):
+        # the symbolic expansion of this system ran for more than 9 minutes
+        f = parse("x + x^2*y + y^4", VARS2)
+        cfg = ArcSearchConfig(seed=0, starts=2)
+        for c in search_arcs(f, cfg):
+            _assert_candidate_b0(f, c, cfg)
+
+    def test_degree_four_candidates_carry_their_b0(self):
+        f = parse("x^2*y^2 + x", VARS2)
+        cfg = ArcSearchConfig(seed=0, starts=2)
+        found = search_arcs(f, cfg)
+        assert found
+        for c in found:
+            _assert_candidate_b0(f, c, cfg)
+
+
+def _assert_candidate_b0(f, cand, cfg):
+    """The candidate is accepted and its b0 is the exact t^0 coefficient of
+    f along its own (float, hence rational) arc."""
+    assert cand.residual < cfg.tol
+    xi = RationalArc(f.num_vars, {k: tuple(Fraction(v) for v in vec) for k, vec in cand.coeffs.items()})
+    exact = float(compose_arc(f, xi).coefficient(0))
+    assert cand.b0_estimate == pytest.approx(exact, rel=1e-6, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The search's float rows against the exact system
+# ---------------------------------------------------------------------------
+
+ORACLE_MAPS = [
+    ("x + x^2*y", VARS2),
+    ("x^3 + 2*x^2*y - x*y^2 + 3*y^3 + x^2 - y^2 + x*y + x - 2*y + 1", VARS2),
+    ("x + y^3", VARS2),       # df/dx is the constant 1
+    ("x^3 + x", VARS2),       # df/dy is zero: no c:2 or d:2 rows
+    ("x*y + z^2 + x*z - y", VARS3),
+]
+
+
+def _absolute(P: Polynomial) -> Polynomial:
+    return Polynomial(P.num_vars, {e: abs(c) for e, c in P.terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _symbolic(text, names):
+    """Labels, compiled rows and compiled b0 of the symbolic system, and the
+    rows with absolute coefficients: at |u| these bound each entry's terms."""
+    cs = _emitted(text, names)
+    polys = [p for _, p in cs.equations] + [cs.sphere]
+    return ([label for label, _ in cs.equations], CompiledPolynomials(polys),
+            CompiledPolynomials([cs.b0]), CompiledPolynomials([_absolute(p) for p in polys]))
+
+
+@pytest.mark.parametrize("text, names", ORACLE_MAPS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_rows_match_the_symbolic_system(text, names, data):
+    labels, rows, b0, bound = _symbolic(text, tuple(names))
+    system = _LaurentSystem(parse(text, names))
+    assert system.labels == labels
+    N = system.num_unknowns
+    u = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=N, max_size=N)))
+    # the Jacobian first: the point differs from the one the system last saw
+    J = system.jacobian(u)
+    r = system.residuals(u)
+    assert r.shape == (len(labels) + 1,)
+    assert J.shape == (len(labels) + 1, N)
+    scale = bound.values(np.abs(u)[None, :])[0]
+    assert np.all(np.abs(r - rows.values(u[None, :])[0]) <= 1e-12 * scale)
+    scale = bound.jacobians(np.abs(u)[None, :])[0]
+    assert np.all(np.abs(J - rows.jacobians(u[None, :])[0]) <= 1e-12 * scale)
+    assert system.b0(u) == pytest.approx(b0.values(u[None, :])[0, 0], rel=1e-12, abs=1e-12)
+
+
+def _row_polynomial(f: Polynomial, label: str):
+    """P and m of the row [P(xi)]_m named by an `emit_constraints` label."""
+    head, m = label.split("t^")
+    kind, _, index = head.rstrip(":").partition(":")
+    if kind == "b":
+        return f, int(m)
+    i, _, j = index.partition(",")
+    g = f.partial(int(i) - 1)
+    P = g if kind == "c" else Polynomial.variable(f.num_vars, int(j) - 1) * g
+    return P, int(m)
+
+
+@pytest.mark.parametrize("text, names", [("x + x^2*y + y^4", VARS2), ("x + x^2*y + z^2", VARS3)])
+def test_rows_match_exact_composition(text, names):
+    # dyadic coefficients keep every float operation exact, so the rows must
+    # equal the exact Laurent coefficients, not merely approach them
+    f = parse(text, names)
+    n = f.num_vars
+    system = _LaurentSystem(f)
+    window = system.window
+    ks = range(window.k_min, window.k_max + 1)
+    rng = random.Random(11)
+    xi = RationalArc(n, {k: tuple(Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3)) for _ in range(n))
+                         for k in ks})
+    u = np.array([float(xi.coeffs.get(k, (0,) * n)[j]) for k in ks for j in range(n)])
+    r, J = system.residuals(u), system.jacobian(u)
+    composed = {}
+
+    def series(P):
+        key = tuple(P.sorted_terms())
+        if key not in composed:
+            composed[key] = compose_arc(P, xi)
+        return composed[key]
+
+    for row, label in enumerate(system.labels):
+        P, m = _row_polynomial(f, label)
+        assert r[row] == float(series(P).coefficient(m)), label
+        expected = [float(series(P.partial(l)).coefficient(m - k)) for k in ks for l in range(n)]
+        assert J[row].tolist() == expected, label
