@@ -371,6 +371,12 @@ ORACLE_MAPS = [
 ]
 
 
+# Below the normal range a rounded product keeps no relative accuracy, only
+# an absolute one of half a subnormal spacing: the error bound of a row is
+# relative to its term bound plus this underflow floor.
+UNDERFLOW = 2**10 * np.finfo(float).smallest_subnormal
+
+
 def _absolute(P: Polynomial) -> Polynomial:
     return Polynomial(P.num_vars, {e: abs(c) for e, c in P.terms.items()})
 
@@ -400,9 +406,9 @@ def test_rows_match_the_symbolic_system(text, names, data):
     assert r.shape == (len(labels) + 1,)
     assert J.shape == (len(labels) + 1, N)
     scale = bound.values(np.abs(u)[None, :])[0]
-    assert np.all(np.abs(r - rows.values(u[None, :])[0]) <= 1e-12 * scale)
+    assert np.all(np.abs(r - rows.values(u[None, :])[0]) <= 1e-12 * scale + UNDERFLOW)
     scale = bound.jacobians(np.abs(u)[None, :])[0]
-    assert np.all(np.abs(J - rows.jacobians(u[None, :])[0]) <= 1e-12 * scale)
+    assert np.all(np.abs(J - rows.jacobians(u[None, :])[0]) <= 1e-12 * scale + UNDERFLOW)
     assert system.b0(u) == pytest.approx(b0.values(u[None, :])[0, 0], rel=1e-12, abs=1e-12)
 
 
