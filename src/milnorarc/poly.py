@@ -207,20 +207,24 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Union[Fraction, float]:
         """Evaluate at a point; exact when all entries are int/Fraction.
 
-        Uses Horner's scheme variable by variable in the fixed variable order,
-        so float results are bit-for-bit reproducible.
+        An exact point is summed in integers: with common denominators D of
+        the point (p_k = D * x_k) and L of the coefficients, f of degree d has
+        L * D^d * f(x) = sum (L * c_e) * prod p_k^e_k * D^(d - |e|), divided
+        once at the end.  Otherwise Horner's scheme runs variable by variable
+        in the fixed variable order, so float results are bit-for-bit reproducible.
         """
         if len(point) != self.num_vars:
             raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
-        exact = all(isinstance(v, (int, Fraction)) for v in point)
-        if exact:
-            values = [Fraction(v) for v in point]
-        else:
-            values = [float(v) for v in point]
-        result = self.evaluate_in(values)
-        if isinstance(result, (int, Fraction)):
-            return Fraction(result) if exact else float(result)
-        return result
+        if not all(isinstance(v, (int, Fraction)) for v in point):
+            result = self.evaluate_in([float(v) for v in point])
+            return float(result) if isinstance(result, (int, Fraction)) else result
+        D = math.lcm(*(v.denominator for v in point))
+        L = math.lcm(*(c.denominator for c in self.terms.values()))
+        p = [v.numerator * (D // v.denominator) for v in point]
+        d = max(map(sum, self.terms), default=0)
+        total = sum(c.numerator * (L // c.denominator) * D ** (d - sum(exp))
+                    * math.prod(pk ** e for pk, e in zip(p, exp)) for exp, c in self.terms.items())
+        return Fraction(total, L * D ** d)
 
     def evaluate_in(self, values: Sequence):
         """Evaluate with arbitrary ring elements substituted for the variables.
@@ -322,7 +326,10 @@ class _TermTable:
     """Float terms c * x^e, each summed into one output cell.
 
     Terms are stored cell by cell; a cell without terms holds one 0 * x^0
-    term, so every cell is a nonempty contiguous segment for reduceat.
+    term, so every cell is a nonempty contiguous segment for reduceat.  A
+    term is ((x_1^e_1 * x_2^e_2) * ...) * c, gathered and multiplied one
+    variable at a time, left to right: the order in which `prod` reduces a
+    term's gathered powers, so both give the same bits.
     """
 
     def __init__(self, cells: Sequence[List[Tuple[Exponent, Fraction]]], num_vars: int, stride: int):
@@ -335,14 +342,17 @@ class _TermTable:
                 coeffs.append(float(c))
         exps = np.array(exps, dtype=np.int64)
         # column of x_k^e in the flattened power table is k * stride + e
-        self.index = exps + stride * np.arange(num_vars)
+        self.columns = list((exps + stride * np.arange(num_vars)).T.copy())
         self.degrees = exps.sum(axis=1)
         self.coeffs = np.array(coeffs, dtype=float)
         self.starts = np.array(starts, dtype=np.int64)
 
     def evaluate(self, powers: np.ndarray) -> np.ndarray:
         """Cell sums (m, cells) from a power table (m, num_vars * stride)."""
-        terms = powers.take(self.index, axis=1).prod(axis=2) * self.coeffs
+        terms = powers[:, self.columns[0]]
+        for column in self.columns[1:]:
+            terms *= powers[:, column]
+        terms *= self.coeffs
         return np.add.reduceat(terms, self.starts, axis=1)
 
 
@@ -353,7 +363,8 @@ class CompiledPolynomials:
     X (m, n) to values (m, p) and Jacobians (m, p, n), the derivative table
     coming from the exact partials.  Both read one table of the powers
     x_k^e, 0 <= e <= the largest exponent, built by repeated multiplication
-    (relative error at most (e - 1) ulp, exact on small integers).  Each term
+    (relative error at most (e - 1) ulp, exact on small integers);
+    `values_and_jacobians` builds that table once for both.  Each term
     table is built on first use, since most callers need only one of them.
     Every row of X is evaluated on its own: a row's result does not depend on
     the other rows, not even on an inf or nan among them.
@@ -396,6 +407,11 @@ class CompiledPolynomials:
         """Jacobian matrices at the rows of X (m, n): shape (m, p, n)."""
         J = self._jacobians.evaluate(self._power_table(X))
         return J.reshape(-1, self.num_polys, self.num_vars)
+
+    def values_and_jacobians(self, X) -> Tuple[np.ndarray, np.ndarray]:
+        """`values(X)` and `jacobians(X)`, bit for bit, from one power table."""
+        P = self._power_table(X)
+        return self._values.evaluate(P), self._jacobians.evaluate(P).reshape(-1, self.num_polys, self.num_vars)
 
     def scales(self, bound: float) -> np.ndarray:
         """Magnitude bounds sum |c| * bound^deg + 1, one per polynomial.

@@ -272,21 +272,16 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
 
     scales = np.append(scales, radius ** 2)
 
-    def residuals(X):
+    def residuals(X, values=None):
         sphere = np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2
-        return np.concatenate([sys.compiled.values(X), sphere[:, None]], axis=1)
-
-    def jacobians(X):
-        return np.concatenate([sys.compiled.jacobians(X), 2.0 * (X - a[None, :])[:, None, :]], axis=1)
+        return np.concatenate([sys.compiled.values(X) if values is None else values, sphere[:, None]], axis=1)
 
     for _ in range(config.newton_iters):
-        F = residuals(X)
-        J = jacobians(X)
+        values, jacobians = sys.compiled.values_and_jacobians(X)
+        F = residuals(X, values)
+        J = np.concatenate([jacobians, 2.0 * (X - a[None, :])[:, None, :]], axis=1)
         norm_before = np.linalg.norm(F / scales[None, :], axis=1)
-        try:
-            step = np.linalg.solve(J, F[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.stack([np.linalg.lstsq(J[i], F[i], rcond=None)[0] for i in range(X.shape[0])])
+        step = _newton_steps(J, F)
         # damped update: up to 6 times, halve the step of the rows whose
         # scaled residual grew and re-evaluate only those; rows are evaluated
         # independently, so a row that did not grow keeps its step
@@ -308,6 +303,18 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
     ok = np.all(np.abs(F / scales[None, :]) < config.tol, axis=1)
     sphere_ok = np.abs(np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2) < 1e-10 * radius ** 2 * 10
     return X[ok & sphere_ok & np.all(np.isfinite(X), axis=1)]
+
+
+def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Solutions s_i of J_i s_i = F_i: one batched solve, or, when some J_i
+    is singular, one solve per row and least squares only where that fails,
+    so a singular row leaves the other rows' steps bit for bit as batched."""
+    try:
+        return np.linalg.solve(J, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(J) > 1:
+            return np.concatenate([_newton_steps(J[i:i + 1], F[i:i + 1]) for i in range(len(J))])
+        return np.linalg.lstsq(J[0], F[0], rcond=None)[0][None]
 
 
 # ---------------------------------------------------------------------------

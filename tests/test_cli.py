@@ -110,6 +110,26 @@ class TestMilnorGolden:
         assert out == golden.read_text(encoding="utf-8")
 
 
+class TestAnalyzeGolden:
+    """`analyze` JSON on the two n >= 3 bench inputs, pinned byte for byte.
+
+    These runs take the multistart Newton slicer, so any change to the float
+    kernels or the Newton loop that moves a bit shows here.
+    """
+
+    EXAMPLES = {
+        "criterion10": ("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", "0,0,0"),
+        "flagship3": ("x + x^2*y + z^2", "1,2,-1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_output_is_pinned(self, capsys, name):
+        text, center = self.EXAMPLES[name]
+        code, out, _ = run_cli(capsys, "analyze", text, "--vars", "x,y,z", "--center", center)
+        assert code == 0
+        assert out == (GOLDEN / f"analyze-{name}.json").read_text(encoding="utf-8")
+
+
 class TestArcCheck:
     ARGS = ["arc-check", "x + x^2*y", "x: 1/2 t^-1; y: -1 t^1", "--vars", "x,y"]
 

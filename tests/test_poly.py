@@ -164,6 +164,22 @@ class TestArithmetic:
         f = parse("x^2 + y", VARS2)
         assert f.evaluate([2.0, 3.0]) == pytest.approx(7.0)
 
+    @given(polynomials(3, max_degree=5),
+           st.tuples(*([st.one_of(rationals, st.integers(-50, 50),
+                                  st.floats(-1e6, 1e6).map(Fraction))] * 3)))
+    @example(Polynomial.zero(3), (Fraction(1, 3), 2, Fraction(-5, 7)))
+    @example(Polynomial.constant(3, Fraction(-7, 3)), (Fraction(1, 3), 2, Fraction(-5, 7)))
+    @example(parse("1/6*x^3*y - 2/9*y*z^2 + 4", VARS3), (-3, 0, 7))
+    @example(parse("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", VARS3),
+             (Fraction(0.1), Fraction(-2.5e-7), Fraction(3, 10 ** 9)))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_evaluation_matches_horner(self, f, pt):
+        # evaluate sums in integers over common denominators; evaluate_in
+        # runs Horner's scheme in Fraction arithmetic
+        v = f.evaluate(list(pt))
+        assert isinstance(v, Fraction)
+        assert v == f.evaluate_in([Fraction(c) for c in pt])
+
 
 # ---------------------------------------------------------------------------
 # Calculus
@@ -274,6 +290,44 @@ class TestCompiledPolynomials:
                     continue
                 assert values[i].tobytes() == compiled.values(X[i:i + 1])[0].tobytes()
                 assert jacobians[i].tobytes() == compiled.jacobians(X[i:i + 1])[0].tobytes()
+
+
+def _prod_oracle(compiled, table, X):
+    """Reference cell sums: gather every term's powers, then `prod` over them."""
+    powers = compiled._power_table(X)
+    index = np.stack(table.columns, axis=1)
+    terms = powers.take(index, axis=1).prod(axis=2) * table.coeffs
+    return np.add.reduceat(terms, table.starts, axis=1)
+
+
+class TestCompiledKernels:
+    """Bit-for-bit agreement of the float kernels with the gather-and-`prod` oracle."""
+
+    @staticmethod
+    def _rows(draw, n):
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e2, 1e6]))
+        pts = draw(st.lists(st.tuples(*([st.floats(-1.0, 1.0)] * n)), min_size=1, max_size=6))
+        rows = [tuple(scale * v for v in pt) for pt in pts]
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        rows.insert(draw(st.integers(0, len(rows))), (bad,) + (2.0,) * (n - 1))
+        return np.array(rows)
+
+    @given(st.data(), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_values_and_jacobians_match_the_prod_formula(self, data, n):
+        fs = [data.draw(polynomials(n)) for _ in range(2)]
+        X = self._rows(data.draw, n)
+        compiled = CompiledPolynomials(fs)
+        with np.errstate(all="ignore"):
+            values, jacobians = compiled.values(X), compiled.jacobians(X)
+            oracle_values = _prod_oracle(compiled, compiled._values, X)
+            oracle_jacobians = _prod_oracle(compiled, compiled._jacobians, X)
+            both = compiled.values_and_jacobians(X)
+        assert values.tobytes() == oracle_values.tobytes()
+        assert jacobians.tobytes() == oracle_jacobians.reshape(jacobians.shape).tobytes()
+        assert both[0].tobytes() == values.tobytes()
+        assert both[1].tobytes() == jacobians.tobytes()
+        assert both[1].shape == (len(X), 2, n)
 
 
 def _product(*factors):

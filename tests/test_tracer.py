@@ -21,7 +21,7 @@ from milnorarc import (
     slice_solve,
     trace_branches,
 )
-from milnorarc.tracer import Sample, _dedupe, _half_angle_poly
+from milnorarc.tracer import Sample, _dedupe, _half_angle_poly, _newton_steps
 
 VARS2 = ["x", "y"]
 F_FLAG = parse("x + x^2*y", VARS2)
@@ -117,6 +117,21 @@ class TestSliceSolve:
         # distance exactly 1 and only points farther than that are kept
         assert [tuple(x) for x in kept] == [(0.0, 0.0), (3.0, 0.0), (0.0, 1.5)]
         assert _dedupe(np.zeros((0, 3)), 1.0) == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singular_row_leaves_other_newton_steps_alone(self, n):
+        rng = np.random.default_rng(n)
+        J = rng.standard_normal((7, n, n))
+        F = rng.standard_normal((7, n))
+        J[4, -1] = 2.0 * J[4, 0]  # an exactly singular Jacobian
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J[4], F[4])
+        others = [0, 1, 2, 3, 5, 6]
+        batched = np.linalg.solve(J[others], F[others][..., None])[..., 0]
+        steps = _newton_steps(J, F)
+        assert steps[others].tobytes() == batched.tobytes()
+        assert steps[4].tobytes() == np.linalg.lstsq(J[4], F[4], rcond=None)[0].tobytes()
+        assert _newton_steps(J[others], F[others]).tobytes() == batched.tobytes()
 
     def test_three_variables_best_effort(self):
         f = parse("x^2 + y^2 - z^2 + x", ["x", "y", "z"])
