@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -122,37 +123,49 @@ class ArcMembershipReport:
         }
 
 
-def _positive_sphere_sum(xi: RationalArc) -> Fraction:
-    total = Fraction(0)
-    for k, vec in xi.coeffs.items():
-        if k > 0:
-            total += sum(v * v for v in vec)
-    return total
+def _sphere_sums(xi: RationalArc) -> Dict[int, Fraction]:
+    """|a_k|^2 for each positive exponent k of the arc."""
+    return {k: sum(v * v for v in vec) for k, vec in xi.coeffs.items() if k > 0}
 
 
-def _lambda_estimate(xi: RationalArc) -> Optional[float]:
-    """Scale lam > 0 with sum_{k>0} |a_k|^2 lam^(2k) = 1; None if no escape."""
-    powers = {}
-    for k, vec in xi.coeffs.items():
-        if k > 0:
-            powers[k] = powers.get(k, 0.0) + float(sum(v * v for v in vec))
-    if not powers:
+_INF_BITS = 0x7FF0000000000000   # the bit pattern of float inf
+
+
+def _float_of(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _value_of(bits: int) -> Fraction:
+    """The float of this bit pattern, exactly; the pattern of inf stands for 2^1024."""
+    return Fraction(2 ** 1024) if bits == _INF_BITS else Fraction(_float_of(bits))
+
+
+def _lambda_estimate(sums: Dict[int, Fraction]) -> Optional[float]:
+    """The float nearest the scale lam > 0 with sum_k sums[k] lam^(2k) = 1.
+
+    None if there are no sums (the arc does not escape), or if lam rounds to
+    0 or overflows.  The sum grows with lam, and the bit patterns of the
+    nonnegative floats are ordered like the floats, so bisecting on the
+    patterns brackets lam between two adjacent floats.  Every comparison of
+    the sum with 1 is exact, in integers, so nothing overflows.
+    """
+    if not sums:
         return None
+    g = Polynomial(1, {(k,): s for k, s in sums.items()})   # the sum, in lam^2
 
-    def g(lam: float) -> float:
-        return sum(s * lam ** (2 * k) for k, s in powers.items())
+    def below(lam: Fraction) -> bool:
+        terms, divisor = g.cleared(lam.denominator ** 2)
+        return sum(C * lam.numerator ** (2 * e) for (e,), C in terms) < divisor
 
-    hi = 1.0
-    while g(hi) < 1.0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 1.0:
+    lo, hi = 0, _INF_BITS   # lam lies in (_value_of(lo), _value_of(hi)]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(_value_of(mid)):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    nearest = hi if below((_value_of(lo) + _value_of(hi)) / 2) else lo
+    return None if nearest in (0, _INF_BITS) else _float_of(nearest)
 
 
 def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True) -> ArcMembershipReport:
@@ -180,8 +193,9 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
             h = components[j] * g
             witnesses_d.extend((k, h.coefficient(k)) for k in h.support() if k >= 0)
 
+    sums = _sphere_sums(xi)
     return ArcMembershipReport(
-        normalized=(_positive_sphere_sum(xi) == 1),
+        normalized=(sum(sums.values()) == 1),
         escapes=xi.escapes_to_infinity(),
         cond_b=cond_b,
         cond_c=not witnesses_c,
@@ -190,7 +204,7 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
         witnesses_c=sorted(set(witnesses_c)),
         witnesses_d=sorted(set(witnesses_d)),
         b0=b0,
-        lambda_estimate=_lambda_estimate(xi),
+        lambda_estimate=_lambda_estimate(sums),
     )
 
 

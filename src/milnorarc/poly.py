@@ -9,6 +9,12 @@ Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
 whose coefficients are unknowns); `compose_laurent` substitutes Laurent
 components into a polynomial.
 
+Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` at an
+int/Fraction point and `compose_laurent` with int/Fraction coefficients clear
+the common denominators (`Polynomial.cleared`), sum integer products and
+divide once per result.  Horner's scheme (`evaluate_in`) remains for
+Polynomial coefficients and floats.
+
 `real_roots` isolates the real roots of a univariate polynomial over Q
 exactly, by Sturm sequences and sign bisection.
 
@@ -204,14 +210,26 @@ class Polynomial:
     def gradient(self) -> List["Polynomial"]:
         return [self.partial(i) for i in range(self.num_vars)]
 
+    def cleared(self, D: int) -> Tuple[List[Tuple[Exponent, int]], int]:
+        """Integer terms for substituting arguments of common denominator D.
+
+        With L the common denominator of the coefficients and d the degree,
+        L * D^d * f(x) = sum (L * c_e * D^(d - |e|)) * prod (D * x_k)^e_k.
+        Returns the terms (e, L * c_e * D^(d - |e|)) and the divisor L * D^d.
+        """
+        L = math.lcm(*(c.denominator for c in self.terms.values()))
+        d = max(map(sum, self.terms), default=0)
+        terms = [(exp, c.numerator * (L // c.denominator) * D ** (d - sum(exp)))
+                 for exp, c in self.terms.items()]
+        return terms, L * D ** d
+
     def evaluate(self, point: Sequence) -> Union[Fraction, float]:
         """Evaluate at a point; exact when all entries are int/Fraction.
 
-        An exact point is summed in integers: with common denominators D of
-        the point (p_k = D * x_k) and L of the coefficients, f of degree d has
-        L * D^d * f(x) = sum (L * c_e) * prod p_k^e_k * D^(d - |e|), divided
-        once at the end.  Otherwise Horner's scheme runs variable by variable
-        in the fixed variable order, so float results are bit-for-bit reproducible.
+        An exact point is summed in integers over common denominators
+        (`cleared`) and divided once at the end.  Otherwise Horner's scheme
+        runs variable by variable in the fixed variable order, so float
+        results are bit-for-bit reproducible.
         """
         if len(point) != self.num_vars:
             raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
@@ -219,19 +237,17 @@ class Polynomial:
             result = self.evaluate_in([float(v) for v in point])
             return float(result) if isinstance(result, (int, Fraction)) else result
         D = math.lcm(*(v.denominator for v in point))
-        L = math.lcm(*(c.denominator for c in self.terms.values()))
         p = [v.numerator * (D // v.denominator) for v in point]
-        d = max(map(sum, self.terms), default=0)
-        total = sum(c.numerator * (L // c.denominator) * D ** (d - sum(exp))
-                    * math.prod(pk ** e for pk, e in zip(p, exp)) for exp, c in self.terms.items())
-        return Fraction(total, L * D ** d)
+        terms, divisor = self.cleared(D)
+        return Fraction(sum(C * math.prod(pk ** e for pk, e in zip(p, exp)) for exp, C in terms), divisor)
 
     def evaluate_in(self, values: Sequence):
         """Evaluate with arbitrary ring elements substituted for the variables.
 
         The elements must support addition, multiplication (including by
-        Fraction scalars) and nonnegative integer powers.  Used for exact
-        composition with Laurent arcs and polynomial substitution.
+        Fraction scalars) and nonnegative integer powers.  Used for
+        polynomial substitution, composition with Laurent series over
+        Polynomials or floats, and evaluation at float points.
         """
         if len(values) != self.num_vars:
             raise ValueError("wrong number of substitution values")
@@ -698,10 +714,55 @@ class LaurentScalar:
         return f"LaurentScalar({dict(sorted(self.terms.items()))})"
 
 
+def _convolve(a: List[int], b: List[int]) -> List[int]:
+    """Coefficient list of the product of two nonempty integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
-    """f(components) as a LaurentScalar; a constant result is lifted to t^0."""
-    result = f.evaluate_in(components)
-    return result if isinstance(result, LaurentScalar) else LaurentScalar({0: result})
+    """f(components) as a LaurentScalar; a constant result is lifted to t^0.
+
+    Components with int/Fraction coefficients are composed in integers, as
+    `Polynomial.evaluate` does at exact points: with D the common denominator
+    of all component coefficients, each D * xi_k is an integer coefficient
+    list from its lowest exponent on, its powers are built once by
+    convolution, the cleared terms of f are summed coefficient by
+    coefficient and each sum is divided once.  Polynomial coefficients (the
+    generic arc) and floats go through Horner's scheme (`evaluate_in`).
+    """
+    if len(components) != f.num_vars:
+        raise ValueError("wrong number of substitution values")
+    if not all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values()):
+        result = f.evaluate_in(components)
+        return result if isinstance(result, LaurentScalar) else LaurentScalar({0: result})
+    D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values()))
+    lows, powers = [], []
+    for k, xi in enumerate(components):
+        low = min(xi.terms, default=0)
+        P = [0] * (max(xi.terms, default=0) - low + 1)
+        for e, c in xi.terms.items():
+            P[e - low] = c.numerator * (D // c.denominator)
+        table = [[1]]
+        for _ in range(max((exp[k] for exp in f.terms), default=0)):
+            table.append(_convolve(table[-1], P))
+        lows.append(low)
+        powers.append(table)
+    terms, divisor = f.cleared(D)
+    sums: Dict[int, int] = {}
+    for exp, C in terms:
+        product = [C]
+        for table, e in zip(powers, exp):
+            if e:
+                product = _convolve(product, table[e])
+        low = sum(lo * e for lo, e in zip(lows, exp))
+        for m, v in enumerate(product, low):
+            sums[m] = sums.get(m, 0) + v
+    return LaurentScalar({m: Fraction(sums[m], divisor) for m in sorted(sums) if sums[m]})
 
 
 # ---------------------------------------------------------------------------

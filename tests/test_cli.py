@@ -147,6 +147,39 @@ class TestArcCheck:
         assert code == 1
         assert "outside window" in err
 
+    @pytest.mark.parametrize("coeff, scale", [
+        (f"1/{10 ** 200}", 1e200),   # a finite scale, though |a_1|^2 = 1e-400 is not a float
+        (str(10 ** 400), None),      # the scale 1e-400 rounds to 0
+    ], ids=["tiny", "huge"])
+    def test_extreme_positive_coefficient(self, capsys, coeff, scale):
+        code, out, _ = run_cli(capsys, "arc-check", "x + x^2*y", f"x: {coeff} t^1", "--vars", "x,y")
+        assert code == 0
+        assert json.loads(out)["lambda_estimate"] == scale
+
+
+class TestArcCheckGolden:
+    """`arc-check` JSON pinned byte for byte: the README witness (a member),
+    a non-member filling the whole n=2 window, and an n=3 arc."""
+
+    EXAMPLES = {
+        "witness": ("x + x^2*y", "x: 1/2 t^-1; y: -1 t^1", "x,y"),
+        "full-window": (
+            "x + x^2*y - 2/3*x*y^2 + 1/5*y^3 - 4*y",
+            "x: 1/2 t^-6 - 2 t^-5 + 3/7 t^-4 - t^-3 + 5/4 t^-2 + 1/9 t^-1 - 3 + 2/5 t - 7/3 t^2 + 1/6 t^3; "
+            "y: -1 t^-6 + 4/3 t^-5 + 1/8 t^-4 - 6 t^-3 + 2/11 t^-2 - 5/2 t^-1 + 1/4 - 3 t + 7/5 t^2 - 1/2 t^3",
+            "x,y"),
+        "n3": ("x + x^2*y + z^2 - 1/3*x*y*z",
+               "x: 1/2 t^-1 + 3 t^-4 - 2/9 t^-18; y: -1 t + 2/7 t^-9 + 5/3 t^9; z: 5/3 t^2 - t^-12 + 1/4",
+               "x,y,z"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_output_is_pinned(self, capsys, name):
+        poly, arc, names = self.EXAMPLES[name]
+        code, out, _ = run_cli(capsys, "arc-check", poly, arc, "--vars", names)
+        assert code == 0
+        assert out == (GOLDEN / f"arc-check-{name}.json").read_text(encoding="utf-8")
+
 
 class TestAnalyze:
     def test_single_center_json(self, capsys):

@@ -15,7 +15,7 @@ from milnorarc import (
     compose_arc,
     parse,
 )
-from milnorarc.poly import CompiledPolynomials, real_roots
+from milnorarc.poly import CompiledPolynomials, compose_laurent, real_roots
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -43,6 +43,18 @@ def points(num_vars: int):
 
 def small_integer_points(num_vars: int):
     return st.lists(st.tuples(*([st.integers(-3, 3)] * num_vars)), min_size=1, max_size=4)
+
+
+def laurent_scalars():
+    """Fraction or int coefficients at t^-6..t^6; empty (zero) and single terms included."""
+    coeffs = st.one_of(rationals, st.integers(-9, 9))
+    return st.dictionaries(st.integers(-6, 6), coeffs, max_size=4).map(LaurentScalar)
+
+
+def compositions():
+    """(f, components) with 1 to 3 variables."""
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        polynomials(n), st.lists(laurent_scalars(), min_size=n, max_size=n)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +505,24 @@ class TestComposeArc:
         xi = RationalArc(2, {-2: (1, 0), 1: (Fraction(1, 2), -1)})
         assert compose_arc(f * g, xi) == compose_arc(f, xi) * compose_arc(g, xi)
         assert compose_arc(f + g, xi) == compose_arc(f, xi) + compose_arc(g, xi)
+
+    @given(compositions())
+    @example((Polynomial.zero(2), [LaurentScalar({-1: Fraction(1, 2)}), LaurentScalar({1: -1})]))
+    @example((Polynomial.constant(3, Fraction(-7, 3)),
+              [LaurentScalar({2: 5}), LaurentScalar(), LaurentScalar({-3: Fraction(1, 4)})]))
+    @example((parse("x + x^2*y", VARS2), [LaurentScalar(), LaurentScalar()]))
+    @example((parse("1/6*x^4 - 2/3*x", ["x"]), [LaurentScalar({-2: 3})]))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_route_matches_horner(self, case):
+        # compose_laurent sums in integers over common denominators;
+        # evaluate_in runs Horner's scheme in LaurentScalar arithmetic
+        f, comps = case
+        F = compose_laurent(f, comps)
+        horner = f.evaluate_in(comps)
+        if not isinstance(horner, LaurentScalar):
+            horner = LaurentScalar({0: horner})
+        assert F.terms == horner.terms
+        assert all(type(c) is Fraction for c in F.terms.values())
 
     def test_chain_rule_along_arc(self):
         # d/dt f(xi(t)) = sum_i (df/dx_i)(xi(t)) * xi_i'(t), exactly

@@ -21,6 +21,10 @@ CASES = [
                                     "--vars", "x,y"], id="arc-check-member"),
     pytest.param("arc-membership", ["arc-check", "x + x^2*y", "x: 1 t^-1; y: 1 t^-1",
                                     "--vars", "x,y"], id="arc-check-non-member"),
+    pytest.param("arc-membership", ["arc-check", "x + x^2*y", f"x: 1/{10 ** 200} t^1",
+                                    "--vars", "x,y"], id="arc-check-tiny-coefficient"),
+    pytest.param("arc-membership", ["arc-check", "x + x^2*y", f"x: {10 ** 400} t^1",
+                                    "--vars", "x,y"], id="arc-check-huge-coefficient"),
     pytest.param("analysis-report", ["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0"],
                  id="analyze"),
     pytest.param("trace", ["trace", "x + x^2*y", "--vars", "x,y", "--center", "0,0",
