@@ -117,10 +117,18 @@ class ArcMembershipReport:
             "witnesses_c": [[k, str(c)] for k, c in self.witnesses_c],
             "witnesses_d": [[k, str(c)] for k, c in self.witnesses_d],
             "b0": None if self.b0 is None else str(self.b0),
-            "b0_float": None if self.b0 is None else float(self.b0),
+            "b0_float": None if self.b0 is None else _float_or_none(self.b0),
             "lambda_estimate": self.lambda_estimate,
             "is_member": self.is_member,
         }
+
+
+def _float_or_none(x: Fraction) -> Optional[float]:
+    """The float nearest x, or None when |x| is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 def _sphere_sums(xi: RationalArc) -> Dict[int, Fraction]:

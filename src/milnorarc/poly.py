@@ -16,7 +16,9 @@ divide once per result.  Horner's scheme (`evaluate_in`) remains for
 Polynomial coefficients and floats.
 
 `real_roots` isolates the real roots of a univariate polynomial over Q
-exactly, by Sturm sequences and sign bisection.
+exactly, by Sturm sequences, and refines each by secant jumps from a float
+Newton seed, every jump verified by exact signs, to the Fraction that exact
+sign bisection would return.
 
 `CompiledPolynomials` is the float lowering of a `Polynomial` at points: the
 tracer and `milnor` evaluate values, Jacobians and scale bounds at float
@@ -778,9 +780,12 @@ def _scaled_value(p: List[int], k: int, e: int) -> int:
     return h
 
 
-def _sign_at(p: List[int], x: Fraction) -> int:
-    h = _scaled_value(p, x.numerator, x.denominator.bit_length() - 1)
-    return (h > 0) - (h < 0)
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _trailing_zeros(k: int) -> int:
+    return (k & -k).bit_length() - 1
 
 
 def _negated_remainder(a: List[int], b: List[int]) -> List[int]:
@@ -813,26 +818,155 @@ def _sturm_sequence(p: List[int]) -> List[List[int]]:
         seq.append(r)
 
 
-def _variations(seq: List[List[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in seq) if s]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+def _sturm_count(seq: List[List[int]], k: int, e: int) -> Tuple[int, int]:
+    """(sign of p, sign variations of the Sturm sequence) at k / 2^e.  The
+    variations are counted only where p does not vanish, the only points at
+    which Sturm counts are taken; elsewhere they are 0."""
+    if k:
+        z = min(e, _trailing_zeros(k))
+        k, e = k >> z, e - z
+    sign = _sign(_scaled_value(seq[0], k, e))
+    if not sign:
+        return 0, 0
+    signs = [sign] + [s for s in (_sign(_scaled_value(q, k, e)) for q in seq[1:]) if s]
+    return sign, sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _refine(p: List[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """Bisect [lo, hi], across which p changes sign, to relative width 2^-60."""
-    e = max(lo.denominator, hi.denominator).bit_length() - 1
-    L, H = int(lo * 2 ** e), int(hi * 2 ** e)   # the interval is [L, H] / 2^e
-    positive_at_lo = _sign_at(p, lo) > 0
-    while (H - L) << 60 > max(abs(L), abs(H)):
-        L, M, H, e = 2 * L, L + H, 2 * H, e + 1
-        value = _scaled_value(p, M, e)
-        if value == 0:
-            return Fraction(M, 2 ** e)
-        if (value > 0) == positive_at_lo:
-            L = M
+def _float_seed(pf: List[float], lo: float, hi: float, positive_at_lo: bool) -> Tuple[float, float]:
+    """A float x near the root of pf (float coefficients, ascending) in (lo, hi),
+    across which pf changes sign, and an estimate of |x - root|.
+    Newton's method inside the bracket, with a bisection step when Newton
+    leaves it, until the step is below 2^-50 |x| or below the rounding error
+    of Horner's scheme over |pf'(x)|.  x is NaN when an evaluation overflows."""
+    x = lo + 0.5 * (hi - lo)
+    unit = len(pf) * 2.0 ** -52
+    for _ in range(100):
+        v = dv = bound = 0.0
+        size = abs(x)
+        for c in reversed(pf):
+            dv = dv * x + v
+            v = v * x + c
+            bound = bound * size + abs(c)
+        if not (math.isfinite(bound) and dv):
+            return math.nan, math.inf
+        step, spread = v / dv, unit * bound / abs(dv)
+        if abs(step) <= max(size * 2.0 ** -50, spread):
+            return x - step, abs(step) + spread
+        if (v > 0) == positive_at_lo:
+            lo = x
         else:
-            H = M
-    return Fraction(L + H, 2 ** (e + 1))
+            hi = x
+        x -= step
+        if not lo < x < hi:
+            x = lo + 0.5 * (hi - lo)
+    return x, hi - lo
+
+
+class _ExactRoot(Exception):
+    """A grid point where the polynomial vanishes, given as the bisection
+    cell (level, index) whose midpoint it is."""
+
+
+def _refine(p: List[int], L: int, H: int, e: int, positive_at_lo: bool) -> Fraction:
+    """The root of p in (L, H) / 2^e, across which p changes sign, exactly as
+    sign bisection to relative width 2^-60 returns it: the midpoint of the
+    first bisection cell of width W / 2^e' with W 2^60 <= max(|A|, |B|) for
+    its ends A / 2^e', B / 2^e', or the root itself when a bisection point
+    hits it.
+
+    Every bisection cell lies on one grid: cell j of level k has the ends
+    (L 2^k + j W) / 2^(e+k) and (L 2^k + (j+1) W) / 2^(e+k), W = H - L.  A cell
+    whose ends have strictly opposite signs holds the root in its interior,
+    so it and its ancestors are the cells bisection passes through, and the
+    stopping test, once true on that path, stays true below.  Any such cell
+    at or below the stopping level therefore gives the answer, by a binary
+    search over the levels of its ancestors; so does the cell whose midpoint
+    is a grid point where p vanishes.
+
+    Such a cell is reached with few exact evaluations.  Start from the cell
+    of relative width 2^-40 (wider if the seed's error estimate asks for it)
+    at a float Newton seed, if the signs at its ends verify it, else from
+    the level-0 cell.  Then take secant jumps of s levels: go to the cell
+    below that holds the secant root of the end values, if its ends change
+    sign.  s doubles on success and halves on failure; at s = 1 a bisection
+    step is taken, which always succeeds.
+    """
+    z = min(e, _trailing_zeros(L | H))
+    L, H, e = L >> z, H >> z, e - z
+    W, d = H - L, len(p) - 1
+
+    def end(k: int, i: int) -> int:
+        return (L << k) + i * W
+
+    def value(k: int, i: int) -> int:
+        v = _scaled_value(p, end(k, i), e + k)
+        if not v:
+            zeros = _trailing_zeros(i)
+            raise _ExactRoot(k - zeros - 1, i >> (zeros + 1))
+        return v
+
+    def stops(k: int, j: int) -> bool:
+        A = end(k, j)
+        return W << 60 <= max(abs(A), abs(A + W))
+
+    k = j = 0
+    try:
+        if not stops(0, 0):
+            seed, error = math.nan, math.inf
+            try:
+                pf = [float(c) for c in p]
+                lo, hi = L / (1 << e), H / (1 << e)
+            except OverflowError:
+                pass
+            else:
+                seed, error = _float_seed(pf, lo, hi, positive_at_lo)
+            if math.isfinite(seed) and seed and error < abs(seed):
+                # the level of width 2^-40 |seed|, or 8 times the seed's
+                # error estimate if that is wider
+                width = min(40 - math.frexp(seed)[1], -math.frexp(error)[1] - 3)
+                k = max(0, W.bit_length() - e + width)
+            if k:
+                num, den = seed.as_integer_ratio()
+                j = min(max(((num << (e + k)) // den - end(k, 0)) // W, 0), (1 << k) - 1)
+                a, b = value(k, j), value(k, j + 1)
+                if (a > 0) == (b > 0):
+                    k = j = 0
+            if not k:
+                a, b = value(0, 0), value(0, 1)
+            # the levels left to the stopping level (two more for rounding),
+            # or the cell's relative precision if smaller: a secant step about
+            # doubles that
+            top = max(abs(end(k, j)), abs(end(k, j + 1))).bit_length()
+            s = max(1, min((W << 62).bit_length() - top, top - W.bit_length()))
+        while not stops(k, j):
+            if s == 1:
+                m = value(k + 1, 2 * j + 1)
+                if (m > 0) == (a > 0):
+                    j, a, b = 2 * j + 1, m, b << d
+                else:
+                    j, a, b = 2 * j, a << d, m
+                k, s = k + 1, 2
+                continue
+            offset = (a << s) // (a - b)
+            i = (j << s) + offset
+            na = a << (s * d) if offset == 0 else value(k + s, i)
+            nb = b << (s * d) if offset == (1 << s) - 1 else value(k + s, i + 1)
+            if (na > 0) != (nb > 0):
+                k, j, a, b, s = k + s, i, na, nb, 2 * s
+            else:
+                s //= 2
+    except _ExactRoot as hit:
+        k, j = hit.args
+
+    # the first level on the path to cell (k, j) at which bisection stops, else k
+    lo, hi = 0, k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if stops(mid, j >> (k - mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(2 * end(lo, j >> (k - lo)) + W, 1 << (e + lo + 1))
 
 
 def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
@@ -840,11 +974,13 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
 
     Exact: the distinct real roots are isolated by the Sturm sequence over Q
     with bisection at dyadic points, and each isolating interval across
-    which the polynomial changes sign is refined by exact sign bisection to
-    relative width 2^-60.  A root is returned as the midpoint of its
-    interval, or exactly when a bisection point hits it.  Roots of even
-    multiplicity (no sign change) are not reported; the zero polynomial and
-    the nonzero constants have no roots.
+    which the polynomial changes sign is refined to relative width 2^-60.
+    A root is returned as the midpoint of the dyadic cell that sign
+    bisection of its interval stops at, or exactly when a bisection point
+    hits it; the refinement finds that cell by verified secant jumps from a
+    float Newton seed, with a few exact evaluations (see `_refine`).  Roots
+    of even multiplicity (no sign change) are not reported; the zero
+    polynomial and the nonzero constants have no roots.
     """
     q = [Fraction(c) for c in coeffs]
     while q and q[-1] == 0:
@@ -859,37 +995,38 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
     lead = abs(p[-1]).bit_length()
     exponent = max([0] + [-((lead - 1 - abs(c).bit_length()) // i)
                           for i, c in enumerate(reversed(p[:-1]), 1) if c])
-    bound = Fraction(2 ** (exponent + 1))
+    bound = 1 << (exponent + 1)
 
+    # an interval is (a, b, e, count at a, count at b) for [a, b] / 2^e
     roots: List[Fraction] = []
-    stack = [(-bound, bound, _variations(seq, -bound), _variations(seq, bound))]
+    stack = [(-bound, bound, 0, _sturm_count(seq, -bound, 0), _sturm_count(seq, bound, 0))]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo - v_hi == 1:
-            if _sign_at(p, lo) != _sign_at(p, hi):
-                roots.append(_refine(p, lo, hi))
+        a, b, e, (s_a, v_a), (s_b, v_b) = stack.pop()
+        if v_a - v_b == 1:
+            if s_a != s_b:
+                roots.append(_refine(p, a, b, e, s_a > 0))
             continue
-        if v_lo == v_hi:
+        if v_a == v_b:
             continue
-        mid = (lo + hi) / 2
-        if _sign_at(p, mid):
-            v_mid = _variations(seq, mid)
-            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+        mid, e_mid = a + b, e + 1
+        at_mid = _sturm_count(seq, mid, e_mid)
+        if at_mid[0]:
+            stack += [(2 * a, mid, e_mid, (s_a, v_a), at_mid), (mid, 2 * b, e_mid, at_mid, (s_b, v_b))]
             continue
         # a root on the bisection point: step off it to two points that are
         # not roots and enclose no other root, as Sturm counts need
-        step = (hi - lo) / 4
+        scale, centre, step = e + 2, 2 * mid, b - a
         while True:
-            left, right = mid - step, mid + step
-            s_left, s_right = _sign_at(p, left), _sign_at(p, right)
-            if s_left and s_right:
-                v_left, v_right = _variations(seq, left), _variations(seq, right)
-                if v_left - v_right == 1:
-                    break
-            step /= 2
-        if s_left != s_right:
-            roots.append(mid)
-        stack += [(lo, left, v_lo, v_left), (right, hi, v_right, v_hi)]
+            left, right = centre - step, centre + step
+            at_left, at_right = _sturm_count(seq, left, scale), _sturm_count(seq, right, scale)
+            if at_left[0] and at_right[0] and at_left[1] - at_right[1] == 1:
+                break
+            centre, scale = 2 * centre, scale + 1
+        if at_left[0] != at_right[0]:
+            roots.append(Fraction(mid, 1 << e_mid))
+        shift = scale - e
+        stack += [(a << shift, left, scale, (s_a, v_a), at_left),
+                  (right, b << shift, scale, at_right, (s_b, v_b))]
     return sorted(roots)
 
 

@@ -9,8 +9,9 @@ For n = 2 the sphere is a circle; the restriction of the single equation to
 it becomes, under the tangent half-angle substitution, a univariate
 polynomial whose coefficients are computed exactly.  Its real roots of odd
 multiplicity (the crossings of the circle) are isolated exactly by Sturm
-sequences over Q and refined by exact sign bisection; tangencies (even
-multiplicity) are not reported.
+sequences over Q and refined by exactly verified secant jumps to the
+Fractions exact sign bisection would return; tangencies (even multiplicity)
+are not reported.
 
 For n >= 3 a multistart damped Newton solver is used and results are
 explicitly best-effort (branches may be missed).

@@ -111,21 +111,25 @@ class TestMilnorGolden:
 
 
 class TestAnalyzeGolden:
-    """`analyze` JSON on the two n >= 3 bench inputs, pinned byte for byte.
+    """`analyze` JSON pinned byte for byte.
 
-    These runs take the multistart Newton slicer, so any change to the float
-    kernels or the Newton loop that moves a bit shows here.
+    The two n >= 3 bench inputs take the multistart Newton slicer, so any
+    change to the float kernels or the Newton loop that moves a bit shows
+    here.  The flagship over three generic centers (center screening plus
+    intersection) and the tangent example at (0, 1) take the exact n = 2
+    circle slicer, so any change to the Fractions `real_roots` returns shows.
     """
 
     EXAMPLES = {
-        "criterion10": ("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", "0,0,0"),
-        "flagship3": ("x + x^2*y + z^2", "1,2,-1"),
+        "criterion10": ("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", "--vars", "x,y,z", "--center", "0,0,0"),
+        "flagship3": ("x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1"),
+        "flagship-centers3": ("x + x^2*y", "--vars", "x,y", "--centers", "3", "--seed", "0"),
+        "tangent": ("y*(x^2*y^2 + 3*x*y + 3)", "--vars", "x,y", "--center", "0,1"),
     }
 
     @pytest.mark.parametrize("name", sorted(EXAMPLES))
     def test_output_is_pinned(self, capsys, name):
-        text, center = self.EXAMPLES[name]
-        code, out, _ = run_cli(capsys, "analyze", text, "--vars", "x,y,z", "--center", center)
+        code, out, _ = run_cli(capsys, "analyze", *self.EXAMPLES[name])
         assert code == 0
         assert out == (GOLDEN / f"analyze-{name}.json").read_text(encoding="utf-8")
 
@@ -155,6 +159,16 @@ class TestArcCheck:
         code, out, _ = run_cli(capsys, "arc-check", "x + x^2*y", f"x: {coeff} t^1", "--vars", "x,y")
         assert code == 0
         assert json.loads(out)["lambda_estimate"] == scale
+
+    def test_b0_beyond_the_float_range(self, capsys):
+        # the witness arc gives b0 = the constant term, here 10^400
+        code, out, err = run_cli(capsys, "arc-check", f"x + x^2*y + {10 ** 400}",
+                                 "x: 1/2 t^-1; y: -1 t^1", "--vars", "x,y")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["is_member"] is True
+        assert payload["b0"] == str(10 ** 400)
+        assert payload["b0_float"] is None
 
 
 class TestArcCheckGolden:

@@ -416,6 +416,123 @@ class TestRealRoots:
         assert roots[0] < 1 + eps / 2 < roots[1]
 
 
+def _bisection_real_roots(coeffs):
+    """Reference for `real_roots`: Sturm isolation at Fraction points, each
+    isolating interval refined by exact sign bisection to relative width
+    2^-60, one exact evaluation per halving."""
+    from milnorarc.poly import _scaled_value, _sturm_sequence
+
+    def sign_at(p, x):
+        h = _scaled_value(p, x.numerator, x.denominator.bit_length() - 1)
+        return (h > 0) - (h < 0)
+
+    def variations(seq, x):
+        signs = [s for s in (sign_at(q, x) for q in seq) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    def refine(p, lo, hi):
+        e = max(lo.denominator, hi.denominator).bit_length() - 1
+        L, H = int(lo * 2 ** e), int(hi * 2 ** e)
+        positive_at_lo = sign_at(p, lo) > 0
+        while (H - L) << 60 > max(abs(L), abs(H)):
+            L, M, H, e = 2 * L, L + H, 2 * H, e + 1
+            value = _scaled_value(p, M, e)
+            if value == 0:
+                return Fraction(M, 2 ** e)
+            if (value > 0) == positive_at_lo:
+                L = M
+            else:
+                H = M
+        return Fraction(L + H, 2 ** (e + 1))
+
+    q = [Fraction(c) for c in coeffs]
+    while q and q[-1] == 0:
+        q.pop()
+    if len(q) < 2:
+        return []
+    den = math.lcm(*(c.denominator for c in q))
+    p = [int(c * den) for c in q]
+    seq = _sturm_sequence(p)
+    lead = abs(p[-1]).bit_length()
+    exponent = max([0] + [-((lead - 1 - abs(c).bit_length()) // i)
+                          for i, c in enumerate(reversed(p[:-1]), 1) if c])
+    bound = Fraction(2 ** (exponent + 1))
+    roots = []
+    stack = [(-bound, bound, variations(seq, -bound), variations(seq, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            if sign_at(p, lo) != sign_at(p, hi):
+                roots.append(refine(p, lo, hi))
+            continue
+        if v_lo == v_hi:
+            continue
+        mid = (lo + hi) / 2
+        if sign_at(p, mid):
+            v_mid = variations(seq, mid)
+            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+            continue
+        step = (hi - lo) / 4
+        while True:
+            left, right = mid - step, mid + step
+            s_left, s_right = sign_at(p, left), sign_at(p, right)
+            if s_left and s_right:
+                v_left, v_right = variations(seq, left), variations(seq, right)
+                if v_left - v_right == 1:
+                    break
+            step /= 2
+        if s_left != s_right:
+            roots.append(mid)
+        stack += [(lo, left, v_lo, v_left), (right, hi, v_right, v_hi)]
+    return sorted(roots)
+
+
+@st.composite
+def hard_root_polynomials(draw):
+    """Products of degree <= 12 whose roots make refinement hard: dyadic
+    roots and roots at 0 (hit exactly by bisection), root pairs 2^-70 apart,
+    roots of magnitude 2^-150 to 2^-60 and 2^60 to 2^150, next to a small integer
+    factor; sometimes scaled above 2^1100, so that no float seed exists (with
+    fewer factors: Sturm isolation on such coefficients is slow)."""
+    nonzero = st.integers(-9, 9).filter(bool)
+    scale = draw(st.sampled_from([1, 2 ** 1100 + 1]))
+    factors = [draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any))]
+    degree = len(factors[0]) - 1
+    for kind in draw(st.lists(st.sampled_from(["dyadic", "zero", "pair", "tiny", "huge"]),
+                              max_size=4 if scale == 1 else 2)):
+        if kind == "dyadic":
+            new = [[-draw(st.integers(-64, 64)), 2 ** draw(st.integers(0, 8))]]
+        elif kind == "zero":
+            new = [[0, 1]]
+        elif kind == "pair":
+            r = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 9)))
+            new = [[-r, 1], [-r - Fraction(1, 2 ** 70), 1]]
+        else:
+            magnitude = Fraction(2) ** (draw(st.integers(60, 150)) * (1 if kind == "huge" else -1))
+            new = [[-Fraction(draw(nonzero), draw(st.integers(1, 9))) * magnitude, 1]]
+        if degree + len(new) <= 12:
+            factors += new
+            degree += len(new)
+    return [c * scale for c in _product(*factors)]
+
+
+class TestRefinementOracle:
+    """`real_roots` returns the very Fractions of exact sign bisection."""
+
+    @given(hard_root_polynomials())
+    @example([-1, 0, 2 ** 1200])                    # float coefficients overflow
+    @example(_product([0, 1], [-3, 4]))             # roots 0 and 3/4, both dyadic
+    @example(_product([-1, 1], [-1 - Fraction(1, 2 ** 70), 1], [2, 0, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_fractions_as_bisection(self, coeffs):
+        assert real_roots(coeffs) == _bisection_real_roots(coeffs)
+
+    @given(root_polynomials())
+    @settings(max_examples=150, deadline=None)
+    def test_same_fractions_on_small_integer_factors(self, coeffs):
+        assert real_roots(coeffs) == _bisection_real_roots(coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Laurent scalars and arcs
 # ---------------------------------------------------------------------------

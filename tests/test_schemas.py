@@ -25,6 +25,8 @@ CASES = [
                                     "--vars", "x,y"], id="arc-check-tiny-coefficient"),
     pytest.param("arc-membership", ["arc-check", "x + x^2*y", f"x: {10 ** 400} t^1",
                                     "--vars", "x,y"], id="arc-check-huge-coefficient"),
+    pytest.param("arc-membership", ["arc-check", f"x + x^2*y + {10 ** 400}", "x: 1/2 t^-1; y: -1 t^1",
+                                    "--vars", "x,y"], id="arc-check-huge-b0"),
     pytest.param("analysis-report", ["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0"],
                  id="analyze"),
     pytest.param("trace", ["trace", "x + x^2*y", "--vars", "x,y", "--center", "0,0",
