@@ -14,13 +14,18 @@ an irrational scale, so the membership check works on the un-normalized arc
 (the vanishing conditions are scale invariant) and reports the scale as a
 float.
 
+`_conditions` is the one list of the polynomials P = f, df/dx_i and
+x_j * df/dx_i with the lowest forbidden power of t of each.  The exact check
+(`check_membership`), the symbolic system (`emit_constraints`) and the
+numerical search all read it.
+
 The numerical search (`search_arcs`) solves the same conditions plus the
 sphere by least squares over the arc coefficients.  It composes float Laurent
 arcs: each residual and Jacobian entry is a Laurent coefficient of a
 polynomial of degree <= d composed with the current arc, so the system is
 never expanded in the unknowns.  `emit_constraints` is that expansion,
-exact over Q; it is the export of the system and the tests' oracle for the
-search's rows.
+exact over Q, by `compose_laurent` on an arc whose coefficients are the
+unknowns; it is the tests' oracle for the search's rows.
 """
 
 from __future__ import annotations
@@ -72,6 +77,22 @@ def _window_of(f: Polynomial) -> ArcWindow:
     if d == float("-inf") or d < 2:
         raise ValueError("polynomial degree must be at least 2")
     return arc_window(f.num_vars, int(d))
+
+
+def _conditions(f: Polynomial) -> List[Tuple[str, Polynomial, int]]:
+    """Conditions (b)-(d) as (label, P, lowest forbidden power of t).
+
+    P(xi) may have no power of t at or above the lowest: for (b) P = f and
+    the lowest is 1, then for each i (c) P = df/dx_i and (d) P = x_j * df/dx_i
+    for each j, with lowest 0.  A label's first letter names its condition.
+    """
+    n = f.num_vars
+    conditions = [("b:", f, 1)]
+    for i in range(n):
+        g = f.partial(i)
+        conditions.append((f"c:{i + 1}:", g, 0))
+        conditions.extend((f"d:{i + 1},{j + 1}:", Polynomial.variable(n, j) * g, 0) for j in range(n))
+    return conditions
 
 
 def dims(n: int, d: int) -> Tuple[int, int]:
@@ -186,32 +207,24 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
             if not window.k_min <= k <= window.k_max:
                 raise WindowViolationError(k, window)
 
-    F = compose_arc(f, xi)
-    witnesses_b = [(k, F.coefficient(k)) for k in F.support() if k >= 1]
-    cond_b = not witnesses_b
-    b0 = F.coefficient(0) if cond_b else None
-
-    witnesses_c: List[Tuple[int, Fraction]] = []
-    witnesses_d: List[Tuple[int, Fraction]] = []
-    components = xi.components()
-    for i in range(f.num_vars):
-        g = compose_arc(f.partial(i), xi)
-        witnesses_c.extend((k, g.coefficient(k)) for k in g.support() if k >= 0)
-        for j in range(f.num_vars):
-            h = components[j] * g
-            witnesses_d.extend((k, h.coefficient(k)) for k in h.support() if k >= 0)
+    witnesses: Dict[str, List[Tuple[int, Fraction]]] = {"b": [], "c": [], "d": []}
+    for label, P, lowest in _conditions(f):
+        L = compose_arc(P, xi)
+        witnesses[label[0]].extend((k, c) for k, c in L.terms.items() if k >= lowest)
+        if label == "b:":
+            b0 = L.coefficient(0)
 
     sums = _sphere_sums(xi)
     return ArcMembershipReport(
         normalized=(sum(sums.values()) == 1),
         escapes=xi.escapes_to_infinity(),
-        cond_b=cond_b,
-        cond_c=not witnesses_c,
-        cond_d=not witnesses_d,
-        witnesses_b=witnesses_b,
-        witnesses_c=sorted(set(witnesses_c)),
-        witnesses_d=sorted(set(witnesses_d)),
-        b0=b0,
+        cond_b=not witnesses["b"],
+        cond_c=not witnesses["c"],
+        cond_d=not witnesses["d"],
+        witnesses_b=sorted(witnesses["b"]),
+        witnesses_c=sorted(set(witnesses["c"])),
+        witnesses_d=sorted(set(witnesses["d"])),
+        b0=None if witnesses["b"] else b0,
         lambda_estimate=_lambda_estimate(sums),
     )
 
@@ -254,25 +267,6 @@ class ConstraintSystem:
     def num_equations(self) -> int:
         return len(self.equations)
 
-    def export_text(self) -> str:
-        """One equation per line in the polynomial grammar; sphere last."""
-        lines = [poly.to_text(self.unknowns) for _, poly in self.equations]
-        lines.append(self.sphere.to_text(self.unknowns))
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "num_unknowns": self.num_unknowns,
-            "num_equations": self.num_equations,
-            "window": [self.window.k_min, self.window.k_max],
-            "unknowns": list(self.unknowns),
-            "equations": [
-                {"label": label, "poly": poly.to_text(self.unknowns)}
-                for label, poly in self.equations
-            ],
-            "sphere": self.sphere.to_text(self.unknowns),
-        }
-
 
 def _generic_arc(n: int, window: ArcWindow) -> Tuple[List[str], List[LaurentScalar]]:
     """Unknown names and the components of the arc whose coefficients are the
@@ -288,7 +282,7 @@ def _generic_arc(n: int, window: ArcWindow) -> Tuple[List[str], List[LaurentScal
 
 
 def emit_constraints(f: Polynomial) -> ConstraintSystem:
-    """Symbolic composition of f and its derivative products with a
+    """Symbolic composition of each of `_conditions` with a
     generic-coefficient arc; one equation per forbidden power of t."""
     n = f.num_vars
     window = _window_of(f)
@@ -297,17 +291,11 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
     zero = Polynomial.zero(N)  # adding it lifts a Fraction coefficient into the unknowns' ring
 
     equations: List[Tuple[str, Polynomial]] = []
-
-    def forbid(label: str, L: LaurentScalar, lowest: int) -> None:
+    for label, P, lowest in _conditions(f):
+        L = compose_laurent(P, comps)
         equations.extend((f"{label}t^{m}", zero + L.terms[m]) for m in L.support() if m >= lowest)
-
-    F = compose_laurent(f, comps)
-    forbid("b:", F, 1)
-    for i in range(n):
-        g = compose_laurent(f.partial(i), comps)
-        forbid(f"c:{i + 1}:", g, 0)
-        for j in range(n):
-            forbid(f"d:{i + 1},{j + 1}:", comps[j] * g, 0)
+        if label == "b:":
+            b0 = zero + L.coefficient(0)
 
     sphere = Polynomial.constant(N, -1)
     for idx in range((1 - window.k_min) * n, N):
@@ -315,8 +303,7 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
         sphere = sphere + v * v
 
     return ConstraintSystem(
-        num_vars=n, window=window, unknowns=names, equations=equations, sphere=sphere,
-        b0=zero + F.coefficient(0),
+        num_vars=n, window=window, unknowns=names, equations=equations, sphere=sphere, b0=b0,
     )
 
 
@@ -368,8 +355,8 @@ class ArcCandidate:
 class _LaurentSystem:
     """The rows of `emit_constraints` plus the sphere, by float Laurent composition.
 
-    Each row is one coefficient [P(xi)]_m, where P is f, df/dx_i or
-    x_j * df/dx_i, in `emit_constraints`' order and with its labels.  For a
+    Each row is one coefficient [P(xi)]_m, m >= lowest, for each
+    (label, P, lowest) of `_conditions`, with `emit_constraints`' labels.  For a
     generic arc P(xi) has support exactly [deg P * k_min, deg P * k_max] (the
     coefficients of different monomials of P are different monomials in the
     unknowns, so nothing cancels), and a zero P gives no row.  By the chain
@@ -420,14 +407,9 @@ class _LaurentSystem:
                 polys.append(P)
             return index[key]
 
-        blocks = [("b:", f, 1)]
-        for i in range(n):
-            g = f.partial(i)
-            blocks.append((f"c:{i + 1}:", g, 0))
-            blocks.extend((f"d:{i + 1},{j + 1}:", Polynomial.variable(n, j) * g, 0) for j in range(n))
         self.labels: List[str] = []
         rows, partials = [], []
-        for label, P, lowest in blocks:
+        for label, P, lowest in _conditions(f):
             if P.is_zero():
                 continue
             p = register(P)
@@ -498,7 +480,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
 
     The residuals are the rows of `emit_constraints` plus the sphere, but they
     are computed by composing float Laurent arcs, never by expanding the
-    system symbolically (`emit_constraints` is the exact export and the
+    system symbolically (`emit_constraints` is the exact expansion and the
     tests' oracle for these rows).
 
     Approximate and deliberately incomplete: finding a candidate proves

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -344,11 +345,20 @@ def cmd_trace(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    n, d, limit = args.n, args.d, sys.get_int_max_str_digits()
+    too_long = UserError(f"dims {n} {d}: a count has more than {limit} digits, "
+                         "the interpreter's limit for printing an integer")
+    # the larger count exceeds n * d^(n^2 + 1); its powers can take unbounded
+    # time, so sizes well past the limit are refused from logarithms first
+    if limit and n >= 2 and d >= 2 and math.log10(n) + (n * n + 1) * math.log10(d) > limit + 1:
+        raise too_long
     try:
-        dim_arc, dim_av = arcs.dims(args.n, args.d)
+        dim_arc, dim_av = arcs.dims(n, d)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    _emit(_json_dumps({"arc": dim_arc, "av": dim_av, "n": args.n, "d": args.d,
+    if limit and dim_av >= 10 ** limit:
+        raise too_long
+    _emit(_json_dumps({"arc": dim_arc, "av": dim_av, "n": n, "d": d,
                        "version": __version__}), args.out)
     return 0
 

@@ -150,17 +150,12 @@ def rabier_nu(J) -> float:
     return float(np.linalg.norm(J[0]))
 
 
-def jacobian_at(source: Sequence[Polynomial], x: Sequence[float]) -> np.ndarray:
-    """Float Jacobian of `source` = [f] at x: grad f as a 1 x n matrix."""
-    f = _the_polynomial(source)
-    return CompiledPolynomials([f]).jacobians(np.asarray(x, dtype=float)[None, :])[0]
-
-
 def malgrange_quantity(source: Sequence[Polynomial], x: Sequence[float]) -> float:
     """The product ||x|| * nu(Df(x)) = ||x|| * ||grad f(x)|| for `source` = [f],
     monitored along branches at infinity."""
+    f = _the_polynomial(source)
     point = np.asarray([float(v) for v in x], dtype=float)
     if not np.all(np.isfinite(point)):
         raise ValueError("non-finite point")
-    J = jacobian_at(source, point)
+    J = CompiledPolynomials([f]).jacobians(point[None, :])[0]
     return float(np.linalg.norm(point)) * rabier_nu(J)

@@ -1,19 +1,19 @@
 """Exact sparse multivariate polynomials over Q, Laurent scalars and rational arcs.
 
 A polynomial is a finite map from exponent tuples to nonzero Fraction
-coefficients; the zero polynomial is the empty map.  All arithmetic in this
-module is exact: no floats enter unless the caller evaluates at a float point.
+coefficients; the zero polynomial is the empty map.  Every result of this
+module is exact, apart from the float lowering `CompiledPolynomials`.
 
 `LaurentScalar` is the one Laurent polynomial in t.  Its coefficients are
 Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
 whose coefficients are unknowns); `compose_laurent` substitutes Laurent
 components into a polynomial.
 
-Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` at an
-int/Fraction point and `compose_laurent` with int/Fraction coefficients clear
-the common denominators (`Polynomial.cleared`), sum integer products and
-divide once per result.  Horner's scheme (`evaluate_in`) remains for
-Polynomial coefficients and floats.
+Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` and
+`compose_laurent` with Fraction coefficients clear the common denominators
+(`Polynomial.cleared`), sum integer products and divide once per result.
+`compose_laurent` runs the same sums over Polynomial coefficients, with no
+denominator to clear.
 
 `real_roots` isolates the real roots of a univariate polynomial over Q
 exactly, by Sturm sequences, and refines each by secant jumps from a float
@@ -225,48 +225,20 @@ class Polynomial:
                  for exp, c in self.terms.items()]
         return terms, L * D ** d
 
-    def evaluate(self, point: Sequence) -> Union[Fraction, float]:
-        """Evaluate at a point; exact when all entries are int/Fraction.
+    def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at a point of ints, Fractions or floats.
 
-        An exact point is summed in integers over common denominators
-        (`cleared`) and divided once at the end.  Otherwise Horner's scheme
-        runs variable by variable in the fixed variable order, so float
-        results are bit-for-bit reproducible.
+        Each entry goes through `Fraction`, so a float entry stands for its
+        exact binary value.  The sum runs in integers over common
+        denominators (`cleared`) and is divided once at the end.
         """
         if len(point) != self.num_vars:
             raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
-        if not all(isinstance(v, (int, Fraction)) for v in point):
-            result = self.evaluate_in([float(v) for v in point])
-            return float(result) if isinstance(result, (int, Fraction)) else result
+        point = [Fraction(v) for v in point]
         D = math.lcm(*(v.denominator for v in point))
         p = [v.numerator * (D // v.denominator) for v in point]
         terms, divisor = self.cleared(D)
         return Fraction(sum(C * math.prod(pk ** e for pk, e in zip(p, exp)) for exp, C in terms), divisor)
-
-    def evaluate_in(self, values: Sequence):
-        """Evaluate with arbitrary ring elements substituted for the variables.
-
-        The elements must support addition, multiplication (including by
-        Fraction scalars) and nonnegative integer powers.  Used for
-        polynomial substitution, composition with Laurent series over
-        Polynomials or floats, and evaluation at float points.
-        """
-        if len(values) != self.num_vars:
-            raise ValueError("wrong number of substitution values")
-        if not self.terms:
-            return Fraction(0)
-        items = list(self.terms.items())
-        return _horner(items, 0, values, self.num_vars)
-
-    def substitute(self, replacements: Sequence["Polynomial"]) -> "Polynomial":
-        """Compose with polynomial arguments: f(g_1, ..., g_n)."""
-        if not replacements:
-            raise ValueError("need at least one replacement")
-        nv = replacements[0].num_vars
-        result = self.evaluate_in(list(replacements))
-        if isinstance(result, (int, Fraction)):
-            return Polynomial.constant(nv, result)
-        return result
 
     # ----- printing -----------------------------------------------------
 
@@ -307,32 +279,6 @@ def default_var_names(num_vars: int) -> List[str]:
     if num_vars <= 3:
         return ["x", "y", "z"][:num_vars]
     return [f"x{i + 1}" for i in range(num_vars)]
-
-
-def _horner(items, var: int, values, num_vars: int):
-    """Generic Horner evaluation over exponent-tuple term lists."""
-    if var == num_vars:
-        total = Fraction(0)
-        for _, c in items:
-            total += c
-        return total
-    groups: Dict[int, list] = {}
-    for exp, c in items:
-        groups.setdefault(exp[var], []).append((exp, c))
-    exps = sorted(groups, reverse=True)
-    x = values[var]
-    acc = None
-    prev = 0
-    for e in exps:
-        sub = _horner(groups[e], var + 1, values, num_vars)
-        if acc is None:
-            acc = sub
-        else:
-            acc = acc * (x ** (prev - e)) + sub
-        prev = e
-    if prev:
-        acc = acc * (x ** prev)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +560,6 @@ class LaurentScalar:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentScalar is immutable")
 
-    @classmethod
-    def term(cls, coeff, power: int) -> "LaurentScalar":
-        return cls({power: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -685,13 +627,6 @@ class LaurentScalar:
             n >>= 1
         return result
 
-    def derivative(self) -> "LaurentScalar":
-        """d/dt of the Laurent polynomial."""
-        return LaurentScalar({k - 1: k * c for k, c in self.terms.items() if k != 0})
-
-    def evaluate(self, t: float) -> float:
-        return float(sum(float(c) * float(t) ** k for k, c in sorted(self.terms.items())))
-
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
@@ -716,8 +651,8 @@ class LaurentScalar:
         return f"LaurentScalar({dict(sorted(self.terms.items()))})"
 
 
-def _convolve(a: List[int], b: List[int]) -> List[int]:
-    """Coefficient list of the product of two nonempty integer coefficient lists."""
+def _convolve(a: list, b: list) -> list:
+    """Coefficient list of the product of two nonempty coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -727,35 +662,33 @@ def _convolve(a: List[int], b: List[int]) -> List[int]:
 
 
 def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
-    """f(components) as a LaurentScalar; a constant result is lifted to t^0.
+    """f(components) as a LaurentScalar, summed over common denominators.
 
-    Components with int/Fraction coefficients are composed in integers, as
-    `Polynomial.evaluate` does at exact points: with D the common denominator
-    of all component coefficients, each D * xi_k is an integer coefficient
-    list from its lowest exponent on, its powers are built once by
-    convolution, the cleared terms of f are summed coefficient by
-    coefficient and each sum is divided once.  Polynomial coefficients (the
-    generic arc) and floats go through Horner's scheme (`evaluate_in`).
+    With D the common denominator of the component coefficients, or 1 when
+    they are Polynomials (the generic arc), each D * xi_k is a coefficient
+    list from its lowest exponent on.  Its powers are built once by
+    convolution, the cleared terms of f (`Polynomial.cleared`) are summed
+    coefficient by coefficient, and each sum is divided once.  Over
+    Fractions every product is an integer product, as in
+    `Polynomial.evaluate`.
     """
     if len(components) != f.num_vars:
         raise ValueError("wrong number of substitution values")
-    if not all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values()):
-        result = f.evaluate_in(components)
-        return result if isinstance(result, LaurentScalar) else LaurentScalar({0: result})
-    D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values()))
+    rational = all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values())
+    D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values())) if rational else 1
     lows, powers = [], []
     for k, xi in enumerate(components):
         low = min(xi.terms, default=0)
         P = [0] * (max(xi.terms, default=0) - low + 1)
         for e, c in xi.terms.items():
-            P[e - low] = c.numerator * (D // c.denominator)
+            P[e - low] = c.numerator * (D // c.denominator) if rational else c
         table = [[1]]
         for _ in range(max((exp[k] for exp in f.terms), default=0)):
             table.append(_convolve(table[-1], P))
         lows.append(low)
         powers.append(table)
     terms, divisor = f.cleared(D)
-    sums: Dict[int, int] = {}
+    sums: Dict[int, object] = {}
     for exp, C in terms:
         product = [C]
         for table, e in zip(powers, exp):
@@ -764,7 +697,8 @@ def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> Laure
         low = sum(lo * e for lo, e in zip(lows, exp))
         for m, v in enumerate(product, low):
             sums[m] = sums.get(m, 0) + v
-    return LaurentScalar({m: Fraction(sums[m], divisor) for m in sorted(sums) if sums[m]})
+    scale = Fraction(1, divisor)
+    return LaurentScalar({m: sums[m] * scale for m in sorted(sums) if sums[m]})
 
 
 # ---------------------------------------------------------------------------
@@ -1094,9 +1028,6 @@ class RationalArc:
             raise ValueError("reparametrization scale must be nonzero")
         out = {k: tuple(v * lam ** k for v in vec) for k, vec in self.coeffs.items()}
         return RationalArc(self.num_vars, out, self.declared_window)
-
-    def evaluate(self, t: float) -> List[float]:
-        return [c.evaluate(t) for c in self.components()]
 
 
 def compose_arc(f: Polynomial, xi: RationalArc) -> LaurentScalar:

@@ -409,7 +409,7 @@ def _make_samples(sys: MilnorSystem, points: List[np.ndarray], R: float, bound: 
     # f exactly at the float point: float sums of a degree-d f cancel to
     # errors of ~1e-16 * sum |c| R^d, above conv_tol at the outer radii
     return [Sample(radius=R, point=tuple(float(v) for v in x),
-                   f_value=float(sys.f.evaluate([Fraction(v) for v in x])),
+                   f_value=float(sys.f.evaluate(x)),
                    malgrange=float(np.linalg.norm(x)) * rabier_nu(g), residual=float(res))
             for x, g, res in zip(X, gradients, residuals)]
 

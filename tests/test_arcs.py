@@ -275,13 +275,6 @@ class TestConstraints:
         eq = dict(cs.equations)["c:1:t^0"]
         assert eq == Polynomial.constant(cs.num_unknowns, 1)
 
-    def test_export_text_parses_back(self):
-        cs = _emitted("x + x^2*y", ("x", "y"))
-        lines = cs.export_text().strip().split("\n")
-        assert len(lines) == cs.num_equations + 1  # sphere last
-        for line in lines:
-            parse(line, cs.unknowns)  # must not raise
-
     def test_sphere_uses_positive_block_only(self):
         cs = _emitted("x + x^2*y", ("x", "y"))
         sphere = cs.sphere

@@ -52,6 +52,16 @@ class TestDims:
         assert code == 1
         assert "error" in err
 
+    # 60 60 has about 6300 digits; 57 21 passes the logarithmic estimate and
+    # is refused exactly; 10^6 10^6 would spend unbounded time on the powers
+    @pytest.mark.parametrize("n, d", [("60", "60"), ("57", "21"), ("1000000", "1000000")])
+    def test_count_past_the_digit_limit_is_one_error_line(self, capsys, n, d):
+        code, out, err = run_cli(capsys, "dims", n, d)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestMilnorCommand:
     def test_known_equation(self, capsys):

@@ -18,7 +18,7 @@ from milnorarc import (
     pick_generic_center,
     rabier_nu,
 )
-from milnorarc.milnor import PIVOT_MINORS, jacobian_at
+from milnorarc.milnor import PIVOT_MINORS
 from milnorarc.poly import Polynomial
 
 VARS2 = ["x", "y"]
@@ -199,13 +199,6 @@ class TestMalgrange:
         assert malgrange_quantity([f], [0.1, -5.0]) == pytest.approx(0.050009999, rel=1e-6)
         # at (1, 1): grad = (3, 1), ||x|| = sqrt(2) -> sqrt(2)*sqrt(10) = sqrt(20)
         assert malgrange_quantity([f], [1.0, 1.0]) == pytest.approx(math.sqrt(20.0), rel=1e-12)
-
-    def test_jacobian_at(self):
-        f = parse("x^2 + y", VARS2)
-        J = jacobian_at([f], [3.0, 0.0])
-        assert J.shape == (1, 2)
-        assert J[0, 0] == pytest.approx(6.0)
-        assert J[0, 1] == pytest.approx(1.0)
 
     def test_rejects_non_finite_point(self):
         f = parse("x + y", VARS2)
