@@ -231,9 +231,7 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
 
 def truncate(xi: RationalArc, window: ArcWindow) -> RationalArc:
     """Drop coefficients below the window's left bound; keep everything else."""
-    coeffs = {k: vec for k, vec in xi.coeffs.items() if k >= window.k_min}
-    hi = max([window.k_max] + list(coeffs)) if coeffs else window.k_max
-    return RationalArc(xi.num_vars, coeffs, (window.k_min, hi))
+    return RationalArc(xi.num_vars, {k: vec for k, vec in xi.coeffs.items() if k >= window.k_min})
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +310,10 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
 # ---------------------------------------------------------------------------
 
 
+MAX_NFEV = 400        # residual evaluations per least-squares run
+DEDUPE_DIST = 1e-6    # candidates closer than this in the unknowns are one
+
+
 @dataclass(frozen=True)
 class ArcSearchConfig:
     """Multistart settings; construction raises ValueError on a bad value."""
@@ -319,18 +321,12 @@ class ArcSearchConfig:
     seed: int = 0
     starts: int = 32
     tol: float = 1e-8        # acceptance threshold on the sum of squared violations
-    max_nfev: int = 400
-    dedupe_dist: float = 1e-6
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_nfev < 1:
-            raise ValueError(f"max_nfev must be at least 1, got {self.max_nfev}")
-        if not (math.isfinite(self.dedupe_dist) and self.dedupe_dist >= 0):
-            raise ValueError(f"dedupe_dist must be finite and nonnegative, got {self.dedupe_dist}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -512,7 +508,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
             starts[si],
             jac=system.jacobian,
             method="trf",
-            max_nfev=config.max_nfev,
+            max_nfev=MAX_NFEV,
             xtol=1e-14,
             ftol=1e-14,
             gtol=1e-14,
@@ -521,7 +517,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
         residual = float(np.sum(system.residuals(u) ** 2))
         if residual >= config.tol:
             continue
-        if any(np.linalg.norm(u - p) < config.dedupe_dist for p in kept_points):
+        if any(np.linalg.norm(u - p) < DEDUPE_DIST for p in kept_points):
             continue
         kept_points.append(u)
         coeffs: Dict[int, Tuple[float, ...]] = {}

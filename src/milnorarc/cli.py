@@ -125,7 +125,7 @@ def _parse_arc_terms(body: str) -> List[Tuple[Fraction, int]]:
         has_t = "t" in body[m.start():m.end()]
         if num is None and not has_t:
             raise UserError(f"cannot parse arc terms at {body[pos:]!r}")
-        coeff = Fraction(num) if num is not None else Fraction(1)
+        coeff = _parse_rational(num) if num is not None else Fraction(1)
         if sign == "-":
             coeff = -coeff
         k = int(exp) if exp is not None else (1 if has_t else 0)
@@ -150,27 +150,12 @@ def _trace_config(args) -> TraceConfig:
 
 
 def _resolve_centers(args, f: Polynomial, cfg: TraceConfig) -> List[Tuple[Fraction, ...]]:
-    n = f.num_vars
-    centers: List[Tuple[Fraction, ...]] = []
-    if getattr(args, "center", None):
-        for c in args.center:
-            centers.append(_parse_center(c, n))
-    if getattr(args, "centers", None):
-        spec = args.centers.strip()
-        if spec.isdigit():
-            count = int(spec)
-            if count < 1:
-                raise UserError("--centers needs a count of at least 1")
-            for i in range(count):
-                centers.append(tracer.pick_generic_center(f, seed=cfg.seed + i))
-        else:
-            for c in spec.split(";"):
-                if c.strip():
-                    centers.append(_parse_center(c, n))
-    if not centers:
-        for i in range(3):
-            centers.append(tracer.pick_generic_center(f, seed=cfg.seed + i))
-    return centers
+    """The --center centers, then --centers seeded draws (3 when neither is given)."""
+    centers = [_parse_center(c, f.num_vars) for c in args.center or ()]
+    if args.centers is not None and args.centers < 1:
+        raise UserError("--centers needs a count of at least 1")
+    count = args.centers if args.centers is not None else (0 if centers else 3)
+    return centers + [tracer.pick_generic_center(f, seed=cfg.seed + i) for i in range(count)]
 
 
 def _traces_csv(traces, id_offset: int = 0) -> List[List]:
@@ -308,7 +293,7 @@ def cmd_trace(args) -> int:
     try:
         traces = tracer.trace_branches(f, center, cfg)
     except tracer.DegenerateMilnorError as exc:
-        sys.stderr.write(f"degenerate Milnor system: {exc}\n")
+        sys.stderr.write(f"error: degenerate Milnor system: {exc}\n")
         return 2
     except ValueError as exc:
         raise UserError(str(exc)) from exc
@@ -386,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     _add_common(p)
     p.add_argument("--center", action="append", help="explicit center 'c1,c2,...' (repeatable)")
-    p.add_argument("--centers", help="count of seeded random centers, or 'c1,c2;c1,c2' explicit list")
+    p.add_argument("--centers", type=int, help="count of seeded random centers")
     p.add_argument("--radii", help="radius schedule R0:factor:count")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -105,14 +105,14 @@ def _the_polynomial(source: Sequence[Polynomial]) -> Polynomial:
 def milnor_equations(
     source: Sequence[Polynomial],
     center: Sequence[Rational],
-    pivot: Union[int, str, None] = None,
+    pivot: Union[int, str] = PIVOT_MINORS,
 ) -> MilnorSystem:
     """Build the Milnor system of `source` = [f] for the given center.
 
     Every equation is a 2x2 minor f_i * (x_j - a_j) - f_j * (x_i - a_i) of
     [grad f; x - a].  With `pivot` an integer i (0-based) these are the n-1
-    pairs (i, j), j != i, in increasing j; with `pivot` None or "minors" they
-    are all C(n, 2) pairs i < j in lexicographic order.
+    pairs (i, j), j != i, in increasing j; with `pivot` PIVOT_MINORS they are
+    all C(n, 2) pairs i < j in lexicographic order.
     """
     f = _the_polynomial(source)
     n = f.num_vars
@@ -122,8 +122,7 @@ def milnor_equations(
     if len(a) != n:
         raise ValueError(f"center has length {len(a)}, expected {n}")
 
-    if pivot is None or pivot == PIVOT_MINORS:
-        pivot = PIVOT_MINORS
+    if pivot == PIVOT_MINORS:
         pairs = itertools.combinations(range(n), 2)
     else:
         pivot = int(pivot)

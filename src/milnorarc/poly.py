@@ -971,16 +971,14 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
 
 @dataclass(frozen=True)
 class RationalArc:
-    """Vector-valued Laurent polynomial xi(t) with a bounded exponent window.
+    """Vector-valued Laurent polynomial xi(t) = sum a_k t^k.
 
     `coeffs` maps exponent k to the coefficient vector a_k; zero vectors are
-    dropped at construction.  The declared window records the (k_min, k_max)
-    range the arc is meant to live in; by default it is the support hull.
+    dropped at construction.
     """
 
     num_vars: int
     coeffs: Dict[int, Tuple[Fraction, ...]] = field(default_factory=dict)
-    declared_window: Tuple[int, int] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -993,17 +991,6 @@ class RationalArc:
             if any(v != 0 for v in vec):
                 clean[int(k)] = vec
         object.__setattr__(self, "coeffs", clean)
-        window = self.declared_window
-        if window is None:
-            if clean:
-                window = (min(clean), max(clean))
-            else:
-                window = (0, 0)
-        window = (int(window[0]), int(window[1]))
-        for k in clean:
-            if not window[0] <= k <= window[1]:
-                raise ValueError(f"exponent {k} outside declared window {window}")
-        object.__setattr__(self, "declared_window", window)
 
     def component(self, index: int) -> LaurentScalar:
         """The scalar Laurent polynomial xi_index(t)."""
@@ -1027,7 +1014,7 @@ class RationalArc:
         if lam == 0:
             raise ValueError("reparametrization scale must be nonzero")
         out = {k: tuple(v * lam ** k for v in vec) for k, vec in self.coeffs.items()}
-        return RationalArc(self.num_vars, out, self.declared_window)
+        return RationalArc(self.num_vars, out)
 
 
 def compose_arc(f: Polynomial, xi: RationalArc) -> LaurentScalar:

@@ -36,6 +36,15 @@ STATUS_CONVERGENT = "convergent"
 STATUS_DIVERGENT = "divergent"
 STATUS_LOST = "lost"
 
+MERGE_DIST = 1e-9       # absolute point-merging distance
+CONV_TOL = 1e-3         # max distance of the last f value from a convergent limit
+CLUSTER_TOL = 1e-3      # limit values this close are one value
+DIV_THRESHOLD = 1e6     # |f| at the last radius past which a branch that does not converge diverges
+ALPHA_MIN = 0.25        # least decay rate of f - t0 in R for a convergent branch
+MATCH_TOL = 0.5         # max direction drift between consecutive radii
+NEWTON_ITERS = 60       # damped Newton iterations per n >= 3 slice
+CENTER_ATTEMPTS = 16    # center draws before pick_generic_center gives up
+
 
 class DegenerateMilnorError(RuntimeError):
     """The Milnor system has an identically zero equation for this center."""
@@ -43,7 +52,7 @@ class DegenerateMilnorError(RuntimeError):
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Tolerances, thresholds and schedules for the tracing pipeline.
+    """The residual tolerance, radius schedule and multistart of the tracer.
 
     `tol` is a scale-aware residual tolerance: an equation value counts as
     zero when |eq(x)| < tol * S where S sums |coeff| * B^deg over the terms
@@ -55,17 +64,10 @@ class TraceConfig:
 
     seed: int = 0
     tol: float = 1e-8
-    merge_dist: float = 1e-9      # absolute point-merging distance
-    conv_tol: float = 1e-3
-    cluster_tol: float = 1e-3
-    div_threshold: float = 1e6
-    alpha_min: float = 0.25
     r0: float = 10.0
     radius_factor: float = 2.0
     radius_count: int = 8
-    starts: int = 512
-    match_tol: float = 0.5        # max direction drift between consecutive radii
-    newton_iters: int = 60
+    starts: int = 512             # Newton starts per slice for n >= 3
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -218,7 +220,7 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
         revalidation = _scaled_values(sys.compiled_revalidation, X[keep], bound)
         keep[keep] = ((revalidation[:, 0] > math.sqrt(config.tol))
                       | (revalidation[:, 1:].max(axis=1) < config.tol))
-    return _dedupe(X[keep], max(config.merge_dist, 4e-12 * (1.0 + radius)))
+    return _dedupe(X[keep], max(MERGE_DIST, 4e-12 * (1.0 + radius)))
 
 
 def _dedupe(points: np.ndarray, dist: float) -> List[np.ndarray]:
@@ -277,7 +279,7 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
         sphere = np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2
         return np.concatenate([sys.compiled.values(X) if values is None else values, sphere[:, None]], axis=1)
 
-    for _ in range(config.newton_iters):
+    for _ in range(NEWTON_ITERS):
         values, jacobians = sys.compiled.values_and_jacobians(X)
         F = residuals(X, values)
         J = np.concatenate([jacobians, 2.0 * (X - a[None, :])[:, None, :]], axis=1)
@@ -323,24 +325,14 @@ def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def trace_branches(
-    f: Polynomial,
-    center: Sequence,
-    config: Optional[TraceConfig] = None,
-    radii: Optional[Sequence[float]] = None,
-) -> List[BranchTrace]:
-    """Follow branches at infinity of the Milnor set across growing spheres.
+def trace_branches(f: Polynomial, center: Sequence, config: Optional[TraceConfig] = None) -> List[BranchTrace]:
+    """Follow branches at infinity of the Milnor set across the spheres of
+    `config.radii()`.
 
-    Points at consecutive radii are matched by nearest escape direction
-    (greedy mutual-nearest); unmatched points open or close branches.
+    Points at consecutive radii are matched by escape direction, greedy
+    globally nearest pair first; unmatched points open or close branches.
     """
     config = config or TraceConfig()
-    radii = list(radii) if radii is not None else config.radii()
-    if len(radii) < 4:
-        raise ValueError("need at least 4 radii")
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-
     sys = milnor_equations([f], center, pivot=milnor.default_pivot(f))
     if sys.has_zero_equation():
         raise DegenerateMilnorError(
@@ -352,7 +344,7 @@ def trace_branches(
     open_branches: List[Tuple[BranchTrace, np.ndarray]] = []  # (trace, last direction)
     next_id = 0
 
-    for idx, R in enumerate(radii):
+    for R in config.radii():
         points = slice_solve(sys, R, config)
         offsets = np.reshape(points, (-1, a.size)) - a
         dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
@@ -366,7 +358,7 @@ def trace_branches(
             dist = np.stack([np.linalg.norm(old_dirs - d_new, axis=1) for d_new in dirs], axis=1)
             while True:
                 k = np.unravel_index(np.argmin(dist), dist.shape)
-                if dist[k] > config.match_tol:
+                if dist[k] > MATCH_TOL:
                     break
                 i_old, j_new = int(k[0]), int(k[1])
                 matched_old.add(i_old)
@@ -407,7 +399,7 @@ def _make_samples(sys: MilnorSystem, points: List[np.ndarray], R: float, bound: 
     gradients = sys.compiled_f.jacobians(X)
     residuals = _scaled_values(sys.compiled, X, bound).max(axis=1)
     # f exactly at the float point: float sums of a degree-d f cancel to
-    # errors of ~1e-16 * sum |c| R^d, above conv_tol at the outer radii
+    # errors of ~1e-16 * sum |c| R^d, above CONV_TOL at the outer radii
     return [Sample(radius=R, point=tuple(float(v) for v in x),
                    f_value=float(sys.f.evaluate(x)),
                    malgrange=float(np.linalg.norm(x)) * rabier_nu(g), residual=float(res))
@@ -419,7 +411,7 @@ def _make_samples(sys: MilnorSystem, points: List[np.ndarray], R: float, bound: 
 # ---------------------------------------------------------------------------
 
 
-def _classify(trace: BranchTrace, config: TraceConfig, final_radius: float, factor: float):
+def _classify(trace: BranchTrace, final_radius: float, factor: float):
     """Set trace.status; return (t0, uncertainty) for convergent branches."""
     samples = trace.samples
     if len(samples) < 4 or samples[-1].radius < final_radius * 0.999:
@@ -433,7 +425,7 @@ def _classify(trace: BranchTrace, config: TraceConfig, final_radius: float, fact
     hr = np.array([s.radius for s in half])
 
     absf = np.abs(fs)
-    if absf[-1] > config.div_threshold and absf[-1] > absf[-2] > absf[-3]:
+    if absf[-1] > DIV_THRESHOLD and absf[-1] > absf[-2] > absf[-3]:
         trace.status = STATUS_DIVERGENT
         return None
 
@@ -450,7 +442,7 @@ def _classify(trace: BranchTrace, config: TraceConfig, final_radius: float, fact
             if 0.0 < r < 0.999:
                 ratios.append(r)
     if not ratios:
-        if absf[-1] > config.div_threshold:
+        if absf[-1] > DIV_THRESHOLD:
             trace.status = STATUS_DIVERGENT
         else:
             trace.status = STATUS_LOST
@@ -464,10 +456,10 @@ def _classify(trace: BranchTrace, config: TraceConfig, final_radius: float, fact
     t0, c = float(coef[0]), float(coef[1])
     rms = float(np.sqrt(np.mean((A @ coef - hf) ** 2)))
 
-    if alpha > config.alpha_min and abs(hf[-1] - t0) < config.conv_tol:
+    if alpha > ALPHA_MIN and abs(hf[-1] - t0) < CONV_TOL:
         trace.status = STATUS_CONVERGENT
         return t0, abs(hf[-1] - t0) + rms
-    if absf[-1] > config.div_threshold:
+    if absf[-1] > DIV_THRESHOLD:
         trace.status = STATUS_DIVERGENT
     else:
         trace.status = STATUS_LOST
@@ -488,7 +480,7 @@ def estimate_limits(traces: List[BranchTrace], config: Optional[TraceConfig] = N
     estimates: List[Tuple[float, float, int]] = []
     divergent = 0
     for trace in traces:
-        out = _classify(trace, config, final_radius, factor)
+        out = _classify(trace, final_radius, factor)
         if trace.status == STATUS_DIVERGENT:
             divergent += 1
         if out is not None:
@@ -496,7 +488,7 @@ def estimate_limits(traces: List[BranchTrace], config: Optional[TraceConfig] = N
     estimates.sort()
     clusters: List[LimitValue] = []
     for value, unc, bid in estimates:
-        if clusters and abs(value - clusters[-1].value) <= config.cluster_tol:
+        if clusters and abs(value - clusters[-1].value) <= CLUSTER_TOL:
             prev = clusters[-1]
             ids = prev.branch_ids + [bid]
             merged = float(np.mean([value] + [prev.value] * len(prev.branch_ids)))
@@ -592,7 +584,7 @@ def s_infinity_estimate(
         for lv in usable[0].limit_values:
             hits = [lv]
             for other in usable[1:]:
-                match = [o for o in other.limit_values if abs(o.value - lv.value) <= config.cluster_tol]
+                match = [o for o in other.limit_values if abs(o.value - lv.value) <= CLUSTER_TOL]
                 if not match:
                     hits = None
                     break
@@ -603,7 +595,7 @@ def s_infinity_estimate(
                 ids = sorted({bid for h in hits for bid in h.branch_ids})
                 intersection.append(LimitValue(value, unc, ids))
     return SInfinityReport(per_center=reports, intersection=intersection,
-                           cluster_tol=config.cluster_tol, note=note)
+                           cluster_tol=CLUSTER_TOL, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +603,18 @@ def s_infinity_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _screen_center(f: Polynomial, a: Tuple[Fraction, ...], radii=(10.0, 40.0)) -> Tuple[bool, str]:
-    """Heuristic genericity screen: sampled Milnor points must have a rank
-    n-1 Jacobian of the pivot-chart equations.  Not a certificate."""
+def _screen_center(f: Polynomial, a: Tuple[Fraction, ...]) -> Tuple[bool, str]:
+    """Heuristic genericity screen: sampled Milnor points at R = 10 and 40
+    must have a rank n-1 Jacobian of the pivot-chart equations.  Not a
+    certificate."""
     sys = milnor_equations([f], a, pivot=milnor.default_pivot(f))
     if sys.has_zero_equation():
         return False, "identically zero pivot-chart equation"
     cfg = TraceConfig(seed=0, starts=64)
-    for R in radii:
+    for R in (10.0, 40.0):
         try:
             points = slice_solve(sys, R, cfg)
-        except Exception as exc:  # solver trouble counts as screen failure
+        except ValueError as exc:  # overflow or a singular solve fails the screen
             return False, f"slice solve failed at R={R}: {exc}"
         X = np.reshape(points[:16], (-1, f.num_vars))
         gnorms = np.linalg.norm(sys.compiled_f.jacobians(X)[:, 0, :], axis=1)
@@ -634,27 +627,23 @@ def _screen_center(f: Polynomial, a: Tuple[Fraction, ...], radii=(10.0, 40.0)) -
     return True, "ok"
 
 
-def pick_generic_center(
-    f: Polynomial,
-    seed: int,
-    retries: int = 16,
-) -> Tuple[Fraction, ...]:
+def pick_generic_center(f: Polynomial, seed: int) -> Tuple[Fraction, ...]:
     """Draw a small-height rational center passing the genericity screen.
 
     Deterministic in `seed`.  Entries have numerator in [-100, 100] and
-    denominator in [1, 100].  Raises DegenerateCenterError if every retry
-    fails; the caller may then supply a center manually.
+    denominator in [1, 100].  Raises DegenerateCenterError if all
+    CENTER_ATTEMPTS draws fail; the caller may then supply a center manually.
     """
     if f.num_vars < 2:
         raise ValueError("need at least two variables")
     rng = random.Random(seed)
     diagnostics = []
-    for attempt in range(retries):
+    for attempt in range(CENTER_ATTEMPTS):
         a = tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(f.num_vars))
         ok, reason = _screen_center(f, a)
         if ok:
             return a
         diagnostics.append(f"attempt {attempt}: a={tuple(str(c) for c in a)}: {reason}")
     raise DegenerateCenterError(
-        f"no generic center found in {retries} attempts (seed {seed})", diagnostics
+        f"no generic center found in {CENTER_ATTEMPTS} attempts (seed {seed})", diagnostics
     )

@@ -193,11 +193,7 @@ class TestScaleInvariance:
 class TestTruncate:
     def test_drops_deep_tail_only(self):
         window = arc_window(2, 3)
-        xi = RationalArc(
-            2,
-            {-9: (1, 0), -6: (Fraction(1, 3), 0), 1: (0, -1)},
-            declared_window=(-9, 1),
-        )
+        xi = RationalArc(2, {-9: (1, 0), -6: (Fraction(1, 3), 0), 1: (0, -1)})
         cut = truncate(xi, window)
         assert cut.support() == [-6, 1]
         assert cut.coeffs[-6] == (Fraction(1, 3), Fraction(0))
@@ -312,9 +308,6 @@ class TestSearch:
         {"starts": 0},
         {"tol": float("nan")},
         {"tol": 0.0},
-        {"max_nfev": 0},
-        {"dedupe_dist": -1.0},
-        {"dedupe_dist": float("inf")},
     ])
     def test_config_rejects_bad_values(self, field):
         with pytest.raises(ValueError):

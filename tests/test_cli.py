@@ -273,6 +273,7 @@ class TestAnalyze:
         ["arc-search", "--tol", "nan"],
         ["arc-search", "--tol", "-1"],
         ["analyze", "--centers", "0"],
+        ["arc-check", "x: 1/0 t^-1; y: -1 t"],
     ])
     def test_bad_search_or_center_flag_is_one_error_line(self, capsys, argv):
         command, *flags = argv
@@ -283,6 +284,12 @@ class TestAnalyze:
 
 
 class TestTraceCommand:
+    def test_degenerate_center_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "x^2 + y^2", "--vars", "x,y", "--center", "0,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: degenerate Milnor system: ")
+        assert err.count("\n") == 1
+
     def test_csv_default(self, capsys):
         code, out, _ = run_cli(
             capsys, "trace", "x + x^2*y", "--vars", "x,y", "--center", "0,0"

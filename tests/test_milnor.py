@@ -20,6 +20,7 @@ from milnorarc import (
 )
 from milnorarc.milnor import PIVOT_MINORS
 from milnorarc.poly import Polynomial
+from milnorarc.tracer import CENTER_ATTEMPTS
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -68,6 +69,12 @@ class TestEquations:
             milnor_equations([f], (0, 0), pivot=5)
         with pytest.raises(ValueError):
             milnor_equations([f, f], (0, 0))  # p >= n
+
+    def test_minors_is_the_default_and_only_spelling(self):
+        f = parse("x + x^2*y + z^2", VARS3)
+        assert milnor_equations([f], (0, 0, 0)) == milnor_equations([f], (0, 0, 0), pivot=PIVOT_MINORS)
+        with pytest.raises(TypeError):
+            milnor_equations([f], (0, 0, 0), pivot=None)
 
     def test_rejects_several_polynomials(self):
         f, g = CORPUS[3], CORPUS[4]
@@ -231,6 +238,23 @@ class TestCenters:
         monkeypatch.setattr(m, "_screen_center", lambda f, a: (False, "forced failure"))
         f = parse("x + x^2*y", VARS2)
         with pytest.raises(DegenerateCenterError) as info:
-            pick_generic_center(f, seed=0, retries=3)
-        assert len(info.value.diagnostics) == 3
+            pick_generic_center(f, seed=0)
+        assert len(info.value.diagnostics) == CENTER_ATTEMPTS
         assert "forced failure" in info.value.diagnostics[0]
+
+    def test_screen_fails_only_on_solver_value_errors(self, monkeypatch):
+        import milnorarc.tracer as m
+
+        def failing_solve(error):
+            def solve(*args):
+                raise error
+            return solve
+
+        f = parse("x + x^2*y", VARS2)
+        monkeypatch.setattr(m, "slice_solve", failing_solve(ValueError("overflow")))
+        with pytest.raises(DegenerateCenterError):
+            pick_generic_center(f, seed=0)
+        # a programming error in the slicer is not a failed screen
+        monkeypatch.setattr(m, "slice_solve", failing_solve(TypeError("bug")))
+        with pytest.raises(TypeError, match="bug"):
+            pick_generic_center(f, seed=0)

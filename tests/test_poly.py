@@ -598,10 +598,6 @@ class TestRationalArc:
         xi = RationalArc(2, {3: (0, 0), 1: (1, 0)})
         assert xi.support() == [1]
 
-    def test_declared_window_enforced(self):
-        with pytest.raises(ValueError):
-            RationalArc(2, {5: (1, 0)}, (-2, 2))
-
     def test_reparametrize(self):
         xi = RationalArc(2, {-1: (Fraction(1, 2), 0), 1: (0, -1)})
         eta = xi.reparametrize(Fraction(2))

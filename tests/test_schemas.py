@@ -29,6 +29,8 @@ CASES = [
                                     "--vars", "x,y"], id="arc-check-huge-b0"),
     pytest.param("analysis-report", ["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0"],
                  id="analyze"),
+    pytest.param("analysis-report", ["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0",
+                                     "--center", "1/3,-2/7"], id="analyze-multi-center"),
     pytest.param("trace", ["trace", "x + x^2*y", "--vars", "x,y", "--center", "0,0",
                            "--format", "json"], id="trace"),
     pytest.param("arc-search", ["arc-search", "x + x^2*y", "--vars", "x,y", "--starts", "4"],

@@ -191,10 +191,12 @@ class TestTraceBranches:
                 assert s.f_value == float(F_FLAG.evaluate([Fraction(v) for v in s.point]))
 
     def test_requires_enough_radii(self):
+        # the schedule is the config's, so the config refuses a short or
+        # non-increasing one
         with pytest.raises(ValueError):
-            trace_branches(F_FLAG, (0, 0), TraceConfig(), radii=[10.0, 20.0])
+            TraceConfig(radius_count=3)
         with pytest.raises(ValueError):
-            trace_branches(F_FLAG, (0, 0), TraceConfig(), radii=[10.0, 20.0, 15.0, 40.0])
+            TraceConfig(radius_factor=0.5)
 
     def test_degenerate_center(self):
         with pytest.raises(DegenerateMilnorError):
