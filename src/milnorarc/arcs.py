@@ -20,12 +20,12 @@ x_j * df/dx_i with the lowest forbidden power of t of each.  The exact check
 numerical search all read it.
 
 The numerical search (`search_arcs`) solves the same conditions plus the
-sphere by least squares over the arc coefficients.  It composes float Laurent
-arcs: each residual and Jacobian entry is a Laurent coefficient of a
-polynomial of degree <= d composed with the current arc, so the system is
-never expanded in the unknowns.  `emit_constraints` is that expansion,
-exact over Q, by `compose_laurent` on an arc whose coefficients are the
-unknowns; it is the tests' oracle for the search's rows.
+sphere by a numpy Levenberg-Marquardt loop over the arc coefficients.  It
+composes float Laurent arcs: each residual and Jacobian entry is a Laurent
+coefficient of a polynomial of degree <= d composed with the current arc, so
+the system is never expanded in the unknowns.  `emit_constraints` is that
+expansion, exact over Q, by `compose_laurent` on an arc whose coefficients are
+the unknowns; it is the tests' oracle for the search's rows.
 """
 
 from __future__ import annotations
@@ -310,7 +310,10 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
 # ---------------------------------------------------------------------------
 
 
-MAX_NFEV = 400        # residual evaluations per least-squares run
+MAX_ITER = 400        # Levenberg-Marquardt iterations per start
+LAMBDA0 = 3e-2        # initial damping, relative to the largest squared singular value of J
+STOP_REL = 1e-14      # relative step or cost change that ends a run
+STOP_COST = 1e-30     # sum of squares that ends a run
 DEDUPE_DIST = 1e-6    # candidates closer than this in the unknowns are one
 
 
@@ -437,54 +440,78 @@ class _LaurentSystem:
         ok = (q >= 0) & (col >= 0) & (col < L)
         self._jac_index = np.where(ok, q * (L + 1) + col, zero)
         self._sphere = (1 - window.k_min) * n
-        self._last: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _series(self, u: np.ndarray) -> np.ndarray:
-        """S = C @ M at u, flattened; reused while u is unchanged, since the
-        solver asks for the Jacobian at the point it just evaluated."""
-        if self._last is not None and np.array_equal(self._last[0], u):
-            return self._last[1]
+        """S = C @ M at u, flattened."""
         L = self._L
         T = np.append(u, 0.0)[self._toeplitz]
         M = np.zeros((self._C.shape[1], L + 1))
         M[0, -self._lo] = 1.0
         for prev, level, pick in self._levels:
             M[level, :L] = (M[prev, :L] @ T).reshape(-1, L)[pick]
-        S = (self._C @ M).ravel()
-        self._last = (u.copy(), S)
-        return S
+        return (self._C @ M).ravel()
 
-    def residuals(self, u: np.ndarray) -> np.ndarray:
+    def evaluate(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The residuals and the Jacobian at u, from one composition."""
         S = self._series(u)
         positive = u[self._sphere:]
-        return np.append(S[self._res_index], positive @ positive - 1.0)
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        S = self._series(u)
         J = np.zeros((len(self._res_index) + 1, self.num_unknowns))
         J[:-1] = S[self._jac_index]
-        J[-1, self._sphere:] = 2.0 * u[self._sphere:]
-        return J
+        J[-1, self._sphere:] = 2.0 * positive
+        return np.append(S[self._res_index], positive @ positive - 1.0), J
 
     def b0(self, u: np.ndarray) -> float:
         """The t^0 coefficient of f(xi); f was registered first, as row 0 of S."""
         return float(self._series(u)[-self._lo])
 
 
+def _levenberg_marquardt(system: _LaurentSystem, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimize the sum of squares from u; returns the last point and its residuals.
+
+    Each iteration takes the damped minimum-norm step -V (s / (s^2 + lam)) U^T r
+    from one SVD of J, keeps it only if the sum of squares falls, and updates
+    lam by Nielsen's gain ratio (Madsen, Nielsen and Tingleff, "Methods for
+    non-linear least squares problems", 2004).
+    """
+    r, J = system.evaluate(u)
+    cost, lam, nu = r @ r, None, 2.0
+    for _ in range(MAX_ITER):
+        if cost < STOP_COST:
+            break
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        lam = LAMBDA0 * s[0] ** 2 if lam is None else lam
+        g = U.T @ r
+        step = -Vt.T @ (s / (s * s + lam) * g)
+        done = np.linalg.norm(step) <= STOP_REL * np.linalg.norm(u)
+        r_new, J_new = system.evaluate(u + step)
+        cost_new = r_new @ r_new
+        if cost_new < cost:
+            # the actual decrease over the linear model's, sum g^2 (1 - w^2)
+            w = lam / (s * s + lam)
+            rho = (cost - cost_new) / (g @ g - (w * g) @ (w * g))
+            lam, nu = lam * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+            done = done or cost - cost_new <= STOP_REL * cost
+            u, r, J, cost = u + step, r_new, J_new, cost_new
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+        if done:
+            break
+    return u, r
+
+
 def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List[ArcCandidate]:
-    """Multistart least-squares minimization of the constraint violations.
+    """Multistart Levenberg-Marquardt minimization of the constraint violations.
 
     The residuals are the rows of `emit_constraints` plus the sphere, but they
     are computed by composing float Laurent arcs, never by expanding the
     system symbolically (`emit_constraints` is the exact expansion and the
-    tests' oracle for these rows).
+    tests' oracle for these rows).  A start is a candidate when its sum of
+    squares ends below `config.tol`, unless it is within DEDUPE_DIST of one.
 
     Approximate and deliberately incomplete: finding a candidate proves
     nothing about exhausting the asymptotic arc set, and an empty result does
     not certify emptiness.  Deterministic given the seed.
     """
-    from scipy.optimize import least_squares
-
     config = config or ArcSearchConfig()
     system = _LaurentSystem(f)
     N = system.num_unknowns
@@ -503,18 +530,8 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     candidates: List[ArcCandidate] = []
     kept_points: List[np.ndarray] = []
     for si in range(config.starts):
-        res = least_squares(
-            system.residuals,
-            starts[si],
-            jac=system.jacobian,
-            method="trf",
-            max_nfev=MAX_NFEV,
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-        )
-        u = res.x
-        residual = float(np.sum(system.residuals(u) ** 2))
+        u, r = _levenberg_marquardt(system, starts[si])
+        residual = float(np.sum(r ** 2))
         if residual >= config.tol:
             continue
         if any(np.linalg.norm(u - p) < DEDUPE_DIST for p in kept_points):

@@ -40,6 +40,12 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(payload: dict, args, var_names: List[str]) -> None:
+    """The payload as JSON, with the input polynomial, variables and version."""
+    payload.update(polynomial=args.poly, vars=var_names, version=__version__)
+    _emit(_json_dumps(payload), args.out)
+
+
 def _parse_vars(spec: str) -> List[str]:
     names = [v.strip() for v in spec.split(",") if v.strip()]
     if not names:
@@ -159,12 +165,8 @@ def _resolve_centers(args, f: Polynomial, cfg: TraceConfig) -> List[Tuple[Fracti
 
 
 def _traces_csv(traces, id_offset: int = 0) -> List[List]:
-    rows = []
-    for t in traces:
-        for s in t.samples:
-            rows.append([t.branch_id + id_offset, s.radius, *s.point, s.f_value,
-                         s.malgrange, s.residual])
-    return rows
+    return [[t.branch_id + id_offset, s.radius, *s.point, s.f_value, s.malgrange, s.residual]
+            for t in traces for s in t.samples]
 
 
 def _write_csv(rows: List[List], num_vars: int, out_path: Optional[str]) -> None:
@@ -201,21 +203,14 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:  # e.g. radii too large for float evaluation
         raise UserError(str(exc)) from exc
 
-    payload["polynomial"] = args.poly
-    payload["vars"] = var_names
-    payload["version"] = __version__
-
     if args.format == "csv":
         rows = []
         for report, offset in all_traces:
             rows.extend(_traces_csv(report.traces, offset))
         _write_csv(rows, f.num_vars, args.out)
     else:
-        _emit(_json_dumps(payload), args.out)
-
-    if statuses and all(s != "ok" for s in statuses):
-        return 2
-    return 0
+        _emit_report(payload, args, var_names)
+    return 2 if statuses and all(s != "ok" for s in statuses) else 0
 
 
 def cmd_milnor(args) -> int:
@@ -233,11 +228,7 @@ def cmd_milnor(args) -> int:
         sys_ = milnor.milnor_equations([f], center, pivot=pivot)
     except (ValueError, IndexError) as exc:
         raise UserError(str(exc)) from exc
-    payload = sys_.to_dict(var_names)
-    payload["polynomial"] = args.poly
-    payload["vars"] = var_names
-    payload["version"] = __version__
-    _emit(_json_dumps(payload), args.out)
+    _emit_report(sys_.to_dict(var_names), args, var_names)
     return 0
 
 
@@ -249,12 +240,7 @@ def cmd_arc_check(args) -> int:
         report = arcs.check_membership(f, xi)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    payload = report.to_dict()
-    payload["polynomial"] = args.poly
-    payload["vars"] = var_names
-    payload["arc"] = args.arc
-    payload["version"] = __version__
-    _emit(_json_dumps(payload), args.out)
+    _emit_report({**report.to_dict(), "arc": args.arc}, args, var_names)
     return 0
 
 
@@ -270,15 +256,11 @@ def cmd_arc_search(args) -> int:
         found = arcs.search_arcs(f, cfg)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
-    payload = {
+    _emit_report({
         "candidates": [c.to_dict() for c in found],
         "config": cfg.to_dict(),
         "complete": False,  # the search never certifies exhaustiveness
-        "polynomial": args.poly,
-        "vars": var_names,
-        "version": __version__,
-    }
-    _emit(_json_dumps(payload), args.out)
+    }, args, var_names)
     return 0
 
 
@@ -319,11 +301,8 @@ def cmd_trace(args) -> int:
             ],
             "center": [str(c) for c in center],
             "config": cfg.to_dict(),
-            "polynomial": args.poly,
-            "vars": var_names,
-            "version": __version__,
         }
-        _emit(_json_dumps(payload), args.out)
+        _emit_report(payload, args, var_names)
     else:
         _write_csv(_traces_csv(traces), f.num_vars, args.out)
     return 0
@@ -353,14 +332,19 @@ def cmd_dims(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, *, vars_required=True):
-    p.add_argument("--vars", required=vars_required, help="comma-separated variable names, in order")
+def _add_common(p):
+    p.add_argument("--vars", required=True, help="comma-separated variable names, in order")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # exit code 1 and one line, not usage and 2; subparsers inherit it
+        raise UserError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="milnorarc",
         description="Estimate bifurcation values at infinity of a real polynomial",
     )
@@ -417,9 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UserError as exc:
         sys.stderr.write(f"error: {exc}\n")

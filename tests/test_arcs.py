@@ -1,8 +1,12 @@
 """Tests for the bounded arc space: windows, membership, constraints, search."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from milnorarc import (
 )
 from milnorarc.arcs import _LaurentSystem, unknown_name
 from milnorarc.poly import CompiledPolynomials
+from milnorarc.tracer import CLUSTER_TOL
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -334,14 +339,45 @@ class TestSearch:
         for c in found:
             _assert_candidate_b0(f, c, cfg)
 
+    # the bench's inputs keep at least the candidates scipy's trust-region
+    # solver found (30 and 8), and the degree-four map at least 2 of its 4
+    @pytest.mark.parametrize("text, limit, starts, least", [
+        ("x + x^2*y", 0, 32, 30),
+        # c0 + 2*f(y + 1/2, x - 1/3), the planted arc-search input at seed 0
+        ("1/4 + 2*((y + 1/2) + (y + 1/2)^2*(x - 1/3))", Fraction(1, 4), 8, 8),
+        ("x^2*y^2 + x", 0, 8, 2),
+    ])
+    def test_candidate_yield(self, text, limit, starts, least):
+        f = parse(text, VARS2)
+        cfg = ArcSearchConfig(seed=0, starts=starts)
+        found = search_arcs(f, cfg)
+        assert len(found) >= least
+        for c in found:
+            _assert_candidate_b0(f, c, cfg, limit)
 
-def _assert_candidate_b0(f, cand, cfg):
-    """The candidate is accepted and its b0 is the exact t^0 coefficient of
-    f along its own (float, hence rational) arc."""
+    def test_runs_without_scipy(self):
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from milnorarc import ArcSearchConfig, parse, search_arcs\n"
+                "found = search_arcs(parse('x + x^2*y', ['x', 'y']), ArcSearchConfig(seed=0, starts=2))\n"
+                "print(len(found))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) >= 1
+
+
+def _assert_candidate_b0(f, cand, cfg, limit=None):
+    """The candidate is accepted, its b0 is the exact t^0 coefficient of f
+    along its own (float, hence rational) arc, and it lies within CLUSTER_TOL
+    of the expected limit, when one is given."""
     assert cand.residual < cfg.tol
     xi = RationalArc(f.num_vars, {k: tuple(Fraction(v) for v in vec) for k, vec in cand.coeffs.items()})
     exact = float(compose_arc(f, xi).coefficient(0))
     assert cand.b0_estimate == pytest.approx(exact, rel=1e-6, abs=1e-6)
+    if limit is not None:
+        assert abs(cand.b0_estimate - float(limit)) <= CLUSTER_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +422,7 @@ def test_rows_match_the_symbolic_system(text, names, data):
     assert system.labels == labels
     N = system.num_unknowns
     u = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=N, max_size=N)))
-    # the Jacobian first: the point differs from the one the system last saw
-    J = system.jacobian(u)
-    r = system.residuals(u)
+    r, J = system.evaluate(u)
     assert r.shape == (len(labels) + 1,)
     assert J.shape == (len(labels) + 1, N)
     scale = bound.values(np.abs(u)[None, :])[0]
@@ -423,7 +457,7 @@ def test_rows_match_exact_composition(text, names):
     xi = RationalArc(n, {k: tuple(Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3)) for _ in range(n))
                          for k in ks})
     u = np.array([float(xi.coeffs.get(k, (0,) * n)[j]) for k in ks for j in range(n)])
-    r, J = system.residuals(u), system.jacobian(u)
+    r, J = system.evaluate(u)
     composed = {}
 
     def series(P):

@@ -282,6 +282,28 @@ class TestAnalyze:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "x + x^2*y", "--vars", "x,y", "--seed", "abc"],
+        ["arc-search", "x + x^2*y", "--vars", "x,y", "--starts", "x"],
+        ["analyze", "x + x^2*y", "--vars", "x,y", "--centers", "0,0;1,0"],
+        ["dims", "two", "3"],
+        ["analyze", "x + x^2*y", "--vars", "x,y", "--no-such-flag"],
+        [],
+    ])
+    def test_argparse_error_is_one_error_line(self, capsys, argv):
+        # exit code 2 means "every center was degenerate", never a bad argument
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["dims", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
 
 class TestTraceCommand:
     def test_degenerate_center_is_one_error_line(self, capsys):
