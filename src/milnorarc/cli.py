@@ -4,8 +4,8 @@ All JSON output is byte-deterministic for identical input, seed and config
 (sorted keys, fixed float repr), and every report embeds enough provenance
 to re-run it exactly.
 
-Exit codes: 0 success, 1 user error (parse failure, bad arguments),
-2 analysis ran but every center was degenerate.
+Exit codes: 0 success, 1 user error (parse failure, bad arguments, a center
+too large for floating point), 2 analysis ran but every center was degenerate.
 """
 
 from __future__ import annotations
@@ -76,10 +76,13 @@ def _parse_center(text: str, n: int) -> Tuple[Fraction, ...]:
     return tuple(_parse_rational(p) for p in parts)
 
 
-def _parse_radii(spec: str) -> Tuple[float, float, int]:
+def _parse_radii(spec: Optional[str]) -> dict:
+    """The TraceConfig radius fields of an R0:factor:count spec; none for None."""
+    if spec is None:
+        return {}
     try:
         r0_s, factor_s, count_s = spec.split(":")
-        return float(r0_s), float(factor_s), int(count_s)
+        return dict(r0=float(r0_s), radius_factor=float(factor_s), radius_count=int(count_s))
     except ValueError as exc:
         raise UserError(f"--radii must look like R0:factor:count, got {spec!r}") from exc
 
@@ -145,12 +148,11 @@ def _parse_arc_terms(body: str) -> List[Tuple[Fraction, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _trace_config(args) -> TraceConfig:
-    fields = {k: getattr(args, k) for k in ("seed", "tol") if getattr(args, k) is not None}
-    if args.radii is not None:
-        fields["r0"], fields["radius_factor"], fields["radius_count"] = _parse_radii(args.radii)
+def _config(cls, args, **fields):
+    """A TraceConfig or ArcSearchConfig from `fields` and the --seed and --tol given."""
+    fields.update({k: getattr(args, k) for k in ("seed", "tol") if getattr(args, k) is not None})
     try:
-        return TraceConfig(**fields)
+        return cls(**fields)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
 
@@ -184,33 +186,26 @@ def cmd_analyze(args) -> int:
     if len(var_names) < 2:
         raise UserError("analyze requires at least 2 variables")
     f = _parse_poly(args.poly, var_names)
-    cfg = _trace_config(args)
+    cfg = _config(TraceConfig, args, **_parse_radii(args.radii))
     centers = _resolve_centers(args, f, cfg)
 
     try:
         if len(centers) == 1:
-            report = tracer.s_a_estimate(f, centers[0], cfg)
-            payload = report.to_dict()
-            payload["mode"] = "single-center"
-            statuses = [report.status]
-            all_traces = [(report, 0)]
+            reports = [tracer.s_a_estimate(f, centers[0], cfg)]
+            payload = {**reports[0].to_dict(), "mode": "single-center"}
         else:
             sreport = tracer.s_infinity_estimate(f, centers, cfg)
-            payload = sreport.to_dict()
-            payload["mode"] = "multi-center"
-            statuses = [r.status for r in sreport.per_center]
-            all_traces = [(r, 1000 * i) for i, r in enumerate(sreport.per_center)]
-    except ValueError as exc:  # e.g. radii too large for float evaluation
+            reports = sreport.per_center
+            payload = {**sreport.to_dict(), "mode": "multi-center"}
+    except ValueError as exc:  # e.g. a center or radii too large for float evaluation
         raise UserError(str(exc)) from exc
 
     if args.format == "csv":
-        rows = []
-        for report, offset in all_traces:
-            rows.extend(_traces_csv(report.traces, offset))
+        rows = [row for i, r in enumerate(reports) for row in _traces_csv(r.traces, 1000 * i)]
         _write_csv(rows, f.num_vars, args.out)
     else:
         _emit_report(payload, args, var_names)
-    return 2 if statuses and all(s != "ok" for s in statuses) else 0
+    return 2 if all(r.status == "degenerate" for r in reports) else 0
 
 
 def cmd_milnor(args) -> int:
@@ -247,12 +242,8 @@ def cmd_arc_check(args) -> int:
 def cmd_arc_search(args) -> int:
     var_names = _parse_vars(args.vars)
     f = _parse_poly(args.poly, var_names)
+    cfg = _config(arcs.ArcSearchConfig, args, starts=args.starts)
     try:
-        cfg = arcs.ArcSearchConfig(
-            seed=args.seed or 0,
-            starts=args.starts,
-            tol=args.tol if args.tol is not None else arcs.ArcSearchConfig.tol,
-        )
         found = arcs.search_arcs(f, cfg)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
@@ -269,7 +260,7 @@ def cmd_trace(args) -> int:
     if len(var_names) < 2:
         raise UserError("trace requires at least 2 variables")
     f = _parse_poly(args.poly, var_names)
-    cfg = _trace_config(args)
+    cfg = _config(TraceConfig, args, **_parse_radii(args.radii))
     center = _parse_center(args.center, f.num_vars) if args.center else \
         tracer.pick_generic_center(f, seed=cfg.seed)
     try:

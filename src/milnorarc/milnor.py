@@ -68,8 +68,8 @@ class MilnorSystem:
 
     @cached_property
     def compiled_revalidation(self) -> CompiledPolynomials:
-        """Pivot mode only: the pivot partial followed by all the minors,
-        which recheck points where the pivot chart degenerates."""
+        """Pivot mode with n >= 3 only: the pivot partial followed by all the
+        minors, which recheck points where the pivot chart degenerates."""
         minors = milnor_equations([self.f], self.center, pivot=PIVOT_MINORS)
         return CompiledPolynomials([self.f.partial(self.pivot), *minors.equations])
 
@@ -85,8 +85,8 @@ class MilnorSystem:
 def default_pivot(f: Polynomial) -> int:
     """Pivot variable: the one whose partial derivative has maximal degree.
 
-    Ties break to the lowest index.  The tracer re-validates points where the
-    pivot partial vanishes against the minors description.
+    Ties break to the lowest index.  For n >= 3 the tracer re-validates points
+    where the pivot partial vanishes against the minors description.
     """
     degrees = []
     for i in range(f.num_vars):

@@ -11,10 +11,12 @@ polynomial whose coefficients are computed exactly.  Its real roots of odd
 multiplicity (the crossings of the circle) are isolated exactly by Sturm
 sequences over Q and refined by exactly verified secant jumps to the
 Fractions exact sign bisection would return; tangencies (even multiplicity)
-are not reported.
+are not reported.  The pivot chart's one equation is +-the one 2x2 minor, so
+n = 2 slices need no revalidation against the minors.
 
 For n >= 3 a multistart damped Newton solver is used and results are
-explicitly best-effort (branches may be missed).
+explicitly best-effort (branches may be missed); its points are rechecked
+against all the minors where the pivot partial nearly vanishes.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ class BranchTrace:
     samples: List[Sample] = field(default_factory=list)
     status: str = STATUS_LOST
 
-    @property
-    def last(self) -> Sample:
-        return self.samples[-1]
-
 
 @dataclass
 class LimitValue:
@@ -114,11 +112,7 @@ class LimitValue:
     branch_ids: List[int]
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "uncertainty": self.uncertainty,
-            "branch_ids": list(self.branch_ids),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -126,14 +120,14 @@ class AnalysisReport:
     center: Tuple[Fraction, ...]
     status: str                      # "ok" | "degenerate" | "trivial-degree"
     certified: bool
-    limit_values: List[LimitValue]
-    divergent_count: int
     bound_cap: int
-    bound_respected: bool
-    malgrange_monitor: Dict[int, bool]
     seed: int
     radii: List[float]
     config: dict
+    limit_values: List[LimitValue] = field(default_factory=list)
+    divergent_count: int = 0
+    bound_respected: bool = True
+    malgrange_monitor: Dict[int, bool] = field(default_factory=dict)
     note: str = ""
     traces: List[BranchTrace] = field(default_factory=list)
 
@@ -189,37 +183,49 @@ def _scaled_values(compiled: CompiledPolynomials, X: np.ndarray, bound: float) -
     return np.abs(compiled.values(X)) / compiled.scales(bound)
 
 
+def _center_and_bound(sys: MilnorSystem, radius: float) -> Tuple[np.ndarray, float]:
+    """The center a as floats and the scale bound ||a|| + radius + 1; ValueError past the float range."""
+    try:
+        a = np.array([float(c) for c in sys.center])
+        with np.errstate(over="ignore"):
+            bound = float(np.linalg.norm(a)) + radius + 1.0
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"center ({', '.join(map(str, sys.center))}) is too large for floating point")
+    return a, bound
+
+
 def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] = None) -> List[np.ndarray]:
     """Points of the Milnor set on the sphere ||x - a|| = radius.
 
     Returns de-duplicated float points; each satisfies every equation to the
     scale-aware tolerance.  An empty list is a valid outcome.  Raises
-    ValueError when the equations overflow floating point at this radius.
+    DegenerateMilnorError when an equation is identically zero, and
+    ValueError when the center or the equations overflow floating point.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     config = config or TraceConfig()
     if sys.has_zero_equation():
-        raise DegenerateMilnorError("Milnor system has an identically zero equation")
+        raise DegenerateMilnorError("Milnor system has an identically zero equation; the center is degenerate")
     n = sys.num_vars
-    a = np.array([float(c) for c in sys.center])
-    bound = float(np.linalg.norm(a)) + radius + 1.0
+    a, bound = _center_and_bound(sys, radius)
     scales = sys.compiled.scales(bound)
     if not np.all(np.isfinite(scales)):
         raise ValueError(f"radius {radius:g} is too large: the Milnor equations overflow floating point")
 
-    if n == 2:
+    if n == 2:  # the chart's one equation is +-the one minor
         points = _slice_solve_circle(sys, a, radius)
     else:
         points = _slice_solve_newton(sys, a, radius, scales, config)
-
+        if sys.pivot != milnor.PIVOT_MINORS:
+            # where the pivot partial nearly vanishes, recheck against minors mode
+            revalidation = _scaled_values(sys.compiled_revalidation, points, bound)
+            points = points[(revalidation[:, 0] > math.sqrt(config.tol))
+                            | (revalidation[:, 1:].max(axis=1) < config.tol)]
     X = np.reshape(points, (-1, n))
     keep = _scaled_values(sys.compiled, X, bound).max(axis=1) < config.tol
-    if sys.pivot != milnor.PIVOT_MINORS:
-        # where the pivot partial nearly vanishes, recheck against minors mode
-        revalidation = _scaled_values(sys.compiled_revalidation, X[keep], bound)
-        keep[keep] = ((revalidation[:, 0] > math.sqrt(config.tol))
-                      | (revalidation[:, 1:].max(axis=1) < config.tol))
     return _dedupe(X[keep], max(MERGE_DIST, 4e-12 * (1.0 + radius)))
 
 
@@ -302,10 +308,9 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
         if np.max(norm_before) < 1e-15:
             break
 
-    F = residuals(X)
-    ok = np.all(np.abs(F / scales[None, :]) < config.tol, axis=1)
-    sphere_ok = np.abs(np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2) < 1e-10 * radius ** 2 * 10
-    return X[ok & sphere_ok & np.all(np.isfinite(X), axis=1)]
+    # the equations are tested by the caller; a non-finite row fails both tests
+    sphere = np.abs(np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2)
+    return X[(sphere / radius ** 2 < config.tol) & (sphere < 1e-10 * radius ** 2 * 10)]
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -334,21 +339,15 @@ def trace_branches(f: Polynomial, center: Sequence, config: Optional[TraceConfig
     """
     config = config or TraceConfig()
     sys = milnor_equations([f], center, pivot=milnor.default_pivot(f))
-    if sys.has_zero_equation():
-        raise DegenerateMilnorError(
-            "Milnor system has an identically zero equation; the center is degenerate"
-        )
-    a = np.array([float(c) for c in sys.center])
-
     branches: List[BranchTrace] = []
     open_branches: List[Tuple[BranchTrace, np.ndarray]] = []  # (trace, last direction)
-    next_id = 0
 
     for R in config.radii():
         points = slice_solve(sys, R, config)
+        a, bound = _center_and_bound(sys, R)
         offsets = np.reshape(points, (-1, a.size)) - a
         dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-        samples = _make_samples(sys, points, R, float(np.linalg.norm(a)) + R + 1.0)
+        samples = _make_samples(sys, points, R, bound)
 
         matched_old = set()
         matched_new = set()
@@ -368,27 +367,14 @@ def trace_branches(f: Polynomial, center: Sequence, config: Optional[TraceConfig
                 open_branches[i_old] = (trace, dirs[j_new])
                 dist[i_old, :] = np.inf
                 dist[:, j_new] = np.inf
-                if np.all(np.isinf(dist)):
-                    break
 
-        # close unmatched branches: lost before the final radius
-        still_open = []
-        for i_old, (trace, d_old) in enumerate(open_branches):
-            if i_old in matched_old:
-                still_open.append((trace, d_old))
-            else:
-                trace.status = STATUS_LOST
-        open_branches = still_open
-
-        # open new branches for unmatched points
+        # unmatched branches close; unmatched points open new ones
+        open_branches = [ob for i_old, ob in enumerate(open_branches) if i_old in matched_old]
         for j_new, sample in enumerate(samples):
-            if j_new in matched_new:
-                continue
-            trace = BranchTrace(branch_id=next_id)
-            next_id += 1
-            trace.samples.append(sample)
-            branches.append(trace)
-            open_branches.append((trace, dirs[j_new]))
+            if j_new not in matched_new:
+                trace = BranchTrace(branch_id=len(branches), samples=[sample])
+                branches.append(trace)
+                open_branches.append((trace, dirs[j_new]))
 
     return branches
 
@@ -425,8 +411,9 @@ def _classify(trace: BranchTrace, final_radius: float, factor: float):
     hr = np.array([s.radius for s in half])
 
     absf = np.abs(fs)
-    if absf[-1] > DIV_THRESHOLD and absf[-1] > absf[-2] > absf[-3]:
-        trace.status = STATUS_DIVERGENT
+    # the status unless a convergence test below passes
+    trace.status = STATUS_DIVERGENT if absf[-1] > DIV_THRESHOLD else STATUS_LOST
+    if trace.status == STATUS_DIVERGENT and absf[-1] > absf[-2] > absf[-3]:
         return None
 
     diffs = np.diff(hf)
@@ -442,10 +429,6 @@ def _classify(trace: BranchTrace, final_radius: float, factor: float):
             if 0.0 < r < 0.999:
                 ratios.append(r)
     if not ratios:
-        if absf[-1] > DIV_THRESHOLD:
-            trace.status = STATUS_DIVERGENT
-        else:
-            trace.status = STATUS_LOST
         return None
     r = float(np.median(ratios))
     alpha = -math.log(r) / math.log(factor)
@@ -453,16 +436,12 @@ def _classify(trace: BranchTrace, final_radius: float, factor: float):
     # least-squares fit of f ~ t0 + c R^(-alpha) with the decay rate fixed
     A = np.stack([np.ones_like(hr), hr ** (-alpha)], axis=1)
     coef, *_ = np.linalg.lstsq(A, hf, rcond=None)
-    t0, c = float(coef[0]), float(coef[1])
+    t0 = float(coef[0])
     rms = float(np.sqrt(np.mean((A @ coef - hf) ** 2)))
 
     if alpha > ALPHA_MIN and abs(hf[-1] - t0) < CONV_TOL:
         trace.status = STATUS_CONVERGENT
         return t0, abs(hf[-1] - t0) + rms
-    if absf[-1] > DIV_THRESHOLD:
-        trace.status = STATUS_DIVERGENT
-    else:
-        trace.status = STATUS_LOST
     return None
 
 
@@ -517,34 +496,18 @@ def s_a_estimate(f: Polynomial, center: Sequence, config: Optional[TraceConfig] 
     base = dict(
         center=a,
         certified=(f.num_vars == 2),
+        bound_cap=_bound_cap(f),
         seed=config.seed,
         radii=config.radii(),
         config=config.to_dict(),
     )
     if f.degree == float("-inf") or f.degree < 2:
-        return AnalysisReport(
-            status="trivial-degree",
-            limit_values=[],
-            divergent_count=0,
-            bound_cap=0,
-            bound_respected=True,
-            malgrange_monitor={},
-            note="degree < 2: no asymptotic nonregular values to estimate",
-            **base,
-        )
+        return AnalysisReport(status="trivial-degree",
+                              note="degree < 2: no asymptotic nonregular values to estimate", **base)
     try:
         traces = trace_branches(f, a, config)
     except DegenerateMilnorError as exc:
-        return AnalysisReport(
-            status="degenerate",
-            limit_values=[],
-            divergent_count=0,
-            bound_cap=_bound_cap(f),
-            bound_respected=True,
-            malgrange_monitor={},
-            note=str(exc),
-            **base,
-        )
+        return AnalysisReport(status="degenerate", note=str(exc), **base)
     limit_values, divergent = estimate_limits(traces, config)
     monitor: Dict[int, bool] = {}
     for trace in traces:
@@ -552,13 +515,11 @@ def s_a_estimate(f: Polynomial, center: Sequence, config: Optional[TraceConfig] 
             continue
         first, last = trace.samples[0].malgrange, trace.samples[-1].malgrange
         monitor[trace.branch_id] = bool(first > 0.0 and last < 0.1 * first)
-    cap = _bound_cap(f)
     return AnalysisReport(
         status="ok",
         limit_values=limit_values,
         divergent_count=divergent,
-        bound_cap=cap,
-        bound_respected=(len(limit_values) <= cap),
+        bound_respected=(len(limit_values) <= base["bound_cap"]),
         malgrange_monitor=monitor,
         traces=traces,
         **base,

@@ -80,6 +80,12 @@ class TestMilnorCommand:
         assert code == 0
         assert json.loads(out)["pivot"] == "minors"
 
+    def test_center_beyond_the_float_range(self, capsys):
+        # the Milnor system is exact, so no center is too large for it
+        code, out, _ = run_cli(capsys, "milnor", "x + x^2*y", "--vars", "x,y", "--center", "1e400,0")
+        assert code == 0
+        assert json.loads(out)["center"] == [str(10 ** 400), "0"]
+
     def test_parse_error_is_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "milnor", "x + ", "--vars", "x,y")
         assert code == 1
@@ -142,6 +148,23 @@ class TestAnalyzeGolden:
         code, out, _ = run_cli(capsys, "analyze", *self.EXAMPLES[name])
         assert code == 0
         assert out == (GOLDEN / f"analyze-{name}.json").read_text(encoding="utf-8")
+
+
+class TestTraceGolden:
+    """`trace` JSON pinned byte for byte: the per-sample points, f values,
+    Malgrange values and scaled residuals of the n = 2 circle slicer (the
+    flagship) and of the n >= 3 Newton slicer."""
+
+    EXAMPLES = {
+        "flagship": ("x + x^2*y", "--vars", "x,y", "--center", "0,0"),
+        "flagship3": ("x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_output_is_pinned(self, capsys, name):
+        code, out, _ = run_cli(capsys, "trace", *self.EXAMPLES[name], "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / f"trace-{name}.json").read_text(encoding="utf-8")
 
 
 class TestArcCheck:
@@ -243,6 +266,23 @@ class TestAnalyze:
             capsys, "analyze", "x^2 + y^2", "--vars", "x,y", "--center", "0,0"
         )
         assert code == 2
+
+    def test_trivial_degree_is_exit_0(self, capsys):
+        # a finished analysis; exit code 2 is kept for "every center was degenerate"
+        code, out, err = run_cli(capsys, "analyze", "x", "--vars", "x,y", "--center", "0,0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "trivial-degree"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [400, 200])
+    @pytest.mark.parametrize("command", ["analyze", "trace"])
+    def test_center_beyond_the_float_range_is_one_error_line(self, capsys, command, exponent):
+        # 1e400 is not a float at all; 1e200 is, but its square, in ||a||, is not
+        code, out, err = run_cli(
+            capsys, command, "x + x^2*y", "--vars", "x,y", "--center", f"1e{exponent},0"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: center ({10 ** exponent}, 0) is too large for floating point\n"
 
     def test_radii_flag_validation(self, capsys):
         code, _, err = run_cli(

@@ -110,6 +110,40 @@ class TestSliceSolve:
                 assert abs(eq.evaluate(xq)) / scale < config.tol
             assert abs(sum(v * v for v in xq) - R ** 2) < config.tol * R ** 2
 
+    @pytest.mark.parametrize("R", [10, 80])
+    def test_three_variables_revalidation_drops_the_chart_only_points(self, R):
+        # the pivot-0 chart also vanishes on {f_x = 0, x = a_x}, which is not
+        # in the Milnor set; every returned point must satisfy all three
+        # minors, checked exactly at its float coordinates
+        f = parse("x^2 + y^2 - z^2 + x + y*z", ["x", "y", "z"])
+        center = (Fraction(-1, 2), Fraction(1, 3), Fraction(2, 5))
+        config = TraceConfig()
+        pts = slice_solve(milnor_equations([f], center, pivot=0), float(R), config)
+        assert len(pts) == 2
+        bound = Fraction(float(np.linalg.norm([float(c) for c in center])) + R + 1)
+        for x in pts:
+            xq = [Fraction(v) for v in x]
+            for eq in milnor_equations([f], center).equations:
+                scale = sum(abs(c) * bound ** sum(e) for e, c in eq.terms.items()) + 1
+                assert abs(eq.evaluate(xq)) / scale < config.tol
+
+    def test_two_variables_never_revalidate(self):
+        sys = _system(F_FLAG, (Fraction(1, 3), Fraction(-2, 7)))
+        for R in TraceConfig().radii():
+            slice_solve(sys, R, TraceConfig())
+        assert "compiled_revalidation" not in vars(sys)
+
+    @pytest.mark.parametrize("text, pivot", [("x + x^2*y", 0), ("x + y^3", 1)])
+    def test_two_variable_chart_slice_is_the_minors_slice(self, text, pivot):
+        # for n = 2 the chart's one equation is +-the one minor, bit for bit
+        f = parse(text, VARS2)
+        center = (Fraction(1, 3), Fraction(-2, 7))
+        assert default_pivot(f) == pivot
+        chart, minors = _system(f, center), milnor_equations([f], center)
+        for R in (10.0, 80.0, 1280.0):
+            a, b = slice_solve(chart, R, TraceConfig()), slice_solve(minors, R, TraceConfig())
+            assert a and np.array(a).tobytes() == np.array(b).tobytes()
+
     def test_dedupe_keeps_first_seen_order(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.5], [3.0, 0.25]])
         kept = _dedupe(pts, 1.0)
