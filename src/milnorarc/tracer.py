@@ -16,7 +16,8 @@ n = 2 slices need no revalidation against the minors.
 
 For n >= 3 a multistart damped Newton solver is used and results are
 explicitly best-effort (branches may be missed); its points are rechecked
-against all the minors where the pivot partial nearly vanishes.
+against all the minors where the pivot partial nearly vanishes.  Its rows
+back-track their steps in one batch and leave it at a bitwise fixed point.
 """
 
 from __future__ import annotations
@@ -192,8 +193,17 @@ def _center_and_bound(sys: MilnorSystem, radius: float) -> Tuple[np.ndarray, flo
     except OverflowError:
         bound = math.inf
     if not math.isfinite(bound):
-        raise ValueError(f"center ({', '.join(map(str, sys.center))}) is too large for floating point")
+        raise ValueError(f"center {_center_text(sys.center)} is too large for floating point")
     return a, bound
+
+
+def _center_text(center: Sequence[Fraction]) -> str:
+    """'(c1, c2, ...)', exact or, past 20 characters, to 6 digits (10^400 is 1e+400)."""
+    import decimal  # only error messages need it
+    six = decimal.Context(prec=6)
+    texts = [str(c) if len(str(c)) <= 20 else f"{six.divide(c.numerator, c.denominator).normalize(six):g}"
+             for c in center]
+    return f"({', '.join(texts)})"
 
 
 def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] = None) -> List[np.ndarray]:
@@ -213,7 +223,9 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     a, bound = _center_and_bound(sys, radius)
     scales = sys.compiled.scales(bound)
     if not np.all(np.isfinite(scales)):
-        raise ValueError(f"radius {radius:g} is too large: the Milnor equations overflow floating point")
+        center_fits = np.isfinite(sys.compiled.scales(float(np.linalg.norm(a)) + 1.0)).all()  # at radius 0
+        culprit = f"radius {radius:g}" if center_fits else f"center {_center_text(sys.center)}"
+        raise ValueError(f"{culprit} is too large: the Milnor equations overflow floating point")
 
     if n == 2:  # the chart's one equation is +-the one minor
         points = _slice_solve_circle(sys, a, radius)
@@ -282,30 +294,33 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
     scales = np.append(scales, radius ** 2)
 
     def residuals(X, values=None):
+        """The residuals F at the rows of X and their scaled norms."""
         sphere = np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2
-        return np.concatenate([sys.compiled.values(X) if values is None else values, sphere[:, None]], axis=1)
+        F = np.concatenate([sys.compiled.values(X) if values is None else values, sphere[:, None]], axis=1)
+        return F, np.linalg.norm(F / scales[None, :], axis=1)
 
+    norms = np.empty(X.shape[0])   # each row's scaled residual at its latest iterate
+    live = np.arange(X.shape[0])
     for _ in range(NEWTON_ITERS):
-        values, jacobians = sys.compiled.values_and_jacobians(X)
-        F = residuals(X, values)
-        J = np.concatenate([jacobians, 2.0 * (X - a[None, :])[:, None, :]], axis=1)
-        norm_before = np.linalg.norm(F / scales[None, :], axis=1)
+        Xl = X[live]
+        values, jacobians = sys.compiled.values_and_jacobians(Xl)
+        F, norm_before = residuals(Xl, values)
+        norms[live] = norm_before
+        J = np.concatenate([jacobians, 2.0 * (Xl - a[None, :])[:, None, :]], axis=1)
         step = _newton_steps(J, F)
-        # damped update: up to 6 times, halve the step of the rows whose
-        # scaled residual grew and re-evaluate only those; rows are evaluated
-        # independently, so a row that did not grow keeps its step
-        alpha = np.ones(X.shape[0])
-        Xn = X - step
-        rows = np.arange(X.shape[0])
-        for _ in range(6):
-            norm_after = np.linalg.norm(residuals(Xn[rows]) / scales[None, :], axis=1)
-            rows = rows[norm_after > norm_before[rows]]
-            if rows.size == 0:
-                break
-            alpha[rows] *= 0.5
-            Xn[rows] = X[rows] - alpha[rows, None] * step[rows]
-        X = Xn
-        if np.max(norm_before) < 1e-15:
+        # damped update: a row takes the first of 1, 1/2, ..., 1/32 of its step that does
+        # not grow its scaled residual, else 1/64; the fractions below 1 are one batch
+        Xn = Xl - step
+        grew = np.flatnonzero(residuals(Xn)[1] > norm_before)
+        if grew.size:
+            trial = Xl[grew, None, :] - 0.5 ** np.arange(1, 7)[:, None] * step[grew, None, :]
+            after = residuals(trial[:, :-1].reshape(-1, n))[1].reshape(grew.size, -1)
+            stop = np.column_stack([~(after > norm_before[grew, None]), np.ones(grew.size, bool)])
+            Xn[grew] = trial[np.arange(grew.size), np.argmax(stop, axis=1)]
+        # rows are evaluated independently, so a row at a bitwise fixed point stays there
+        X[live] = Xn
+        live = live[(Xn.view(np.uint64) != Xl.view(np.uint64)).any(axis=1)]
+        if np.max(norms) < 1e-15 or live.size == 0:
             break
 
     # the equations are tested by the caller; a non-finite row fails both tests

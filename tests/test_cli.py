@@ -282,7 +282,27 @@ class TestAnalyze:
             capsys, command, "x + x^2*y", "--vars", "x,y", "--center", f"1e{exponent},0"
         )
         assert (code, out) == (1, "")
-        assert err == f"error: center ({10 ** exponent}, 0) is too large for floating point\n"
+        # the center is named, huge entries in exponent form
+        assert err == f"error: center (1e+{exponent}, 0) is too large for floating point\n"
+        assert len(err) < 120
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("names, center, radii, culprit", [
+        # ||a|| is a float, but the equations overflow at every radius
+        ("x,y", "1e150,0", "10:2:8", "center (1e+150, 0)"),
+        ("x,y,z", "1e150,0,0", "10:2:8", "center (1e+150, 0, 0)"),
+        ("x,y,z", "1/3,1e150,-2", "10:2:8", "center (1/3, 1e+150, -2)"),
+        # a small center with a first radius past what the equations allow
+        ("x,y", "1/3,-2", "1e150:2:4", "radius 1e+150"),
+        ("x,y,z", "1/3,-2,1", "1e150:2:4", "radius 1e+150"),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "trace"])
+    def test_overflowing_equations_name_the_center_or_the_radius(self, capsys, command, names, center,
+                                                                 radii, culprit):
+        poly = "x + x^2*y" if names == "x,y" else "x + x^2*y + z^2"
+        code, out, err = run_cli(capsys, command, poly, "--vars", names, "--center", center, "--radii", radii)
+        assert (code, out) == (1, "")
+        assert err == f"error: {culprit} is too large: the Milnor equations overflow floating point\n"
 
     def test_radii_flag_validation(self, capsys):
         code, _, err = run_cli(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from milnorarc import (
     slice_solve,
     trace_branches,
 )
-from milnorarc.tracer import Sample, _dedupe, _half_angle_poly, _newton_steps
+from milnorarc import tracer
+from milnorarc.tracer import Sample, _center_text, _dedupe, _half_angle_poly, _newton_steps
 
 VARS2 = ["x", "y"]
 F_FLAG = parse("x + x^2*y", VARS2)
@@ -30,6 +32,44 @@ F_TANGENT = parse("y*(x^2*y^2 + 3*x*y + 3)", VARS2)
 
 def _system(f, center):
     return milnor_equations([f], center, pivot=default_pivot(f))
+
+
+def _halving_newton(sys, a, radius, scales, config):
+    """Reference for `tracer._slice_solve_newton`: every row is iterated
+    NEWTON_ITERS times, unless all rows converge, and each step is halved in
+    up to 6 sequential rounds while the scaled residual grows."""
+    n = a.shape[0]
+    rng = np.random.default_rng([config.seed, int(round(radius * 1024)) & 0x7FFFFFFF])
+    U = rng.standard_normal((config.starts, n))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    X = a[None, :] + radius * U
+    scales = np.append(scales, radius ** 2)
+
+    def residuals(X, values=None):
+        sphere = np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2
+        return np.concatenate([sys.compiled.values(X) if values is None else values, sphere[:, None]], axis=1)
+
+    for _ in range(tracer.NEWTON_ITERS):
+        values, jacobians = sys.compiled.values_and_jacobians(X)
+        F = residuals(X, values)
+        J = np.concatenate([jacobians, 2.0 * (X - a[None, :])[:, None, :]], axis=1)
+        norm_before = np.linalg.norm(F / scales[None, :], axis=1)
+        step = _newton_steps(J, F)
+        alpha = np.ones(X.shape[0])
+        Xn = X - step
+        rows = np.arange(X.shape[0])
+        for _ in range(6):
+            norm_after = np.linalg.norm(residuals(Xn[rows]) / scales[None, :], axis=1)
+            rows = rows[norm_after > norm_before[rows]]
+            if rows.size == 0:
+                break
+            alpha[rows] *= 0.5
+            Xn[rows] = X[rows] - alpha[rows, None] * step[rows]
+        X = Xn
+        if np.max(norm_before) < 1e-15:
+            break
+    sphere = np.abs(np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2)
+    return X[(sphere / radius ** 2 < config.tol) & (sphere < 1e-10 * radius ** 2 * 10)]
 
 
 class TestSliceSolve:
@@ -166,6 +206,53 @@ class TestSliceSolve:
         assert steps[others].tobytes() == batched.tobytes()
         assert steps[4].tobytes() == np.linalg.lstsq(J[4], F[4], rcond=None)[0].tobytes()
         assert _newton_steps(J[others], F[others]).tobytes() == batched.tobytes()
+
+    @pytest.mark.parametrize("text, center, radii, first_start, stops_early", [
+        ("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", (0, 0, 0), (10.0, 1280.0), None, False),
+        ("x + x^2*y + z^2", (1, 2, -1), (3.5, 80.0), None, False),
+        ("x + x^2*y + z^2 + w^2", (1, 2, -1, 1), (40.0,), None, False),
+        # pivot 0 gives (1 + 2xy) y - x^3 and z (1 + 2xy - 2x), whose second
+        # gradient vanishes at (1/2, 0, 0): a first start there, at radius 1/2
+        # along the x axis, has a singular Jacobian
+        ("x + x^2*y + z^2", (0, 0, 0), (0.5,), (1.0, 0.0, 0.0), False),
+        # every start converges, so the reference loop stops early
+        ("x^2 + y^2 - z^2 + x", (0, 0, 0), (10.0,), None, True),
+    ], ids=["criterion10", "flagship3", "four-variables", "singular-row", "all-converge"])
+    def test_newton_matches_the_halving_loop(self, monkeypatch, text, center, radii, first_start, stops_early):
+        sys = _system(parse(text, "xyzw"[:len(center)]), center)
+        if first_start is not None:
+            assert not sys.compiled.jacobians(0.5 * np.array([first_start]))[0, 1].any()
+            draw = np.random.default_rng
+
+            def default_rng(seed):
+                rng = draw(seed)
+
+                def standard_normal(shape):
+                    U = rng.standard_normal(shape)
+                    U[0] = first_start
+                    return U
+                return types.SimpleNamespace(standard_normal=standard_normal)
+            monkeypatch.setattr(np.random, "default_rng", default_rng)
+        iterates = []
+        evaluate = sys.compiled.values_and_jacobians
+        monkeypatch.setattr(sys.compiled, "values_and_jacobians", lambda X: iterates.append(1) or evaluate(X))
+        for seed in (0, 3):
+            for R in radii:
+                out = []
+                for solve in (tracer._slice_solve_newton, _halving_newton):
+                    rows, before = [], len(iterates)
+                    with monkeypatch.context() as m:
+                        m.setattr(tracer, "_slice_solve_newton", lambda *args: rows.append(solve(*args)) or rows[0])
+                        points = slice_solve(sys, R, TraceConfig(seed=seed))
+                    out.append((rows[0].tobytes(), np.array(points).tobytes()))
+                assert out[0] == out[1]
+                # the reference ran last; only its early break stops it short
+                assert (len(iterates) - before < tracer.NEWTON_ITERS) == stops_early
+
+    def test_center_text_shortens_long_entries(self):
+        center = (Fraction(1, 3), Fraction(10 ** 19), Fraction(10 ** 20), Fraction(-10 ** 400),
+                  Fraction(1, 10 ** 200), Fraction(-123456789 * 10 ** 300), Fraction(0))
+        assert _center_text(center) == "(1/3, 10000000000000000000, 1e+20, -1e+400, 1e-200, -1.23457e+308, 0)"
 
     def test_three_variables_best_effort(self):
         f = parse("x^2 + y^2 - z^2 + x", ["x", "y", "z"])
