@@ -157,13 +157,13 @@ def _config(cls, args, **fields):
         raise UserError(str(exc)) from exc
 
 
-def _resolve_centers(args, f: Polynomial, cfg: TraceConfig) -> List[Tuple[Fraction, ...]]:
-    """The --center centers, then --centers seeded draws (3 when neither is given)."""
+def _resolve_centers(args, f: Polynomial, cfg: TraceConfig) -> list:
+    """The --center coordinates, then the screened systems of --centers seeded draws (3 when neither is given)."""
     centers = [_parse_center(c, f.num_vars) for c in args.center or ()]
     if args.centers is not None and args.centers < 1:
         raise UserError("--centers needs a count of at least 1")
     count = args.centers if args.centers is not None else (0 if centers else 3)
-    return centers + [tracer.pick_generic_center(f, seed=cfg.seed + i) for i in range(count)]
+    return centers + [tracer._pick_generic_system(f, seed=cfg.seed + i) for i in range(count)]
 
 
 def _traces_csv(traces, id_offset: int = 0) -> List[List]:
@@ -261,8 +261,7 @@ def cmd_trace(args) -> int:
         raise UserError("trace requires at least 2 variables")
     f = _parse_poly(args.poly, var_names)
     cfg = _config(TraceConfig, args, **_parse_radii(args.radii))
-    center = _parse_center(args.center, f.num_vars) if args.center else \
-        tracer.pick_generic_center(f, seed=cfg.seed)
+    center = _parse_center(args.center, f.num_vars) if args.center else tracer._pick_generic_system(f, cfg.seed)
     try:
         traces = tracer.trace_branches(f, center, cfg)
     except tracer.DegenerateMilnorError as exc:
@@ -290,7 +289,7 @@ def cmd_trace(args) -> int:
                 }
                 for t in traces
             ],
-            "center": [str(c) for c in center],
+            "center": [str(c) for c in (center if args.center else center.center)],
             "config": cfg.to_dict(),
         }
         _emit_report(payload, args, var_names)

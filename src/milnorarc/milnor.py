@@ -14,7 +14,7 @@ minors m_ij, i < j.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -39,13 +39,15 @@ class MilnorSystem:
     """Defining equations of the Milnor set of f for a chosen center.
 
     `pivot` is the 0-based pivot variable index of the pivot chart, or the
-    string "minors" for the description by all 2x2 minors.
+    string "minors" for the description by all 2x2 minors.  For n = 2 the
+    tracer keeps the circle crossings it solves in `_crossings`, by radius.
     """
 
     f: Polynomial
     center: Tuple[Fraction, ...]
     pivot: Union[int, str]
     equations: Tuple[Polynomial, ...]
+    _crossings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_vars(self) -> int:

@@ -12,7 +12,8 @@ multiplicity (the crossings of the circle) are isolated exactly by Sturm
 sequences over Q and refined by exactly verified secant jumps to the
 Fractions exact sign bisection would return; tangencies (even multiplicity)
 are not reported.  The pivot chart's one equation is +-the one 2x2 minor, so
-n = 2 slices need no revalidation against the minors.
+n = 2 slices need no revalidation against the minors.  The center screen
+passes its MilnorSystem on, and a system keeps its crossings by radius.
 
 For n >= 3 a multistart damped Newton solver is used and results are
 explicitly best-effort (branches may be missed); its points are rechecked
@@ -27,12 +28,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import milnor
-from .milnor import DegenerateCenterError, MilnorSystem, milnor_equations, rabier_nu
+from .milnor import DegenerateCenterError, MilnorSystem, default_pivot, milnor_equations, rabier_nu
 from .poly import CompiledPolynomials, LaurentScalar, Polynomial, compose_laurent, real_roots
 
 STATUS_CONVERGENT = "convergent"
@@ -75,6 +76,8 @@ class TraceConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.starts < 1:
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
         try:
             largest = self.r0 * self.radius_factor ** (self.radius_count - 1)
         except OverflowError:
@@ -227,8 +230,9 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
         culprit = f"radius {radius:g}" if center_fits else f"center {_center_text(sys.center)}"
         raise ValueError(f"{culprit} is too large: the Milnor equations overflow floating point")
 
-    if n == 2:  # the chart's one equation is +-the one minor
-        points = _slice_solve_circle(sys, a, radius)
+    if n == 2:  # the chart's one equation is +-the one minor; its crossings are solved once per system
+        if (points := sys._crossings.get(radius)) is None:
+            points = sys._crossings[radius] = _slice_solve_circle(sys, a, radius)
     else:
         points = _slice_solve_newton(sys, a, radius, scales, config)
         if sys.pivot != milnor.PIVOT_MINORS:
@@ -345,15 +349,20 @@ def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def trace_branches(f: Polynomial, center: Sequence, config: Optional[TraceConfig] = None) -> List[BranchTrace]:
+def _system(f: Polynomial, center) -> MilnorSystem:
+    return center if isinstance(center, MilnorSystem) else milnor_equations([f], center, pivot=default_pivot(f))
+
+
+def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
+                   config: Optional[TraceConfig] = None) -> List[BranchTrace]:
     """Follow branches at infinity of the Milnor set across the spheres of
-    `config.radii()`.
+    `config.radii()`; `center` is its coordinates or a MilnorSystem of f.
 
     Points at consecutive radii are matched by escape direction, greedy
     globally nearest pair first; unmatched points open or close branches.
     """
     config = config or TraceConfig()
-    sys = milnor_equations([f], center, pivot=milnor.default_pivot(f))
+    sys = _system(f, center)
     branches: List[BranchTrace] = []
     open_branches: List[Tuple[BranchTrace, np.ndarray]] = []  # (trace, last direction)
 
@@ -364,8 +373,7 @@ def trace_branches(f: Polynomial, center: Sequence, config: Optional[TraceConfig
         dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
         samples = _make_samples(sys, points, R, bound)
 
-        matched_old = set()
-        matched_new = set()
+        matched_old, matched_new = set(), set()
         if open_branches and points:
             old_dirs = np.array([d_old for _, d_old in open_branches])
             # one column per new point keeps the temporaries at (k_old, n)
@@ -498,29 +506,27 @@ def estimate_limits(traces: List[BranchTrace], config: Optional[TraceConfig] = N
 
 
 def _bound_cap(f: Polynomial) -> int:
-    d = f.degree
-    if d == float("-inf") or d < 2:
-        return 0
-    return int(d) ** (f.num_vars - 1) - 1
+    return int(f.degree) ** (f.num_vars - 1) - 1 if f.degree >= 2 else 0
 
 
-def s_a_estimate(f: Polynomial, center: Sequence, config: Optional[TraceConfig] = None) -> AnalysisReport:
-    """Estimate the asymptotic nonregular values for one center."""
+def s_a_estimate(f: Polynomial, center: Union[Sequence, MilnorSystem],
+                 config: Optional[TraceConfig] = None) -> AnalysisReport:
+    """Estimate the asymptotic nonregular values for one center: coordinates or a MilnorSystem of f."""
     config = config or TraceConfig()
-    a = tuple(Fraction(c) for c in center)
+    sys = _system(f, center)
     base = dict(
-        center=a,
+        center=sys.center,
         certified=(f.num_vars == 2),
         bound_cap=_bound_cap(f),
         seed=config.seed,
         radii=config.radii(),
         config=config.to_dict(),
     )
-    if f.degree == float("-inf") or f.degree < 2:
+    if f.degree < 2:  # the zero polynomial's degree is -inf
         return AnalysisReport(status="trivial-degree",
                               note="degree < 2: no asymptotic nonregular values to estimate", **base)
     try:
-        traces = trace_branches(f, a, config)
+        traces = trace_branches(f, sys, config)
     except DegenerateMilnorError as exc:
         return AnalysisReport(status="degenerate", note=str(exc), **base)
     limit_values, divergent = estimate_limits(traces, config)
@@ -543,11 +549,10 @@ def s_a_estimate(f: Polynomial, center: Sequence, config: Optional[TraceConfig] 
 
 def s_infinity_estimate(
     f: Polynomial,
-    centers: Sequence[Sequence],
+    centers: Sequence[Union[Sequence, MilnorSystem]],
     config: Optional[TraceConfig] = None,
 ) -> SInfinityReport:
-    """Intersect per-center limit-value estimates across several centers."""
-    config = config or TraceConfig()
+    """Intersect per-center limit-value estimates across several centers, each as in s_a_estimate."""
     if len(centers) < 2:
         raise ValueError("need at least 2 centers")
     reports = [s_a_estimate(f, c, config) for c in centers]
@@ -579,11 +584,10 @@ def s_infinity_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _screen_center(f: Polynomial, a: Tuple[Fraction, ...]) -> Tuple[bool, str]:
+def _screen_center(sys: MilnorSystem) -> Tuple[bool, str]:
     """Heuristic genericity screen: sampled Milnor points at R = 10 and 40
     must have a rank n-1 Jacobian of the pivot-chart equations.  Not a
     certificate."""
-    sys = milnor_equations([f], a, pivot=milnor.default_pivot(f))
     if sys.has_zero_equation():
         return False, "identically zero pivot-chart equation"
     cfg = TraceConfig(seed=0, starts=64)
@@ -592,7 +596,7 @@ def _screen_center(f: Polynomial, a: Tuple[Fraction, ...]) -> Tuple[bool, str]:
             points = slice_solve(sys, R, cfg)
         except ValueError as exc:  # overflow or a singular solve fails the screen
             return False, f"slice solve failed at R={R}: {exc}"
-        X = np.reshape(points[:16], (-1, f.num_vars))
+        X = np.reshape(points[:16], (-1, sys.num_vars))
         gnorms = np.linalg.norm(sys.compiled_f.jacobians(X)[:, 0, :], axis=1)
         for gnorm, Jm in zip(gnorms, sys.compiled.jacobians(X)):
             if gnorm < 1e-9 * (1.0 + R):
@@ -609,17 +613,21 @@ def pick_generic_center(f: Polynomial, seed: int) -> Tuple[Fraction, ...]:
     Deterministic in `seed`.  Entries have numerator in [-100, 100] and
     denominator in [1, 100].  Raises DegenerateCenterError if all
     CENTER_ATTEMPTS draws fail; the caller may then supply a center manually.
+    It returns coordinates only; the CLI passes the screened MilnorSystem on.
     """
-    if f.num_vars < 2:
-        raise ValueError("need at least two variables")
+    return _pick_generic_system(f, seed).center
+
+
+def _pick_generic_system(f: Polynomial, seed: int) -> MilnorSystem:
+    """pick_generic_center's screened system, with the circles the screen solved."""
     rng = random.Random(seed)
     diagnostics = []
     for attempt in range(CENTER_ATTEMPTS):
-        a = tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(f.num_vars))
-        ok, reason = _screen_center(f, a)
+        sys = _system(f, tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(f.num_vars)))
+        ok, reason = _screen_center(sys)
         if ok:
-            return a
-        diagnostics.append(f"attempt {attempt}: a={tuple(str(c) for c in a)}: {reason}")
+            return sys
+        diagnostics.append(f"attempt {attempt}: a={tuple(str(c) for c in sys.center)}: {reason}")
     raise DegenerateCenterError(
         f"no generic center found in {CENTER_ATTEMPTS} attempts (seed {seed})", diagnostics
     )

@@ -134,12 +134,15 @@ class TestAnalyzeGolden:
     here.  The flagship over three generic centers (center screening plus
     intersection) and the tangent example at (0, 1) take the exact n = 2
     circle slicer, so any change to the Fractions `real_roots` returns shows.
+    `x + x^2*y + z^2` over two seeded centers takes the n >= 3 screen and
+    the Newton trace on the one screened system of each center.
     """
 
     EXAMPLES = {
         "criterion10": ("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", "--vars", "x,y,z", "--center", "0,0,0"),
         "flagship3": ("x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1"),
         "flagship-centers3": ("x + x^2*y", "--vars", "x,y", "--centers", "3", "--seed", "0"),
+        "flagship3-centers2": ("x + x^2*y + z^2", "--vars", "x,y,z", "--centers", "2", "--seed", "0"),
         "tangent": ("y*(x^2*y^2 + 3*x*y + 3)", "--vars", "x,y", "--center", "0,1"),
     }
 
@@ -153,10 +156,12 @@ class TestAnalyzeGolden:
 class TestTraceGolden:
     """`trace` JSON pinned byte for byte: the per-sample points, f values,
     Malgrange values and scaled residuals of the n = 2 circle slicer (the
-    flagship) and of the n >= 3 Newton slicer."""
+    flagship, at the origin and at a seeded center that reuses the screen's
+    circles) and of the n >= 3 Newton slicer."""
 
     EXAMPLES = {
         "flagship": ("x + x^2*y", "--vars", "x,y", "--center", "0,0"),
+        "flagship-seed0": ("x + x^2*y", "--vars", "x,y", "--seed", "0"),
         "flagship3": ("x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1"),
     }
 
@@ -165,6 +170,27 @@ class TestTraceGolden:
         code, out, _ = run_cli(capsys, "trace", *self.EXAMPLES[name], "--format", "json")
         assert code == 0
         assert out == (GOLDEN / f"trace-{name}.json").read_text(encoding="utf-8")
+
+
+class TestCircleSolvesPerCenter:
+    """A seeded center's Milnor system is built once per call: the screen
+    solves the circles at R = 10 and 40, and the trace of the same system
+    solves only the six other radii of the default schedule."""
+
+    @pytest.mark.parametrize("argv, solves", [
+        (("analyze", "x + x^2*y", "--vars", "x,y", "--centers", "3", "--seed", "0"), 3 * 8),
+        (("trace", "x + x^2*y", "--vars", "x,y", "--seed", "0"), 8),
+    ], ids=["analyze", "trace"])
+    def test_screened_circles_are_not_solved_again(self, capsys, monkeypatch, argv, solves):
+        import milnorarc.tracer as m
+
+        calls = []
+        solve = m._slice_solve_circle
+        monkeypatch.setattr(m, "_slice_solve_circle", lambda *args: calls.append(args[2]) or solve(*args))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == solves
+        assert calls.count(10.0) == calls.count(40.0) == solves // 8
 
 
 class TestArcCheck:

@@ -235,7 +235,7 @@ class TestCenters:
     def test_degenerate_reports_diagnostics(self, monkeypatch):
         import milnorarc.tracer as m
 
-        monkeypatch.setattr(m, "_screen_center", lambda f, a: (False, "forced failure"))
+        monkeypatch.setattr(m, "_screen_center", lambda sys: (False, "forced failure"))
         f = parse("x + x^2*y", VARS2)
         with pytest.raises(DegenerateCenterError) as info:
             pick_generic_center(f, seed=0)

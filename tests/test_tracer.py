@@ -319,6 +319,12 @@ class TestTraceBranches:
         with pytest.raises(ValueError):
             TraceConfig(radius_factor=0.5)
 
+    @pytest.mark.parametrize("starts", [0, -2])
+    def test_requires_a_start(self, starts):
+        # fewer than one Newton start would fail inside numpy for n >= 3
+        with pytest.raises(ValueError, match="starts"):
+            TraceConfig(starts=starts)
+
     def test_degenerate_center(self):
         with pytest.raises(DegenerateMilnorError):
             trace_branches(parse("x^2 + y^2", VARS2), (0, 0), TraceConfig())
