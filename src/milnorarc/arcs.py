@@ -25,12 +25,16 @@ composes float Laurent arcs: each residual and Jacobian entry is a Laurent
 coefficient of a polynomial of degree <= d composed with the current arc, so
 the system is never expanded in the unknowns.  `emit_constraints` is that
 expansion, exact over Q, by `compose_laurent` on an arc whose coefficients are
-the unknowns; it is the tests' oracle for the search's rows.
+the unknowns; it is the tests' oracle for the search's rows.  The starts are
+solved on the cores the process may run on (`_cores.map_on_cores`), then
+filtered and deduplicated in start order, so the candidates do not depend on
+the core count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -39,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import _cores
 from .poly import LaurentScalar, Polynomial, RationalArc, compose_arc, compose_laurent
 
 
@@ -529,8 +534,8 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
 
     candidates: List[ArcCandidate] = []
     kept_points: List[np.ndarray] = []
-    for si in range(config.starts):
-        u, r = _levenberg_marquardt(system, starts[si])
+    solved = _cores.map_on_cores(functools.partial(_levenberg_marquardt, system), starts)
+    for si, (u, r) in enumerate(solved):
         residual = float(np.sum(r ** 2))
         if residual >= config.tol:
             continue

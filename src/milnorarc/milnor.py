@@ -14,6 +14,7 @@ minors m_ij, i < j.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -141,14 +142,18 @@ def rabier_nu(J) -> float:
     """Rabier's nu(Df) for one polynomial: the Euclidean norm of grad f.
 
     `J` is the Jacobian of f, a single gradient row (shape (n,) or (1, n)).
-    Raises ValueError for any other row count or a non-finite entry.
+    Raises ValueError for any other row count or a non-finite entry.  The
+    norm is inf only when it exceeds the float range, not when its squares do.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.ndim != 2 or J.shape[0] != 1:
         raise ValueError(f"need a single gradient row, got shape {J.shape}")
     if not np.all(np.isfinite(J)):
         raise ValueError("non-finite entries in Jacobian")
-    return float(np.linalg.norm(J[0]))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(J[0]))
+    # the plain norm squares the entries, past about 1e154 to inf
+    return norm if math.isfinite(norm) else math.hypot(*J[0])
 
 
 def malgrange_quantity(source: Sequence[Polynomial], x: Sequence[float]) -> float:

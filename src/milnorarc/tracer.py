@@ -19,11 +19,15 @@ For n >= 3 a multistart damped Newton solver is used and results are
 explicitly best-effort (branches may be missed); its points are rechecked
 against all the minors where the pivot partial nearly vanishes.  Its rows
 back-track their steps in one batch and leave it at a bitwise fixed point.
+`trace_branches` solves the slices of all radii first, on the cores the
+process may run on (`_cores.map_on_cores`, the same bits as one at a time),
+and then matches them; n = 2 circles stay serial.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -32,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import milnor
+from . import _cores, milnor
 from .milnor import DegenerateCenterError, MilnorSystem, default_pivot, milnor_equations, rabier_nu
 from .poly import CompiledPolynomials, LaurentScalar, Polynomial, compose_laurent, real_roots
 
@@ -187,17 +191,18 @@ def _scaled_values(compiled: CompiledPolynomials, X: np.ndarray, bound: float) -
     return np.abs(compiled.values(X)) / compiled.scales(bound)
 
 
-def _center_and_bound(sys: MilnorSystem, radius: float) -> Tuple[np.ndarray, float]:
-    """The center a as floats and the scale bound ||a|| + radius + 1; ValueError past the float range."""
+def _float_center(sys: MilnorSystem) -> Tuple[np.ndarray, float]:
+    """The center a as floats and ||a||, whose scale bound at radius R is
+    ||a|| + R + 1; ValueError past the float range."""
     try:
         a = np.array([float(c) for c in sys.center])
         with np.errstate(over="ignore"):
-            bound = float(np.linalg.norm(a)) + radius + 1.0
+            norm = float(np.linalg.norm(a))
     except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
+        norm = math.inf
+    if not math.isfinite(norm):
         raise ValueError(f"center {_center_text(sys.center)} is too large for floating point")
-    return a, bound
+    return a, norm
 
 
 def _center_text(center: Sequence[Fraction]) -> str:
@@ -223,10 +228,11 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     if sys.has_zero_equation():
         raise DegenerateMilnorError("Milnor system has an identically zero equation; the center is degenerate")
     n = sys.num_vars
-    a, bound = _center_and_bound(sys, radius)
+    a, norm = _float_center(sys)
+    bound = norm + radius + 1.0
     scales = sys.compiled.scales(bound)
     if not np.all(np.isfinite(scales)):
-        center_fits = np.isfinite(sys.compiled.scales(float(np.linalg.norm(a)) + 1.0)).all()  # at radius 0
+        center_fits = np.isfinite(sys.compiled.scales(norm + 1.0)).all()  # at radius 0
         culprit = f"radius {radius:g}" if center_fits else f"center {_center_text(sys.center)}"
         raise ValueError(f"{culprit} is too large: the Milnor equations overflow floating point")
 
@@ -363,15 +369,22 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     """
     config = config or TraceConfig()
     sys = _system(f, center)
+    radii = config.radii()
+    if sys.num_vars == 2:  # a circle costs less than a fork, and the system keeps it for the screen
+        slices = [slice_solve(sys, R, config) for R in radii]
+    else:
+        sys.compiled, sys.compiled_f  # compiled once, before the workers fork
+        if sys.pivot != milnor.PIVOT_MINORS:
+            sys.compiled_revalidation
+        slices = _cores.map_on_cores(functools.partial(slice_solve, sys, config=config), radii)
+    a, norm = _float_center(sys)
     branches: List[BranchTrace] = []
     open_branches: List[Tuple[BranchTrace, np.ndarray]] = []  # (trace, last direction)
 
-    for R in config.radii():
-        points = slice_solve(sys, R, config)
-        a, bound = _center_and_bound(sys, R)
+    for R, points in zip(radii, slices):
         offsets = np.reshape(points, (-1, a.size)) - a
         dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-        samples = _make_samples(sys, points, R, bound)
+        samples = _make_samples(sys, points, R, norm + R + 1.0)
 
         matched_old, matched_new = set(), set()
         if open_branches and points:
@@ -613,17 +626,24 @@ def pick_generic_center(f: Polynomial, seed: int) -> Tuple[Fraction, ...]:
     Deterministic in `seed`.  Entries have numerator in [-100, 100] and
     denominator in [1, 100].  Raises DegenerateCenterError if all
     CENTER_ATTEMPTS draws fail; the caller may then supply a center manually.
+    For degree < 2 the first draw is returned unscreened.
     It returns coordinates only; the CLI passes the screened MilnorSystem on.
     """
     return _pick_generic_system(f, seed).center
 
 
 def _pick_generic_system(f: Polynomial, seed: int) -> MilnorSystem:
-    """pick_generic_center's screened system, with the circles the screen solved."""
+    """pick_generic_center's screened system, with the circles the screen solved.
+
+    For degree < 2 it is the first draw, unscreened: every report of such an
+    f is trivial-degree, and nothing reads the screen's slices.
+    """
     rng = random.Random(seed)
     diagnostics = []
     for attempt in range(CENTER_ATTEMPTS):
         sys = _system(f, tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(f.num_vars)))
+        if f.degree < 2:
+            return sys
         ok, reason = _screen_center(sys)
         if ok:
             return sys

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output formats, determinism, exit codes."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,10 +295,24 @@ class TestAnalyze:
         assert code == 2
 
     def test_trivial_degree_is_exit_0(self, capsys):
-        # a finished analysis; exit code 2 is kept for "every center was degenerate"
-        code, out, err = run_cli(capsys, "analyze", "x", "--vars", "x,y", "--center", "0,0")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["status"] == "trivial-degree"
+        # a finished analysis; exit code 2 is kept for "every center was degenerate".
+        # Seeded centers of a constant are not screened: every draw would fail
+        for argv in (("x", "--vars", "x,y", "--center", "0,0"),
+                     ("3", "--vars", "x,y", "--centers", "2", "--seed", "0")):
+            code, out, err = run_cli(capsys, "analyze", *argv)
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            assert all(r["status"] == "trivial-degree" for r in payload.get("per_center", [payload]))
+
+    def test_seeded_centers_of_a_linear_map_solve_no_circle(self, capsys, monkeypatch):
+        import milnorarc.tracer as m
+
+        calls = []
+        solve = m._slice_solve_circle
+        monkeypatch.setattr(m, "_slice_solve_circle", lambda *args: calls.append(args[2]) or solve(*args))
+        code, out, _ = run_cli(capsys, "analyze", "x + y", "--vars", "x,y", "--centers", "2", "--seed", "0")
+        assert code == 0 and calls == []
+        assert [r["status"] for r in json.loads(out)["per_center"]] == ["trivial-degree"] * 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("exponent", [400, 200])
@@ -392,6 +407,17 @@ class TestAnalyze:
 
 
 class TestTraceCommand:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_gradients_give_finite_malgrange_values(self, capsys):
+        # |grad f| reaches 1e180 at R = 1e90; its square is past the float range
+        code, out, err = run_cli(capsys, "trace", "x + x^2*y", "--vars", "x,y", "--center", "1,2",
+                                 "--radii", "1e60:1e10:4")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 24
+        malgrange = [float(row.split(",")[5]) for row in rows]
+        assert all(math.isfinite(v) for v in malgrange) and max(malgrange) > 1e269
+
     def test_degenerate_center_is_one_error_line(self, capsys):
         code, out, err = run_cli(capsys, "trace", "x^2 + y^2", "--vars", "x,y", "--center", "0,0")
         assert (code, out) == (2, "")

@@ -1,4 +1,4 @@
-"""Module layering (poly -> milnor -> tracer, arcs -> poly), no scipy, and source syntax."""
+"""Module layering (poly -> milnor -> tracer, arcs -> poly, the leaf _cores under both), no scipy, and source syntax."""
 
 import ast
 from pathlib import Path
@@ -51,8 +51,9 @@ def external_imports(module: str) -> set:
 @pytest.mark.parametrize("module, allowed", [
     ("poly", set()),
     ("milnor", {"poly"}),
-    ("arcs", {"poly"}),
-    ("tracer", {"poly", "milnor"}),
+    ("arcs", {"poly", "_cores"}),
+    ("tracer", {"poly", "milnor", "_cores"}),
+    ("_cores", set()),
 ])
 def test_module_imports_only_lower_layers(module, allowed):
     assert sibling_imports(module) <= allowed

@@ -186,6 +186,12 @@ class TestRabier:
             c = float(rng.uniform(0.1, 5.0))
             assert rabier_nu(c * J) == pytest.approx(abs(c) * rabier_nu(J), rel=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_squares_past_the_float_range(self):
+        # the entries are finite, their squares are not
+        assert rabier_nu([1e200, 1e200]) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert rabier_nu([[1e300, -1e300]]) == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+
     def test_rejects_two_rows(self):
         with pytest.raises(ValueError):
             rabier_nu([[1.0, 0.0], [2.0, 0.0]])
