@@ -15,20 +15,21 @@ an irrational scale, so the membership check works on the un-normalized arc
 float.
 
 `_conditions` is the one list of the polynomials P = f, df/dx_i and
-x_j * df/dx_i with the lowest forbidden power of t of each.  The exact check
-(`check_membership`), the symbolic system (`emit_constraints`) and the
-numerical search all read it.
+x_j * df/dx_i with the lowest forbidden power of t of each; the numerical
+search reads it, and the exact check (`check_membership`) and the symbolic
+system (`emit_constraints`) compose it with an arc by `_composed_conditions`,
+one power table for all of it.
 
 The numerical search (`search_arcs`) solves the same conditions plus the
 sphere by a numpy Levenberg-Marquardt loop over the arc coefficients.  It
 composes float Laurent arcs: each residual and Jacobian entry is a Laurent
 coefficient of a polynomial of degree <= d composed with the current arc, so
 the system is never expanded in the unknowns.  `emit_constraints` is that
-expansion, exact over Q, by `compose_laurent` on an arc whose coefficients are
-the unknowns; it is the tests' oracle for the search's rows.  The starts are
-solved on the cores the process may run on (`_cores.map_on_cores`), then
-filtered and deduplicated in start order, so the candidates do not depend on
-the core count.
+expansion, exact over Q, by `_composed_conditions` on an arc whose
+coefficients are the unknowns; it is the tests' oracle for the search's
+rows.  The starts are solved on the cores the process may run on
+(`_cores.map_on_cores`), then filtered and deduplicated in start order, so
+the candidates do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ import dataclasses
 import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _cores
-from .poly import LaurentScalar, Polynomial, RationalArc, compose_arc, compose_laurent
+from .poly import ClearedComponents, LaurentScalar, Polynomial, RationalArc, divided
 
 
 class WindowViolationError(ValueError):
@@ -84,20 +86,31 @@ def _window_of(f: Polynomial) -> ArcWindow:
     return arc_window(f.num_vars, int(d))
 
 
-def _conditions(f: Polynomial) -> List[Tuple[str, Polynomial, int]]:
-    """Conditions (b)-(d) as (label, P, lowest forbidden power of t).
-
-    P(xi) may have no power of t at or above the lowest: for (b) P = f and
-    the lowest is 1, then for each i (c) P = df/dx_i and (d) P = x_j * df/dx_i
-    for each j, with lowest 0.  A label's first letter names its condition.
-    """
+def _conditions(f: Polynomial) -> List[Tuple[str, Polynomial, Optional[int], int]]:
+    """Conditions (b)-(d) as (label, g, j, lowest forbidden power of t): P(xi)
+    may have no power of t at or above the lowest, for P = g, or x_j * g when j
+    is given.  (b) is P = f with lowest 1, then for each i (c) P = df/dx_i and
+    (d) P = x_j * df/dx_i for each j, with lowest 0.  A label's first letter
+    names its condition."""
     n = f.num_vars
-    conditions = [("b:", f, 1)]
+    conditions = [("b:", f, None, 1)]
     for i in range(n):
         g = f.partial(i)
-        conditions.append((f"c:{i + 1}:", g, 0))
-        conditions.extend((f"d:{i + 1},{j + 1}:", Polynomial.variable(n, j) * g, 0) for j in range(n))
+        conditions.append((f"c:{i + 1}:", g, None, 0))
+        conditions.extend((f"d:{i + 1},{j + 1}:", g, j, 0) for j in range(n))
     return conditions
+
+
+def _composed_conditions(f: Polynomial, components: Sequence[LaurentScalar]) -> Iterator[Tuple[str, dict, int]]:
+    """(label, the coefficients of P(xi) at t^0 and above, lowest) for each of
+    `_conditions` (every lowest is 0 or 1; t^0 of f(xi) is b0).  f and the
+    partials read one power table (`ClearedComponents`), and each x_j * g(xi)
+    is one product of xi_j's cleared series with the sums of g(xi)."""
+    arc = ClearedComponents(components)
+    for label, g, j, lowest in _conditions(f):
+        if j is None:   # f, or df/dx_i just before its products
+            S, divisor = arc.sums(g)
+        yield label, divided(S, divisor, 0) if j is None else divided(S * arc.series[j], divisor * arc.D, 0), lowest
 
 
 def dims(n: int, d: int) -> Tuple[int, int]:
@@ -157,11 +170,6 @@ def _float_or_none(x: Fraction) -> Optional[float]:
         return None
 
 
-def _sphere_sums(xi: RationalArc) -> Dict[int, Fraction]:
-    """|a_k|^2 for each positive exponent k of the arc."""
-    return {k: sum(v * v for v in vec) for k, vec in xi.coeffs.items() if k > 0}
-
-
 _INF_BITS = 0x7FF0000000000000   # the bit pattern of float inf
 
 
@@ -174,13 +182,28 @@ def _value_of(bits: int) -> Fraction:
     return Fraction(2 ** 1024) if bits == _INF_BITS else Fraction(_float_of(bits))
 
 
+def _float_seed(sums: Dict[int, Fraction]) -> int:
+    """The bit pattern of a float estimate of lam, or 0 when a sum is not a normal
+    float: Newton's method on the convex, increasing sum_k sums[k] x^k = 1 falls
+    to x = lam^2 from the least (1 / sums[k])^(1/k), with no term past 1."""
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in sums.values()):
+        return 0
+    s = [(k, float(v)) for k, v in sums.items()]
+    x = min((1 / v) ** (1 / k) for k, v in s)
+    while (y := x - (sum(v * x ** k for k, v in s) - 1) / sum(k * v * x ** (k - 1) for k, v in s)) < x:
+        x = y
+    return struct.unpack("<q", struct.pack("<d", math.sqrt(x)))[0]
+
+
 def _lambda_estimate(sums: Dict[int, Fraction]) -> Optional[float]:
     """The float nearest the scale lam > 0 with sum_k sums[k] lam^(2k) = 1.
 
     None if there are no sums (the arc does not escape), or if lam rounds to
     0 or overflows.  The sum grows with lam, and the bit patterns of the
     nonnegative floats are ordered like the floats, so bisecting on the
-    patterns brackets lam between two adjacent floats.  Every comparison of
+    patterns brackets lam between two adjacent floats.  The bracket grows from
+    a float seed (`_float_seed`) by galloping until the exact checks hold, a
+    few checks; without a seed it is the whole range.  Every comparison of
     the sum with 1 is exact, in integers, so nothing overflows.
     """
     if not sums:
@@ -192,6 +215,12 @@ def _lambda_estimate(sums: Dict[int, Fraction]) -> Optional[float]:
         return sum(C * lam.numerator ** (2 * e) for (e,), C in terms) < divisor
 
     lo, hi = 0, _INF_BITS   # lam lies in (_value_of(lo), _value_of(hi)]
+    if seed := _float_seed(sums):   # gallop from the seed toward lam until the far end holds
+        up, edge, step = below(_value_of(seed)), seed, 1
+        sign = 1 if up else -1
+        while 0 < edge + sign * step < _INF_BITS and below(_value_of(edge + sign * step)) == up:
+            edge, step = edge + sign * step, 2 * step
+        lo, hi = sorted((edge, min(max(edge + sign * step, 0), _INF_BITS)))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if below(_value_of(mid)):
@@ -213,13 +242,12 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
                 raise WindowViolationError(k, window)
 
     witnesses: Dict[str, List[Tuple[int, Fraction]]] = {"b": [], "c": [], "d": []}
-    for label, P, lowest in _conditions(f):
-        L = compose_arc(P, xi)
-        witnesses[label[0]].extend((k, c) for k, c in L.terms.items() if k >= lowest)
+    for label, terms, lowest in _composed_conditions(f, xi.components()):
+        witnesses[label[0]].extend((k, c) for k, c in terms.items() if k >= lowest)
         if label == "b:":
-            b0 = L.coefficient(0)
+            b0 = terms.get(0, Fraction(0))
 
-    sums = _sphere_sums(xi)
+    sums = {k: sum(v * v for v in vec) for k, vec in xi.coeffs.items() if k > 0}   # |a_k|^2, k > 0
     return ArcMembershipReport(
         normalized=(sum(sums.values()) == 1),
         escapes=xi.escapes_to_infinity(),
@@ -294,11 +322,10 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
     zero = Polynomial.zero(N)  # adding it lifts a Fraction coefficient into the unknowns' ring
 
     equations: List[Tuple[str, Polynomial]] = []
-    for label, P, lowest in _conditions(f):
-        L = compose_laurent(P, comps)
-        equations.extend((f"{label}t^{m}", zero + L.terms[m]) for m in L.support() if m >= lowest)
+    for label, terms, lowest in _composed_conditions(f, comps):
+        equations.extend((f"{label}t^{m}", zero + c) for m, c in terms.items() if m >= lowest)
         if label == "b:":
-            b0 = zero + L.coefficient(0)
+            b0 = zero + terms.get(0, Fraction(0))
 
     sphere = Polynomial.constant(N, -1)
     for idx in range((1 - window.k_min) * n, N):
@@ -413,7 +440,8 @@ class _LaurentSystem:
 
         self.labels: List[str] = []
         rows, partials = [], []
-        for label, P, lowest in _conditions(f):
+        for label, g, j, lowest in _conditions(f):
+            P = g if j is None else Polynomial.variable(n, j) * g
             if P.is_zero():
                 continue
             p = register(P)

@@ -7,7 +7,7 @@ module is exact, apart from the float lowering `CompiledPolynomials`.
 `LaurentScalar` is the one Laurent polynomial in t.  Its coefficients are
 Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
 whose coefficients are unknowns); `compose_laurent` substitutes Laurent
-components into a polynomial.
+components into a polynomial, and `ClearedComponents` into several, on one power table.
 
 Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` and
 `compose_laurent` with Fraction coefficients clear the common denominators
@@ -661,44 +661,52 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
-def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
-    """f(components) as a LaurentScalar, summed over common denominators.
+class ClearedComponents:
+    """Laurent components over their common denominator D (1 over Polynomials,
+    the generic arc), whose powers are built by convolution on first use and
+    kept, so every polynomial composed with them reads one power table."""
 
-    With D the common denominator of the component coefficients, or 1 when
-    they are Polynomials (the generic arc), each D * xi_k is a coefficient
-    list from its lowest exponent on.  Its powers are built once by
-    convolution, the cleared terms of f (`Polynomial.cleared`) are summed
-    coefficient by coefficient, and each sum is divided once.  Over
-    Fractions every product is an integer product, as in
-    `Polynomial.evaluate`.
-    """
+    def __init__(self, components: Sequence[LaurentScalar]):
+        rational = all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values())
+        self.D = D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values())) if rational else 1
+        self._lows = [min(xi.terms, default=0) for xi in components]
+        self._powers = [[[1], [c.numerator * (D // c.denominator) if rational else c for c in
+                               [xi.terms.get(m, 0) for m in range(low, max(xi.terms, default=0) + 1)]]]
+                        for xi, low in zip(components, self._lows)]
+
+    @cached_property
+    def series(self) -> List[LaurentScalar]:
+        """D * xi_k for each component k."""
+        return [LaurentScalar(dict(enumerate(table[1], low))) for table, low in zip(self._powers, self._lows)]
+
+    def sums(self, f: Polynomial) -> Tuple[LaurentScalar, int]:
+        """(S, divisor) with f(components) = S / divisor, from `Polynomial.cleared`."""
+        terms, divisor = f.cleared(self.D)
+        sums: Dict[int, object] = {}
+        for exp, C in terms:
+            product = [C]
+            for table, e in zip(self._powers, exp):
+                while len(table) <= e:
+                    table.append(_convolve(table[-1], table[1]))
+                product = _convolve(product, table[e]) if e else product
+            for m, v in enumerate(product, sum(lo * e for lo, e in zip(self._lows, exp))):
+                sums[m] = sums.get(m, 0) + v
+        return LaurentScalar(sums), divisor
+
+
+def divided(S: LaurentScalar, divisor: int, lowest: float = -math.inf) -> dict:
+    """The coefficients of S / divisor at the powers >= lowest, in increasing order."""
+    scale = Fraction(1, divisor)
+    return {m: S.terms[m] * scale for m in sorted(S.terms) if m >= lowest}
+
+
+def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
+    """f(components) as a LaurentScalar: the sums of `ClearedComponents`,
+    each divided once.  Over Fractions every product is an integer product,
+    as in `Polynomial.evaluate`."""
     if len(components) != f.num_vars:
         raise ValueError("wrong number of substitution values")
-    rational = all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values())
-    D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values())) if rational else 1
-    lows, powers = [], []
-    for k, xi in enumerate(components):
-        low = min(xi.terms, default=0)
-        P = [0] * (max(xi.terms, default=0) - low + 1)
-        for e, c in xi.terms.items():
-            P[e - low] = c.numerator * (D // c.denominator) if rational else c
-        table = [[1]]
-        for _ in range(max((exp[k] for exp in f.terms), default=0)):
-            table.append(_convolve(table[-1], P))
-        lows.append(low)
-        powers.append(table)
-    terms, divisor = f.cleared(D)
-    sums: Dict[int, object] = {}
-    for exp, C in terms:
-        product = [C]
-        for table, e in zip(powers, exp):
-            if e:
-                product = _convolve(product, table[e])
-        low = sum(lo * e for lo, e in zip(lows, exp))
-        for m, v in enumerate(product, low):
-            sums[m] = sums.get(m, 0) + v
-    scale = Fraction(1, divisor)
-    return LaurentScalar({m: sums[m] * scale for m in sorted(sums) if sums[m]})
+    return LaurentScalar(divided(*ClearedComponents(components).sums(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,7 @@ def _slice_solve_circle(sys: MilnorSystem, a: np.ndarray, radius: float) -> List
     return [a + radius * np.array([math.cos(t), math.sin(t)]) for t in sorted(thetas)]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # iterates far off the sphere may overflow
 def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales: np.ndarray,
                         config: TraceConfig) -> np.ndarray:
     n = a.shape[0]
@@ -473,7 +474,10 @@ def _classify(trace: BranchTrace, final_radius: float, factor: float):
     A = np.stack([np.ones_like(hr), hr ** (-alpha)], axis=1)
     coef, *_ = np.linalg.lstsq(A, hf, rcond=None)
     t0 = float(coef[0])
-    rms = float(np.sqrt(np.mean((A @ coef - hf) ** 2)))
+    residuals, top = A @ coef - hf, float(np.max(np.abs(hf)))
+    with np.errstate(over="ignore"):   # the squares may pass the float range, the rms not
+        rms = float(np.sqrt(np.mean(residuals ** 2)))
+    rms = rms if math.isfinite(rms) else top * float(np.sqrt(np.mean((residuals / top) ** 2)))
 
     if alpha > ALPHA_MIN and abs(hf[-1] - t0) < CONV_TOL:
         trace.status = STATUS_CONVERGENT

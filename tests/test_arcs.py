@@ -2,6 +2,7 @@
 
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from milnorarc import (
     ArcSearchConfig,
@@ -26,8 +27,8 @@ from milnorarc import (
     search_arcs,
     truncate,
 )
-from milnorarc.arcs import _LaurentSystem, unknown_name
-from milnorarc.poly import CompiledPolynomials
+from milnorarc.arcs import _LaurentSystem, _composed_conditions, _conditions, _lambda_estimate, unknown_name
+from milnorarc.poly import CompiledPolynomials, LaurentScalar, compose_laurent
 from milnorarc.tracer import CLUSTER_TOL
 
 VARS2 = ["x", "y"]
@@ -206,6 +207,109 @@ class TestTruncate:
     def test_idempotent(self):
         window = arc_window(2, 3)
         assert truncate(truncate(WITNESS, window), window).coeffs == WITNESS.coeffs
+
+
+# ---------------------------------------------------------------------------
+# The composed conditions and the scale
+# ---------------------------------------------------------------------------
+
+
+COEFFICIENTS = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12))
+UNKNOWNS = [Polynomial.variable(4, i) for i in range(4)]
+
+
+@st.composite
+def maps_and_arcs(draw):
+    """f of degree <= 3 in 2 or 3 variables, and components over ints or
+    Fractions at t^-6..t^3, empty ones included."""
+    n = draw(st.sampled_from([2, 3]))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    f = Polynomial(n, draw(st.dictionaries(exponents, COEFFICIENTS, max_size=5)))
+    comps = [LaurentScalar(draw(st.dictionaries(st.integers(-6, 3), COEFFICIENTS, max_size=4))) for _ in range(n)]
+    return f, comps
+
+
+class TestComposedConditions:
+    @given(maps_and_arcs())
+    @example((parse("x + y^3", VARS2),   # df/dx is the constant 1
+              [LaurentScalar({-2: Fraction(1, 3), 1: 2}), LaurentScalar({1: -1})]))
+    @example((parse("x^2 + 1/2*x*z", VARS3),   # df/dy is zero, and y is empty
+              [LaurentScalar({-1: 3, 2: Fraction(-1, 4)}), LaurentScalar(), LaurentScalar({-3: 1, 1: 1})]))
+    @example((parse("1/2*x + 2/3*x^2*y - y^3", VARS2),   # a small generic arc
+              [LaurentScalar({-1: UNKNOWNS[0], 1: UNKNOWNS[1]}), LaurentScalar({-1: UNKNOWNS[2], 1: UNKNOWNS[3]})]))
+    @settings(max_examples=120, deadline=None)
+    def test_each_condition_is_its_own_composition(self, case):
+        # one power table and the x_j * df/dx_i products by convolution give
+        # each condition's coefficients at t^0 and above, in increasing order
+        f, comps = case
+        composed = list(_composed_conditions(f, comps))
+        assert len(composed) == len(_conditions(f)) == 1 + f.num_vars * (1 + f.num_vars)
+        for (label, terms, lowest), (label_p, g, j, lowest_p) in zip(composed, _conditions(f)):
+            P = g if j is None else Polynomial.variable(f.num_vars, j) * g
+            expected = {m: c for m, c in sorted(compose_laurent(P, comps).terms.items()) if m >= 0}
+            assert (label, lowest) == (label_p, lowest_p)
+            assert list(terms.items()) == list(expected.items())
+
+
+_INF = 0x7FF0000000000000
+
+
+def _bisected_lambda(sums):
+    """The float nearest lam with sum_k sums[k] lam^(2k) = 1, by 64 exact
+    bisection steps over the bit patterns of the floats in [0, inf]."""
+    def value(bits):
+        return Fraction(2 ** 1024) if bits == _INF else Fraction(struct.unpack("<d", struct.pack("<q", bits))[0])
+
+    def below(lam):
+        return sum(s * lam ** (2 * k) for k, s in sums.items()) < 1
+
+    lo, hi = 0, _INF
+    for _ in range(64):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if below(value(mid)) else (lo, mid)
+    nearest = hi if below((value(lo) + value(hi)) / 2) else lo
+    return None if nearest in (0, _INF) else float(value(nearest))
+
+
+def _scaled_sums():
+    """Positive sums at 1 to 4 exponents k <= 27, from 10^-400 to 10^400."""
+    scaled = st.builds(lambda a, b, e: Fraction(a, b) * Fraction(10) ** e,
+                       st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.integers(-400, 400))
+    return st.dictionaries(st.integers(1, 27), scaled, min_size=1, max_size=4)
+
+
+class TestLambdaEstimate:
+    @given(_scaled_sums())
+    @example({1: Fraction(4)})                      # lam = 1/2
+    @example({3: Fraction(1, 2)})                   # lam = 2^(1/6)
+    @example({2: Fraction(1, 10 ** 200)})           # lam = 10^50
+    @example({1: Fraction(10 ** 400)})              # past the float range: no seed, lam = 1e-200
+    @example({1: Fraction(1, 10 ** 400)})           # lam = 1e200, from the whole range
+    @example({1: Fraction(10 ** 650)})              # lam = 1e-325 rounds to 0
+    @example({1: Fraction(10 ** 645)})              # lam = 3.2e-323, a subnormal
+    @example({1: Fraction(1, 10 ** 700)})           # lam = 1e350 overflows
+    @example({1: Fraction(1, 3), 2: Fraction(5, 7), 9: Fraction(10 ** 300)})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_bisection(self, sums):
+        assert _lambda_estimate(sums) == _bisected_lambda(sums)
+
+    def test_rounding_to_zero_or_overflow_is_none(self):
+        assert _lambda_estimate({1: Fraction(10 ** 700)}) is None
+        assert _lambda_estimate({1: Fraction(1, 10 ** 700)}) is None
+        assert _lambda_estimate({}) is None
+
+    @pytest.mark.parametrize("sums", [{1: Fraction(4)}, {3: Fraction(2, 7), 9: Fraction(11, 3)},
+                                      {2: Fraction(1, 10 ** 200), 5: Fraction(10 ** 100)}])
+    def test_float_seed_needs_few_exact_sums(self, sums, monkeypatch):
+        # each exact comparison of the sum with 1 clears it once; a bisection
+        # over the whole range makes 64 of them, one from a float seed a few
+        calls = []
+        cleared = Polynomial.cleared
+        monkeypatch.setattr(Polynomial, "cleared", lambda self, D: calls.append(D) or cleared(self, D))
+        assert _lambda_estimate(sums) == _bisected_lambda(sums)
+        assert len(calls) <= 10
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -417,6 +420,19 @@ class TestTraceCommand:
         assert len(rows) == 24
         malgrange = [float(row.split(",")[5]) for row in rows]
         assert all(math.isfinite(v) for v in malgrange) and max(malgrange) > 1e269
+
+    @pytest.mark.parametrize("radii", ["1e90:1.5:8", "1e100:1.1:8"])
+    def test_radii_past_the_squares_print_nothing_on_stderr(self, radii):
+        # at 1e90 the branch values pass 1e154, whose squares overflow in the
+        # limit fit; at 1e100 Newton iterates far off the sphere overflow.  The
+        # n = 3 slices run in worker processes, so stderr is read from a process
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "milnorarc.cli", "trace", "x + x^2*y + z^2",
+                               "--vars", "x,y,z", "--center", "1,2,-1", "--radii", radii],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("branch_id,R,x1,x2,x3,f,malgrange,residual\n0,")
 
     def test_degenerate_center_is_one_error_line(self, capsys):
         code, out, err = run_cli(capsys, "trace", "x^2 + y^2", "--vars", "x,y", "--center", "0,0")
