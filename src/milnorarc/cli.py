@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -390,9 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args keeps no state
+    between calls (each call fills a new namespace)."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UserError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -9,6 +9,10 @@ where grad f is parallel to x - a, that is where the 2 x n matrix
 the pivot chart (valid where the pivot partial df/dx_i does not vanish)
 takes the n-1 minors m_ij, j != i; the minors description takes all C(n, 2)
 minors m_ij, i < j.
+
+For n = 2 the Milnor set meets the circle ||x - a|| = R where the one
+equation's restriction to it vanishes; `HalfAngleTable` gives that
+restriction exactly, as polynomials in R, once per center.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .poly import CompiledPolynomials, Polynomial, Rational
+from .poly import ClearedComponents, CompiledPolynomials, ExactEvaluator, LaurentScalar, Polynomial, Rational
 
 PIVOT_MINORS = "minors"
 
@@ -41,7 +45,8 @@ class MilnorSystem:
 
     `pivot` is the 0-based pivot variable index of the pivot chart, or the
     string "minors" for the description by all 2x2 minors.  For n = 2 the
-    tracer keeps the circle crossings it solves in `_crossings`, by radius.
+    tracer keeps the circle crossings it solves in `_crossings`, by radius,
+    and reads the circles' equations from `half_angle`.
     """
 
     f: Polynomial
@@ -70,6 +75,16 @@ class MilnorSystem:
         return CompiledPolynomials([self.f])
 
     @cached_property
+    def exact_f(self) -> ExactEvaluator:
+        """f's exact values, with its coefficients cleared once."""
+        return ExactEvaluator(self.f)
+
+    @cached_property
+    def half_angle(self) -> HalfAngleTable:
+        """n = 2 only: the one equation restricted to the circles about the center."""
+        return HalfAngleTable(self.equations[0], self.center)
+
+    @cached_property
     def compiled_revalidation(self) -> CompiledPolynomials:
         """Pivot mode with n >= 3 only: the pivot partial followed by all the
         minors, which recheck points where the pivot chart degenerates."""
@@ -83,6 +98,41 @@ class MilnorSystem:
             "equations": [eq.to_text(var_names) for eq in self.equations],
             "num_vars": self.num_vars,
         }
+
+
+class HalfAngleTable:
+    """A two-variable equation of degree D on the circles ||x - a|| = R, as
+    polynomials in R.
+
+    Under tau = tan(theta/2), x = a1 + R(1-tau^2)/(1+tau^2) and
+    y = a2 + 2R tau/(1+tau^2), the equation times (1+tau^2)^D is
+    sum_k c_k(R) tau^k, k = 0..2D: the homogenised equation at
+    X = a1(1+tau^2) + R(1-tau^2), Y = a2(1+tau^2) + 2R tau, W = 1+tau^2.
+    Each c_k(R) = sum_j c_kj R^j has degree <= D in R, so one exact
+    composition (`ClearedComponents`, as in `compose_laurent`) with R
+    replaced by tau^M, M = 2D + 1, holds them all: its term m is
+    c_{m mod M, m div M}.  A radius then costs one integer dot product per
+    coefficient.
+    """
+
+    def __init__(self, eq: Polynomial, center: Sequence[Fraction]):
+        self.degree = D = int(eq.degree)
+        M = 2 * D + 1
+        a1, a2 = center
+        homogenised = Polynomial(3, {(i, j, D - i - j): c for (i, j), c in eq.terms.items()})
+        X = LaurentScalar({0: a1, 2: a1, M: Fraction(1), M + 2: Fraction(-1)})
+        Y = LaurentScalar({0: a2, 2: a2, M + 1: Fraction(2)})
+        W = LaurentScalar({0: Fraction(1), 2: Fraction(1)})
+        sums, self.divisor = ClearedComponents([X, Y, W]).sums(homogenised)
+        self._rows = [[sums.terms.get(k + M * j, 0) for j in range(D + 1)] for k in range(M)]
+
+    def at(self, radius) -> Tuple[List[int], int]:
+        """(N, Q) with c_k(radius) = N_k / Q exactly, k = 0..2D, for an int,
+        float or Fraction radius."""
+        num, den = radius.as_integer_ratio()
+        D = self.degree
+        powers = [num ** j * den ** (D - j) for j in range(D + 1)]
+        return [sum(c * w for c, w in zip(row, powers)) for row in self._rows], self.divisor * den ** D
 
 
 def default_pivot(f: Polynomial) -> int:
@@ -148,12 +198,21 @@ def rabier_nu(J) -> float:
     J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.ndim != 2 or J.shape[0] != 1:
         raise ValueError(f"need a single gradient row, got shape {J.shape}")
-    if not np.all(np.isfinite(J)):
+    return rabier_nus(J)[0]
+
+
+def rabier_nus(gradients: np.ndarray) -> List[float]:
+    """`rabier_nu` at each row of `gradients` (m, n), grad f at m points.
+
+    Each norm is sqrt(g . g), the bits of np.linalg.norm(g); ValueError when
+    any entry is not finite.
+    """
+    if not np.all(np.isfinite(gradients)):
         raise ValueError("non-finite entries in Jacobian")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(J[0]))
+        norms = [math.sqrt(g.dot(g)) for g in gradients]
     # the plain norm squares the entries, past about 1e154 to inf
-    return norm if math.isfinite(norm) else math.hypot(*J[0])
+    return [v if math.isfinite(v) else math.hypot(*g) for v, g in zip(norms, gradients)]
 
 
 def malgrange_quantity(source: Sequence[Polynomial], x: Sequence[float]) -> float:

@@ -9,9 +9,11 @@ Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
 whose coefficients are unknowns); `compose_laurent` substitutes Laurent
 components into a polynomial, and `ClearedComponents` into several, on one power table.
 
-Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` and
-`compose_laurent` with Fraction coefficients clear the common denominators
-(`Polynomial.cleared`), sum integer products and divide once per result.
+Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` (through
+`ExactEvaluator`, which also rounds exact values at float points to floats)
+and `compose_laurent` with Fraction coefficients clear the common
+denominators (`Polynomial.cleared`), sum integer products and divide once per
+result.
 `compose_laurent` runs the same sums over Polynomial coefficients, with no
 denominator to clear.
 
@@ -84,6 +86,16 @@ class Polynomial:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Polynomial is immutable")
 
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: Dict[Exponent, Fraction]) -> "Polynomial":
+        """A polynomial on `terms` as given, unchecked: the arithmetic below
+        only makes exponent tuples of length num_vars with entries >= 0 and
+        nonzero Fraction coefficients, so it skips `__init__`'s checks."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "num_vars", num_vars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     # ----- constructors -------------------------------------------------
 
     @classmethod
@@ -148,13 +160,17 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return Polynomial(self.num_vars, out)
+            total = out.get(exp, 0) + c
+            if total:
+                out[exp] = total
+            else:
+                del out[exp]
+        return Polynomial._trusted(self.num_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -168,7 +184,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.num_vars, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._trusted(self.num_vars, {e: c * v for e, v in self.terms.items()} if c else {})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -176,8 +192,8 @@ class Polynomial:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Polynomial(self.num_vars, out)
+                out[exp] = out.get(exp, 0) + ca * cb
+        return Polynomial._trusted(self.num_vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -207,7 +223,7 @@ class Polynomial:
             new = list(exp)
             new[index] = e - 1
             out[tuple(new)] = c * e
-        return Polynomial(self.num_vars, out)
+        return Polynomial._trusted(self.num_vars, out)
 
     def gradient(self) -> List["Polynomial"]:
         return [self.partial(i) for i in range(self.num_vars)]
@@ -230,15 +246,9 @@ class Polynomial:
 
         Each entry goes through `Fraction`, so a float entry stands for its
         exact binary value.  The sum runs in integers over common
-        denominators (`cleared`) and is divided once at the end.
+        denominators (`ExactEvaluator`) and is divided once at the end.
         """
-        if len(point) != self.num_vars:
-            raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
-        point = [Fraction(v) for v in point]
-        D = math.lcm(*(v.denominator for v in point))
-        p = [v.numerator * (D // v.denominator) for v in point]
-        terms, divisor = self.cleared(D)
-        return Fraction(sum(C * math.prod(pk ** e for pk, e in zip(p, exp)) for exp, C in terms), divisor)
+        return ExactEvaluator(self).at(point)
 
     # ----- printing -----------------------------------------------------
 
@@ -273,6 +283,47 @@ class Polynomial:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+class ExactEvaluator:
+    """Exact values of one polynomial f, cleared once for many points.
+
+    With L the common denominator of f's coefficients and d its degree,
+    L * D^d * f(p / D) = sum (L * c_e) * prod p_k^e_k * D^(d - |e|), an
+    integer for integer p and D: the terms of `Polynomial.cleared(1)`
+    homogenised by D.  `at` divides that sum once into a Fraction; `at_float`
+    takes float points, m * 2^-s in each entry, so D is a power of two, and
+    divides it into the nearest float, which is float(f.evaluate(x)): int true
+    division rounds correctly, and raises the same OverflowError past the
+    float range.
+    """
+
+    def __init__(self, f: Polynomial):
+        self.num_vars = f.num_vars
+        self.degree = d = max(map(sum, f.terms), default=0)
+        terms, self.denominator = f.cleared(1)
+        self._terms = [(exp + (d - sum(exp),), C) for exp, C in terms]
+
+    def _sum(self, p: Sequence[int], D: int) -> int:
+        """L * D^d * f(p / D), exactly."""
+        if len(p) != self.num_vars:
+            raise ValueError(f"point has length {len(p)}, expected {self.num_vars}")
+        q = (*p, D)
+        return sum(C * math.prod(qk ** e for qk, e in zip(q, exp)) for exp, C in self._terms)
+
+    def at(self, point: Sequence) -> Fraction:
+        """f(point) for a point of ints, Fractions or floats, as a Fraction."""
+        point = [Fraction(v) for v in point]
+        D = math.lcm(*(v.denominator for v in point))
+        p = [v.numerator * (D // v.denominator) for v in point]
+        return Fraction(self._sum(p, D), self.denominator * D ** self.degree)
+
+    def at_float(self, point: Sequence[float]) -> float:
+        """float(f.evaluate(point)) for a point of floats, with no Fraction made."""
+        ratios = [float(v).as_integer_ratio() for v in point]
+        shift = max(den.bit_length() for _, den in ratios) - 1   # every den is a power of two
+        p = [num << (shift + 1 - den.bit_length()) for num, den in ratios]
+        return self._sum(p, 1 << shift) / (self.denominator << (shift * self.degree))
 
 
 def default_var_names(num_vars: int) -> List[str]:
@@ -930,7 +981,7 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
     if len(q) < 2:
         return []
     den = math.lcm(*(c.denominator for c in q))
-    p = [int(c * den) for c in q]
+    p = [c.numerator * (den // c.denominator) for c in q]
     seq = _sturm_sequence(p)
 
     # Fujiwara's bound |t| <= 2 max_i |p[n-i] / p[n]|^(1/i), raised to a power of two

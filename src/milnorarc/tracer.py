@@ -7,13 +7,19 @@ extrapolates the value of f along each branch, and monitors the decay of
 
 For n = 2 the sphere is a circle; the restriction of the single equation to
 it becomes, under the tangent half-angle substitution, a univariate
-polynomial whose coefficients are computed exactly.  Its real roots of odd
-multiplicity (the crossings of the circle) are isolated exactly by Sturm
-sequences over Q and refined by exactly verified secant jumps to the
-Fractions exact sign bisection would return; tangencies (even multiplicity)
-are not reported.  The pivot chart's one equation is +-the one 2x2 minor, so
-n = 2 slices need no revalidation against the minors.  The center screen
-passes its MilnorSystem on, and a system keeps its crossings by radius.
+polynomial whose coefficients are computed exactly, from one table per
+center whose entries are polynomials in the radius (`HalfAngleTable`).  Its
+real roots of odd multiplicity (the crossings of the circle) are isolated
+exactly by Sturm sequences over Q and refined by exactly verified secant
+jumps to the Fractions exact sign bisection would return; tangencies (even
+multiplicity) are not reported.  The pivot chart's one equation is +-the one
+2x2 minor, so n = 2 slices need no revalidation against the minors.  The
+center screen passes its MilnorSystem on, and a system keeps its table and
+its crossings by radius.
+
+A branch sample's f value is exact at its float point, rounded once
+(`ExactEvaluator.at_float`, cleared once per system); its float parts are
+one batch per slice, and its residual is the one the slice's keep test read.
 
 For n >= 3 a multistart damped Newton solver is used and results are
 explicitly best-effort (branches may be missed); its points are rechecked
@@ -32,13 +38,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _cores, milnor
-from .milnor import DegenerateCenterError, MilnorSystem, default_pivot, milnor_equations, rabier_nu
-from .poly import CompiledPolynomials, LaurentScalar, Polynomial, compose_laurent, real_roots
+from .milnor import DegenerateCenterError, MilnorSystem, default_pivot, milnor_equations, rabier_nus
+from .poly import Polynomial, real_roots
 
 STATUS_CONVERGENT = "convergent"
 STATUS_DIVERGENT = "divergent"
@@ -186,11 +192,6 @@ class SInfinityReport:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_values(compiled: CompiledPolynomials, X: np.ndarray, bound: float) -> np.ndarray:
-    """|p_i(x)| / S_i at the rows of X, with S_i the scale bound at `bound`."""
-    return np.abs(compiled.values(X)) / compiled.scales(bound)
-
-
 def _float_center(sys: MilnorSystem) -> Tuple[np.ndarray, float]:
     """The center a as floats and ||a||, whose scale bound at radius R is
     ||a|| + R + 1; ValueError past the float range."""
@@ -222,9 +223,14 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     DegenerateMilnorError when an equation is identically zero, and
     ValueError when the center or the equations overflow floating point.
     """
+    return list(_slice(sys, radius, config or TraceConfig())[0])
+
+
+def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """slice_solve's points as the rows of X (m, n), and each point's
+    scaled residual max_i |eq_i(x)| / S_i, the value its keep test read."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    config = config or TraceConfig()
     if sys.has_zero_equation():
         raise DegenerateMilnorError("Milnor system has an identically zero equation; the center is degenerate")
     n = sys.num_vars
@@ -243,51 +249,54 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
         points = _slice_solve_newton(sys, a, radius, scales, config)
         if sys.pivot != milnor.PIVOT_MINORS:
             # where the pivot partial nearly vanishes, recheck against minors mode
-            revalidation = _scaled_values(sys.compiled_revalidation, points, bound)
+            compiled = sys.compiled_revalidation
+            revalidation = np.abs(compiled.values(points)) / compiled.scales(bound)
             points = points[(revalidation[:, 0] > math.sqrt(config.tol))
                             | (revalidation[:, 1:].max(axis=1) < config.tol)]
     X = np.reshape(points, (-1, n))
-    keep = _scaled_values(sys.compiled, X, bound).max(axis=1) < config.tol
-    return _dedupe(X[keep], max(MERGE_DIST, 4e-12 * (1.0 + radius)))
+    residuals = (np.abs(sys.compiled.values(X)) / scales).max(axis=1)
+    kept = np.flatnonzero(residuals < config.tol)
+    kept = kept[_dedupe(X[kept], max(MERGE_DIST, 4e-12 * (1.0 + radius)))]
+    return X[kept], residuals[kept]
 
 
-def _dedupe(points: np.ndarray, dist: float) -> List[np.ndarray]:
-    """The points (m, n) farther than `dist` from every earlier kept one, in order."""
-    kept = np.empty_like(points)
-    count = 0
-    for x in points:
-        if np.all(np.linalg.norm(kept[:count] - x, axis=1) > dist):
-            kept[count] = x
-            count += 1
-    return list(kept[:count])
+DISTANCE_CELLS = 1 << 15   # entries of one block of _distances' pairwise differences
 
 
-def _half_angle_poly(eq: Polynomial, a, radius: float) -> List[Fraction]:
-    """Exact coefficients c_0..c_2D of the circle restriction under tau = tan(theta/2).
+def _distances(A: np.ndarray, B: np.ndarray) -> Iterator[np.ndarray]:
+    """||A_i - B_j|| for the rows of A (m, n) against those of B (k, n), as
+    blocks of consecutive rows of the (m, k) matrix.  Each entry has the bits
+    of np.linalg.norm(A_i - B, axis=1)[j], and a block's differences hold at
+    most DISTANCE_CELLS entries."""
+    rows = max(1, DISTANCE_CELLS // max(1, B.size))
+    for start in range(0, len(A), rows):
+        diff = A[start:start + rows, None, :] - B
+        yield np.sqrt(np.add.reduce(diff * diff, axis=2))
 
-    With x = a1 + R(1-tau^2)/(1+tau^2), y = a2 + 2R tau/(1+tau^2), the
-    equation of degree D times (1+tau^2)^D is a polynomial in tau: the
-    homogenised equation at X = a1(1+tau^2) + R(1-tau^2), Y = a2(1+tau^2) +
-    2R tau, W = 1+tau^2.  The radius (a dyadic float) and the center are
-    exact, so the coefficients are exact.
-    """
-    Rq = Fraction(radius)
-    a1, a2 = Fraction(a[0]), Fraction(a[1])
-    D = int(eq.degree)
-    homogenised = Polynomial(3, {(i, j, D - i - j): c for (i, j), c in eq.terms.items()})
-    X = LaurentScalar({0: a1 + Rq, 2: a1 - Rq})
-    Y = LaurentScalar({0: a2, 1: 2 * Rq, 2: a2})
-    W = LaurentScalar({0: Fraction(1), 2: Fraction(1)})
-    restriction = compose_laurent(homogenised, [X, Y, W])
-    return [restriction.coefficient(k) for k in range(2 * D + 1)]
+
+def _dedupe(points: np.ndarray, dist: float) -> List[int]:
+    """The indices of the points (m, n) farther than `dist` from every
+    earlier kept one, in order."""
+    kept: List[int] = []
+    i = 0
+    for block in _distances(points, points):
+        for row in block > dist:
+            if row[kept].all():
+                kept.append(i)
+            i += 1
+    return kept
 
 
 def _slice_solve_circle(sys: MilnorSystem, a: np.ndarray, radius: float) -> List[np.ndarray]:
-    coeffs = _half_angle_poly(sys.equations[0], sys.center, radius)
-    thetas = [2.0 * math.atan(float(tau)) % (2.0 * math.pi) for tau in real_roots(coeffs)]
+    N, Q = sys.half_angle.at(radius)
+    # the restriction times the lcm of its coefficients' reduced denominators:
+    # the integers real_roots would clear the coefficients N_k / Q to
+    G = math.gcd(Q, *N)
+    p = [c // G for c in N]
+    thetas = [2.0 * math.atan(float(tau)) % (2.0 * math.pi) for tau in real_roots(p)]
     # tau = infinity (theta = pi) is a root of the multiplicity of the
     # vanishing top coefficients; it is a crossing when that is odd
-    drop = next((k for k, c in enumerate(reversed(coeffs)) if c), 0)
+    drop = next((k for k, c in enumerate(reversed(p)) if c), 0)
     if drop % 2:
         thetas.append(math.pi)
     return [a + radius * np.array([math.cos(t), math.sin(t)]) for t in sorted(thetas)]
@@ -372,26 +381,25 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     sys = _system(f, center)
     radii = config.radii()
     if sys.num_vars == 2:  # a circle costs less than a fork, and the system keeps it for the screen
-        slices = [slice_solve(sys, R, config) for R in radii]
+        slices = [_slice(sys, R, config) for R in radii]
     else:
         sys.compiled, sys.compiled_f  # compiled once, before the workers fork
         if sys.pivot != milnor.PIVOT_MINORS:
             sys.compiled_revalidation
-        slices = _cores.map_on_cores(functools.partial(slice_solve, sys, config=config), radii)
-    a, norm = _float_center(sys)
+        slices = _cores.map_on_cores(functools.partial(_slice, sys, config=config), radii)
+    a = _float_center(sys)[0]
     branches: List[BranchTrace] = []
     open_branches: List[Tuple[BranchTrace, np.ndarray]] = []  # (trace, last direction)
 
-    for R, points in zip(radii, slices):
-        offsets = np.reshape(points, (-1, a.size)) - a
+    for R, (points, residuals) in zip(radii, slices):
+        offsets = points - a
         dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-        samples = _make_samples(sys, points, R, norm + R + 1.0)
+        samples = _make_samples(sys, points, residuals, R)
 
         matched_old, matched_new = set(), set()
-        if open_branches and points:
+        if open_branches and len(points):
             old_dirs = np.array([d_old for _, d_old in open_branches])
-            # one column per new point keeps the temporaries at (k_old, n)
-            dist = np.stack([np.linalg.norm(old_dirs - d_new, axis=1) for d_new in dirs], axis=1)
+            dist = np.concatenate(list(_distances(old_dirs, dirs)))
             while True:
                 k = np.unravel_index(np.argmin(dist), dist.shape)
                 if dist[k] > MATCH_TOL:
@@ -416,17 +424,16 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     return branches
 
 
-def _make_samples(sys: MilnorSystem, points: List[np.ndarray], R: float, bound: float) -> List[Sample]:
-    """One sample per slice point, with the float parts evaluated in one batch."""
-    X = np.reshape(points, (-1, sys.num_vars))
-    gradients = sys.compiled_f.jacobians(X)
-    residuals = _scaled_values(sys.compiled, X, bound).max(axis=1)
+def _make_samples(sys: MilnorSystem, X: np.ndarray, residuals: np.ndarray, R: float) -> List[Sample]:
+    """One sample per slice point (row of X), with the float parts evaluated
+    in one batch and the scaled residuals the slice's keep test read."""
+    nus = rabier_nus(sys.compiled_f.jacobians(X)[:, 0, :])
     # f exactly at the float point: float sums of a degree-d f cancel to
     # errors of ~1e-16 * sum |c| R^d, above CONV_TOL at the outer radii
-    return [Sample(radius=R, point=tuple(float(v) for v in x),
-                   f_value=float(sys.f.evaluate(x)),
-                   malgrange=float(np.linalg.norm(x)) * rabier_nu(g), residual=float(res))
-            for x, g, res in zip(X, gradients, residuals)]
+    exact_f = sys.exact_f.at_float
+    return [Sample(radius=R, point=tuple(x), f_value=exact_f(x),
+                   malgrange=math.sqrt(v.dot(v)) * nu, residual=res)
+            for x, v, nu, res in zip(X.tolist(), X, nus, residuals.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +617,14 @@ def _screen_center(sys: MilnorSystem) -> Tuple[bool, str]:
     cfg = TraceConfig(seed=0, starts=64)
     for R in (10.0, 40.0):
         try:
-            points = slice_solve(sys, R, cfg)
+            X = np.reshape(slice_solve(sys, R, cfg)[:16], (-1, sys.num_vars))
         except ValueError as exc:  # overflow or a singular solve fails the screen
             return False, f"slice solve failed at R={R}: {exc}"
-        X = np.reshape(points[:16], (-1, sys.num_vars))
         gnorms = np.linalg.norm(sys.compiled_f.jacobians(X)[:, 0, :], axis=1)
-        for gnorm, Jm in zip(gnorms, sys.compiled.jacobians(X)):
-            if gnorm < 1e-9 * (1.0 + R):
-                continue  # near Sing f, excluded from the screen
-            sv = np.linalg.svd(Jm, compute_uv=False)
-            if sv[-1] < 1e-8 * (sv[0] + 1.0):
-                return False, f"rank-deficient Milnor Jacobian at R={R}"
+        # points near Sing f are excluded from the screen
+        sv = np.linalg.svd(sys.compiled.jacobians(X)[~(gnorms < 1e-9 * (1.0 + R))], compute_uv=False)
+        if np.any(sv[:, -1] < 1e-8 * (sv[:, 0] + 1.0)):
+            return False, f"rank-deficient Milnor Jacobian at R={R}"
     return True, "ok"
 
 

@@ -197,6 +197,27 @@ class TestCircleSolvesPerCenter:
         assert calls.count(10.0) == calls.count(40.0) == solves // 8
 
 
+class TestParserOncePerProcess:
+    def test_one_parser_and_independent_calls(self, capsys):
+        # the parser is built once; back-to-back calls with other
+        # subcommands and repeated --center flags do not see each other
+        from milnorarc import cli
+
+        assert cli._parser() is cli._parser()
+        two = ("analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0", "--center", "1,2")
+        one = ("analyze", "x + x^2*y", "--vars", "x,y", "--center", "1,2")
+        outs = []
+        for argv in (two, ("dims", "2", "3"), one, ("milnor", "x + x^2*y", "--vars", "x,y"), two, one):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and not err
+            outs.append(out)
+        assert outs[0] == outs[4] and outs[2] == outs[5]
+        assert len(json.loads(outs[0])["per_center"]) == 2
+        assert json.loads(outs[2])["mode"] == "single-center"
+        assert json.loads(outs[2])["center"] == ["1", "2"]
+        assert json.loads(outs[3])["center"] == ["0", "0"]
+
+
 class TestArcCheck:
     ARGS = ["arc-check", "x + x^2*y", "x: 1/2 t^-1; y: -1 t^1", "--vars", "x,y"]
 

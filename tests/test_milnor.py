@@ -18,7 +18,7 @@ from milnorarc import (
     pick_generic_center,
     rabier_nu,
 )
-from milnorarc.milnor import PIVOT_MINORS
+from milnorarc.milnor import PIVOT_MINORS, rabier_nus
 from milnorarc.poly import Polynomial
 from milnorarc.tracer import CENTER_ATTEMPTS
 
@@ -203,6 +203,19 @@ class TestRabier:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             rabier_nu([[float("nan"), 1.0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_batch_is_rabier_nu_per_row(self):
+        # the same bits as one rabier_nu call per row, past the squares' range too
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((12, 3)) * 10.0 ** rng.integers(-300, 300, (12, 1))
+        G[0] = [1e200, -1e200, 0.0]
+        G[1] = 0.0
+        assert rabier_nus(G) == [rabier_nu(g) for g in G]
+        assert rabier_nus(np.zeros((0, 2))) == []
+        G[5, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            rabier_nus(G)
 
 
 class TestMalgrange:

@@ -15,7 +15,7 @@ from milnorarc import (
     compose_arc,
     parse,
 )
-from milnorarc.poly import CompiledPolynomials, compose_laurent, real_roots
+from milnorarc.poly import CompiledPolynomials, ExactEvaluator, compose_laurent, real_roots
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -210,6 +210,28 @@ class TestArithmetic:
         with pytest.raises(AttributeError):
             f.terms = {}
 
+    def test_constructor_validates_its_terms(self):
+        # arithmetic builds its results unchecked; the public constructor checks
+        with pytest.raises(ValueError, match="length"):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(ValueError, match="negative"):
+            Polynomial(2, {(1, -1): 1})
+        with pytest.raises(ValueError):
+            Polynomial(0)
+        f = Polynomial(2, {(1, 0): 2, (0, 1): Fraction(0), (0, 0): Fraction(3, 6)})
+        assert f.terms == {(1, 0): Fraction(2), (0, 0): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in f.terms.values())
+
+    @given(polynomials(3), polynomials(3), rationals)
+    @example(parse("x - y", VARS3), parse("y - x", VARS3), Fraction(0))
+    @settings(max_examples=40, deadline=None)
+    def test_arithmetic_results_pass_the_constructor(self, f, g, c):
+        # every result is what the checking constructor makes of its terms
+        for r in (f + g, f - g, f * g, -f, f * c, c * g, f.partial(0), f.partial(2), f ** 2):
+            assert r == Polynomial(3, r.terms)
+            assert all(type(v) is Fraction and v for v in r.terms.values())
+            assert all(type(e) is tuple and len(e) == 3 and min(e) >= 0 for e in r.terms)
+
     def test_exact_evaluation_stays_exact(self):
         f = parse("1/3*x^2 + 1/7*y", VARS2)
         v = f.evaluate([Fraction(1, 2), Fraction(2, 3)])
@@ -236,6 +258,47 @@ class TestArithmetic:
         v = f.evaluate(list(pt))
         assert isinstance(v, Fraction)
         assert v == _horner(f, [Fraction(c) for c in pt])
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+               1.7976931348623157e308, 0.1, -2.5, 3.0]
+
+
+class TestExactEvaluatorAtFloats:
+    """`ExactEvaluator.at_float` against float(f.evaluate(x)), the same value
+    through a Fraction, or the same OverflowError."""
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return fn()
+        except OverflowError as exc:
+            return ("OverflowError", str(exc))
+
+    @given(polynomials(3, max_degree=5),
+           st.tuples(*([st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)] * 3)))
+    @example(parse("x^2*y + 1/3", VARS3), (1e300, 1e300, 0.0))
+    @example(parse("x^2 - y^2 + z", VARS3), (1e300, -1e300, 5e-324))
+    @example(parse("x^5 + 1/7", VARS3), (5e-324, 0.0, 0.0))
+    @example(parse("-y + 2*z", VARS3), (-0.0, 0.0, -0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_same_float_as_the_fraction(self, f, pt):
+        evaluator = ExactEvaluator(f)
+        got = self._outcome(lambda: evaluator.at_float(pt))
+        want = self._outcome(lambda: float(f.evaluate(list(pt))))
+        assert got == want and type(got) is type(want)
+        if isinstance(want, float):
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_overflow_is_the_fractions_error(self):
+        f = parse("x^2*y", VARS2)
+        with pytest.raises(OverflowError):
+            ExactEvaluator(f).at_float([1e300, 1e300])
+        assert ExactEvaluator(f).at_float([1e300, 1e-300]) == float(f.evaluate([1e300, 1e-300]))
+
+    def test_point_length_is_checked(self):
+        with pytest.raises(ValueError, match="length"):
+            ExactEvaluator(parse("x", VARS2)).at_float([1.0])
 
 
 # ---------------------------------------------------------------------------

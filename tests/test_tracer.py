@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from milnorarc import (
     ArcSearchConfig,
@@ -23,7 +24,9 @@ from milnorarc import (
     trace_branches,
 )
 from milnorarc import tracer
-from milnorarc.tracer import Sample, _center_text, _dedupe, _half_angle_poly, _newton_steps
+from milnorarc.milnor import HalfAngleTable, rabier_nu
+from milnorarc.poly import LaurentScalar, Polynomial, compose_laurent
+from milnorarc.tracer import Sample, _center_text, _dedupe, _newton_steps
 
 VARS2 = ["x", "y"]
 F_FLAG = parse("x + x^2*y", VARS2)
@@ -32,6 +35,55 @@ F_TANGENT = parse("y*(x^2*y^2 + 3*x*y + 3)", VARS2)
 
 def _system(f, center):
     return milnor_equations([f], center, pivot=default_pivot(f))
+
+
+def _half_angle_poly(eq, a, radius):
+    """Reference for `HalfAngleTable`: the circle restriction at one radius,
+    composed with that radius by `compose_laurent`."""
+    Rq = Fraction(radius)
+    a1, a2 = Fraction(a[0]), Fraction(a[1])
+    D = int(eq.degree)
+    homogenised = Polynomial(3, {(i, j, D - i - j): c for (i, j), c in eq.terms.items()})
+    X = LaurentScalar({0: a1 + Rq, 2: a1 - Rq})
+    Y = LaurentScalar({0: a2, 1: 2 * Rq, 2: a2})
+    W = LaurentScalar({0: Fraction(1), 2: Fraction(1)})
+    restriction = compose_laurent(homogenised, [X, Y, W])
+    return [restriction.coefficient(k) for k in range(2 * D + 1)]
+
+
+def _table_fractions(eq, center, radius):
+    N, Q = HalfAngleTable(eq, center).at(radius)
+    return [Fraction(c, Q) for c in N]
+
+
+def _dedupe_loop(points, dist):
+    """Reference for `tracer._dedupe`: one norm per point against the kept ones."""
+    kept = []
+    for i, x in enumerate(points):
+        if np.all(np.linalg.norm(points[kept] - x, axis=1) > dist):
+            kept.append(i)
+    return kept
+
+
+def _screen_loop(sys):
+    """Reference for `tracer._screen_center`: one SVD per screened point."""
+    if sys.has_zero_equation():
+        return False, "identically zero pivot-chart equation"
+    cfg = TraceConfig(seed=0, starts=64)
+    for R in (10.0, 40.0):
+        try:
+            points = slice_solve(sys, R, cfg)
+        except ValueError as exc:
+            return False, f"slice solve failed at R={R}: {exc}"
+        X = np.reshape(points[:16], (-1, sys.num_vars))
+        gnorms = np.linalg.norm(sys.compiled_f.jacobians(X)[:, 0, :], axis=1)
+        for gnorm, Jm in zip(gnorms, sys.compiled.jacobians(X)):
+            if gnorm < 1e-9 * (1.0 + R):
+                continue
+            sv = np.linalg.svd(Jm, compute_uv=False)
+            if sv[-1] < 1e-8 * (sv[0] + 1.0):
+                return False, f"rank-deficient Milnor Jacobian at R={R}"
+    return True, "ok"
 
 
 def _halving_newton(sys, a, radius, scales, config):
@@ -189,8 +241,45 @@ class TestSliceSolve:
         kept = _dedupe(pts, 1.0)
         # (0.5, 0) and (3, 0.25) are within 1 of a kept point; (1, 0) is at
         # distance exactly 1 and only points farther than that are kept
-        assert [tuple(x) for x in kept] == [(0.0, 0.0), (3.0, 0.0), (0.0, 1.5)]
+        assert [tuple(x) for x in pts[kept]] == [(0.0, 0.0), (3.0, 0.0), (0.0, 1.5)]
         assert _dedupe(np.zeros((0, 3)), 1.0) == []
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(
+               st.lists(st.integers(-2, 2).map(float) | st.floats(-3, 3), min_size=n, max_size=n),
+               max_size=40)),
+           st.sampled_from([1.0, 2.0, math.sqrt(2.0), 0.5, 1e-9]),
+           st.sampled_from([1, 7, 1 << 15]))
+    @example([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]], 1.0, 1)
+    @example([[0.1, 0.2, 0.3]] * 5 + [[1.1, 0.2, 0.3]], 1.0, 7)
+    @settings(max_examples=120, deadline=None)
+    def test_dedupe_matches_the_point_by_point_loop(self, rows, dist, cells):
+        # exact duplicates and grid points exactly `dist` apart, in blocks
+        # of every size down to one row
+        points = np.array(rows, dtype=float).reshape(len(rows), -1 if rows else 2)
+        old = tracer.DISTANCE_CELLS
+        tracer.DISTANCE_CELLS = cells
+        try:
+            assert _dedupe(points, dist) == _dedupe_loop(points, dist)
+        finally:
+            tracer.DISTANCE_CELLS = old
+
+    @pytest.mark.parametrize("text, seeds", [("x + x^2*y", range(6)), ("y + 2*x*y^2 - x^3", range(4)),
+                                             ("x^2*y^2 + x - y^3", range(4))])
+    def test_stacked_svd_screen_matches_the_loop(self, text, seeds):
+        f = parse(text, VARS2)
+        rng = np.random.default_rng(len(text))
+        for seed in seeds:
+            center = tuple(Fraction(int(v), int(d)) for v, d in zip(rng.integers(-100, 100, 2), rng.integers(1, 100, 2)))
+            assert tracer._screen_center(_system(f, center)) == _screen_loop(_system(f, center))
+
+    @pytest.mark.parametrize("text, center, ok", [("x*y*z", (0, 0, 0), False), ("x*y*z", (1, 2, -1), True),
+                                                  ("x + x^2*y + z^2", (1, 2, -1), True)])
+    def test_stacked_svd_screen_matches_the_loop_for_n3(self, text, center, ok):
+        # x*y*z about the origin has rank-deficient Milnor Jacobians at R = 10
+        f = parse(text, ["x", "y", "z"])
+        screen = tracer._screen_center(_system(f, center))
+        assert screen == _screen_loop(_system(f, center))
+        assert screen[0] is ok
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_singular_row_leaves_other_newton_steps_alone(self, n):
@@ -279,7 +368,7 @@ class TestHalfAngle:
         D = int(eq.degree)
         a1, a2 = center
         for radius in (10.0, 1280.0, 0.375):
-            coeffs = _half_angle_poly(eq, center, radius)
+            coeffs = _table_fractions(eq, center, radius)
             assert len(coeffs) == 2 * D + 1
             assert all(isinstance(c, Fraction) for c in coeffs)
             R = Fraction(radius)
@@ -287,6 +376,29 @@ class TestHalfAngle:
                 w = 1 + tau * tau
                 point = [a1 + R * (1 - tau * tau) / w, a2 + 2 * R * tau / w]
                 assert sum(c * tau ** k for k, c in enumerate(coeffs)) == w ** D * eq.evaluate(point)
+
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           st.fractions(max_denominator=10 ** 6) | st.integers(-10 ** 30, 10 ** 30),
+                           min_size=1, max_size=7),
+           st.tuples(*[st.fractions(max_denominator=10 ** 15) | st.integers(-10 ** 20, 10 ** 20)] * 2),
+           st.floats(1e-3, 1e150))
+    @example({(1, 0): 1, (2, 1): 1}, (Fraction(0), Fraction(0)), 10.0)
+    @example({(3, 0): Fraction(-1, 7), (0, 2): 3}, (Fraction(10 ** 15 - 1, 10 ** 15), Fraction(-77, 64)), 1e150)
+    @example({(0, 0): 5}, (Fraction(1, 3), Fraction(1, 9)), 1e-3)
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_the_composition_at_each_radius(self, terms, center, radius):
+        # one table per center, against compose_laurent at each dyadic radius
+        eq = Polynomial(2, terms)
+        if eq.is_zero():
+            return
+        coeffs = _half_angle_poly(eq, center, radius)
+        assert _table_fractions(eq, center, radius) == coeffs
+        # and the integers the circle slicer hands to real_roots are the ones
+        # real_roots clears these coefficients to
+        N, Q = HalfAngleTable(eq, center).at(radius)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        assert [c // math.gcd(Q, *N) for c in N] == [int(c * den) for c in coeffs]
 
 
 class TestTraceBranches:
@@ -310,6 +422,24 @@ class TestTraceBranches:
         for t in trace_branches(F_FLAG, (0, 0), TraceConfig()):
             for s in t.samples:
                 assert s.f_value == float(F_FLAG.evaluate([Fraction(v) for v in s.point]))
+
+    @pytest.mark.parametrize("text, center", [("x + x^2*y", (0, 0)), ("y*(x^2*y^2 + 3*x*y + 3)", (0, 1)),
+                                              ("x + x^2*y + z^2", (1, 2, -1))])
+    def test_samples_match_the_per_point_formulas(self, text, center):
+        # the batched sample floats against one evaluation per point
+        f = parse(text, VARS2 if len(center) == 2 else ["x", "y", "z"])
+        sys = _system(f, center)
+        cfg = TraceConfig(starts=64)
+        bound = float(np.linalg.norm(np.array(center, dtype=float))) + 1.0
+        samples = [s for t in trace_branches(f, sys, cfg) for s in t.samples]
+        assert samples
+        for s in samples:
+            x = np.array(s.point)
+            g = sys.compiled_f.jacobians(x[None, :])[0]
+            scaled = np.abs(sys.compiled.values(x[None, :])) / sys.compiled.scales(bound + s.radius)
+            assert s.f_value == float(f.evaluate(x))
+            assert s.malgrange == float(np.linalg.norm(x)) * rabier_nu(g)
+            assert s.residual == float(scaled.max())
 
     def test_requires_enough_radii(self):
         # the schedule is the config's, so the config refuses a short or
