@@ -17,10 +17,12 @@ result.
 `compose_laurent` runs the same sums over Polynomial coefficients, with no
 denominator to clear.
 
-`real_roots` isolates the real roots of a univariate polynomial over Q
-exactly, by Sturm sequences, and refines each by secant jumps from a float
-Newton seed, every jump verified by exact signs, to the Fraction that exact
-sign bisection would return.
+`real_roots` finds the real roots of a univariate polynomial over Q exactly:
+float eigenvalue seeds propose isolating dyadic cells, which exact signs and
+a root count (the degree, or the Sturm sequence's) certify, with Sturm
+bisection where they do not; each root is refined by secant jumps, every
+jump verified by exact signs, to the Fraction that exact sign bisection
+would return.
 
 `CompiledPolynomials` is the float lowering of a `Polynomial` at points: the
 tracer and `milnor` evaluate values, Jacobians and scale bounds at float
@@ -764,6 +766,10 @@ def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> Laure
 # Real roots of univariate polynomials
 # ---------------------------------------------------------------------------
 
+SEED_BITS = 40      # a float seed's cell has relative width about 2^-SEED_BITS
+WIDEN_LEVELS = 8    # a seed cell that does not cross is widened by 2^WIDEN_LEVELS
+WIDENINGS = 3       # at most this many times
+
 
 def _scaled_value(p: List[int], k: int, e: int) -> int:
     """2^(e * deg p) * p(k / 2^e), exactly; it has the sign of p(k / 2^e)."""
@@ -811,6 +817,10 @@ def _sturm_sequence(p: List[int]) -> List[List[int]]:
         seq.append(r)
 
 
+def _variations(signs: Sequence[int]) -> int:
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 def _sturm_count(seq: List[List[int]], k: int, e: int) -> Tuple[int, int]:
     """(sign of p, sign variations of the Sturm sequence) at k / 2^e.  The
     variations are counted only where p does not vanish, the only points at
@@ -821,38 +831,73 @@ def _sturm_count(seq: List[List[int]], k: int, e: int) -> Tuple[int, int]:
     sign = _sign(_scaled_value(seq[0], k, e))
     if not sign:
         return 0, 0
-    signs = [sign] + [s for s in (_sign(_scaled_value(q, k, e)) for q in seq[1:]) if s]
-    return sign, sum(s != t for s, t in zip(signs, signs[1:]))
+    return sign, _variations([sign] + [s for s in (_sign(_scaled_value(q, k, e)) for q in seq[1:]) if s])
 
 
-def _float_seed(pf: List[float], lo: float, hi: float, positive_at_lo: bool) -> Tuple[float, float]:
-    """A float x near the root of pf (float coefficients, ascending) in (lo, hi),
-    across which pf changes sign, and an estimate of |x - root|.
-    Newton's method inside the bracket, with a bisection step when Newton
-    leaves it, until the step is below 2^-50 |x| or below the rounding error
-    of Horner's scheme over |pf'(x)|.  x is NaN when an evaluation overflows."""
-    x = lo + 0.5 * (hi - lo)
-    unit = len(pf) * 2.0 ** -52
-    for _ in range(100):
-        v = dv = bound = 0.0
-        size = abs(x)
-        for c in reversed(pf):
-            dv = dv * x + v
-            v = v * x + c
-            bound = bound * size + abs(c)
-        if not (math.isfinite(bound) and dv):
-            return math.nan, math.inf
-        step, spread = v / dv, unit * bound / abs(dv)
-        if abs(step) <= max(size * 2.0 ** -50, spread):
-            return x - step, abs(step) + spread
-        if (v > 0) == positive_at_lo:
-            lo = x
-        else:
-            hi = x
-        x -= step
-        if not lo < x < hi:
-            x = lo + 0.5 * (hi - lo)
-    return x, hi - lo
+def _distinct_real_roots(seq: List[List[int]]) -> int:
+    """The number of distinct real roots of seq[0], from the signs of the
+    Sturm sequence at -infinity and +infinity: its leading coefficients."""
+    at_plus = [_sign(q[-1]) for q in seq]
+    return _variations([s if len(q) % 2 else -s for s, q in zip(at_plus, seq)]) - _variations(at_plus)
+
+
+def _float_roots(p: List[int]) -> Tuple[List[float], bool]:
+    """Float seeds for the real roots of p: the real parts of its complex
+    roots from one eigenvalue solve (`np.roots`), the most nearly real first
+    (by |Im z| / |z|; ties keep the solver's order), and whether the solve
+    found deg p roots, all real.  No seeds when a coefficient is past the
+    float range."""
+    try:
+        z = np.roots([float(c) for c in reversed(p)])
+    except (OverflowError, np.linalg.LinAlgError):
+        return [], False
+    finite = [w for w in z.tolist() if math.isfinite(abs(w))]
+    seeds = [w.real for w in sorted(finite, key=lambda w: abs(w.imag) / abs(w) if w else math.inf)]
+    return seeds, len(seeds) == len(p) - 1 and not np.iscomplexobj(z)
+
+
+Cell = Tuple[int, int, int, int, int]
+
+
+def _cell(p: List[int], L: int, H: int, e: int) -> Cell:
+    """(L, H, e, a, b) for the interval [L, H] / 2^e, with L, H and e reduced
+    by their common power of two and a, b the scaled values of p at the ends."""
+    z = min(e, _trailing_zeros(L | H))
+    L, H, e = L >> z, H >> z, e - z
+    return L, H, e, _scaled_value(p, L, e), _scaled_value(p, H, e)
+
+
+def _seed_cell(p: List[int], L: int, H: int, e: int, seed: float) -> Optional[Tuple[int, int, Cell]]:
+    """(level, index, cell) of the bisection cell of [L, H] / 2^e that holds
+    the float seed and has width about 2^-SEED_BITS |seed|, or of its
+    ancestor WIDEN_LEVELS, 2 WIDEN_LEVELS, ... levels up (at most WIDENINGS
+    times): the first at whose ends p has nonzero values of opposite signs.
+    None when the seed is 0 or outside [L, H) / 2^e, or no such cell has
+    them.
+
+    Cell j of level k has the ends (L 2^k + j W) / 2^(e+k) and
+    (L 2^k + (j+1) W) / 2^(e+k), W = H - L.  Unless it is [L, H] itself, it
+    holds the seed, so its relative width is above 2^-(SEED_BITS+2): far
+    from the 2^-60 at which `_refine` stops, at it and at every ancestor."""
+    if not seed:
+        return None
+    W = H - L
+    k = max(0, W.bit_length() - e + SEED_BITS - math.frexp(seed)[1])
+    num, den = seed.as_integer_ratio()
+    j = ((num << (e + k)) // den - (L << k)) // W
+    if not 0 <= j < 1 << k:
+        return None
+    for _ in range(WIDENINGS + 1):
+        A = (L << k) + j * W
+        cell = _cell(p, A, A + W, e + k)
+        a, b = cell[3:]
+        if a and b and (a > 0) != (b > 0):
+            return k, j, cell
+        if not k:
+            break
+        step = min(k, WIDEN_LEVELS)
+        k, j = k - step, j >> step
+    return None
 
 
 class _ExactRoot(Exception):
@@ -860,32 +905,29 @@ class _ExactRoot(Exception):
     cell (level, index) whose midpoint it is."""
 
 
-def _refine(p: List[int], L: int, H: int, e: int, positive_at_lo: bool) -> Fraction:
-    """The root of p in (L, H) / 2^e, across which p changes sign, exactly as
-    sign bisection to relative width 2^-60 returns it: the midpoint of the
-    first bisection cell of width W / 2^e' with W 2^60 <= max(|A|, |B|) for
-    its ends A / 2^e', B / 2^e', or the root itself when a bisection point
-    hits it.
+def _refine(p: List[int], L: int, H: int, e: int, a: int, b: int) -> Fraction:
+    """The root of p in (L, H) / 2^e, where the scaled values a and b of p at
+    the ends are nonzero and of opposite signs, exactly as sign bisection to
+    relative width 2^-60 returns it: the midpoint of the first bisection cell
+    of width W / 2^e' with W 2^60 <= max(|A|, |B|) for its ends A / 2^e',
+    B / 2^e', or the root itself when a bisection point hits it.
 
     Every bisection cell lies on one grid: cell j of level k has the ends
     (L 2^k + j W) / 2^(e+k) and (L 2^k + (j+1) W) / 2^(e+k), W = H - L.  A cell
     whose ends have strictly opposite signs holds the root in its interior,
     so it and its ancestors are the cells bisection passes through, and the
     stopping test, once true on that path, stays true below.  Any such cell
-    at or below the stopping level therefore gives the answer, by a binary
-    search over the levels of its ancestors; so does the cell whose midpoint
-    is a grid point where p vanishes.
+    at or below the stopping level therefore gives the answer, by a search
+    over the levels of its ancestors; so does the cell whose midpoint is a
+    grid point where p vanishes.  The answer depends only on the path:
+    starting from any crossing cell of the same grid at which the test is
+    false gives the same Fraction.
 
-    Such a cell is reached with few exact evaluations.  Start from the cell
-    of relative width 2^-40 (wider if the seed's error estimate asks for it)
-    at a float Newton seed, if the signs at its ends verify it, else from
-    the level-0 cell.  Then take secant jumps of s levels: go to the cell
-    below that holds the secant root of the end values, if its ends change
-    sign.  s doubles on success and halves on failure; at s = 1 a bisection
-    step is taken, which always succeeds.
+    Such a cell is reached with few exact evaluations, by secant jumps of s
+    levels: go to the cell below that holds the secant root of the end
+    values, if its ends change sign.  s doubles on success and halves on
+    failure; at s = 1 a bisection step is taken, which always succeeds.
     """
-    z = min(e, _trailing_zeros(L | H))
-    L, H, e = L >> z, H >> z, e - z
     W, d = H - L, len(p) - 1
 
     def end(k: int, i: int) -> int:
@@ -903,34 +945,11 @@ def _refine(p: List[int], L: int, H: int, e: int, positive_at_lo: bool) -> Fract
         return W << 60 <= max(abs(A), abs(A + W))
 
     k = j = 0
+    # the levels left to the stopping level (two more for rounding), or the
+    # cell's relative precision if smaller: a secant step about doubles that
+    top = max(abs(L), abs(H)).bit_length()
+    s = max(1, min((W << 62).bit_length() - top, top - W.bit_length()))
     try:
-        if not stops(0, 0):
-            seed, error = math.nan, math.inf
-            try:
-                pf = [float(c) for c in p]
-                lo, hi = L / (1 << e), H / (1 << e)
-            except OverflowError:
-                pass
-            else:
-                seed, error = _float_seed(pf, lo, hi, positive_at_lo)
-            if math.isfinite(seed) and seed and error < abs(seed):
-                # the level of width 2^-40 |seed|, or 8 times the seed's
-                # error estimate if that is wider
-                width = min(40 - math.frexp(seed)[1], -math.frexp(error)[1] - 3)
-                k = max(0, W.bit_length() - e + width)
-            if k:
-                num, den = seed.as_integer_ratio()
-                j = min(max(((num << (e + k)) // den - end(k, 0)) // W, 0), (1 << k) - 1)
-                a, b = value(k, j), value(k, j + 1)
-                if (a > 0) == (b > 0):
-                    k = j = 0
-            if not k:
-                a, b = value(0, 0), value(0, 1)
-            # the levels left to the stopping level (two more for rounding),
-            # or the cell's relative precision if smaller: a secant step about
-            # doubles that
-            top = max(abs(end(k, j)), abs(end(k, j + 1))).bit_length()
-            s = max(1, min((W << 62).bit_length() - top, top - W.bit_length()))
         while not stops(k, j):
             if s == 1:
                 m = value(k + 1, 2 * j + 1)
@@ -951,29 +970,80 @@ def _refine(p: List[int], L: int, H: int, e: int, positive_at_lo: bool) -> Fract
     except _ExactRoot as hit:
         k, j = hit.args
 
-    # the first level on the path to cell (k, j) at which bisection stops, else k
-    lo, hi = 0, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if stops(mid, j >> (k - mid)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(2 * end(lo, j >> (k - lo)) + W, 1 << (e + lo + 1))
+    # the first level on the path to cell (k, j) at which bisection stops,
+    # else k: a walk from the level the size of the cell's ends points to
+    top = max(abs(end(k, j)), abs(end(k, j + 1))).bit_length()
+    m = min(max(k + 60 + W.bit_length() - top, 0), k)
+    while m < k and not stops(m, j >> (k - m)):
+        m += 1
+    while m and stops(m - 1, j >> (k - m + 1)):
+        m -= 1
+    return Fraction(2 * end(m, j >> (k - m)) + W, 1 << (e + m + 1))
+
+
+def _certified_roots(p: List[int], count: int, bound: int, seeds: List[float]) -> Optional[List[Fraction]]:
+    """The roots of p, when the `count` most nearly real seeds certify them;
+    else None.  Each seed gives the crossing cell of the bisection grid of
+    [-bound, bound] around it (`_seed_cell`).  Cells of one grid are nested
+    or have disjoint interiors; if none of the `count` cells is nested in
+    another, they hold `count` distinct roots of odd multiplicity in their
+    interiors, and if p has at most `count` distinct real roots (`count` is
+    their number or deg p), each cell holds one root and p has no other.
+    No root is then a grid point of a coarser level (it would be the end of
+    its cell), so Sturm bisection of [-bound, bound] isolates each root in
+    its cell or in an ancestor, and `_refine` from the cell, which is far
+    wider than where refinement stops, returns the Fraction that bisection
+    returns."""
+    if len(seeds) < count:
+        return None
+    cells = []
+    for seed in sorted(seeds[:count]):  # each seed is in its cell: the roots come out ascending
+        found = _seed_cell(p, -bound, bound, 0, seed)
+        if found is None:
+            return None
+        k, j, _ = found
+        if any(j >> max(0, k - k2) == j2 >> max(0, k2 - k) for k2, j2, _ in cells):
+            return None
+        cells.append(found)
+    return [_refine(p, *cell) for _, _, cell in cells]
+
+
+def _start_cell(p: List[int], L: int, H: int, e: int, seeds: List[float]) -> Cell:
+    """The cell `_refine` starts from for the Sturm interval (L, H) / 2^e,
+    across which p changes sign: the first crossing seed cell in the
+    interval, else the interval itself."""
+    for seed in seeds:
+        found = _seed_cell(p, L, H, e, seed)
+        if found is not None:
+            return found[2]
+    return _cell(p, L, H, e)
 
 
 def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
     """The real roots of odd multiplicity of sum_k coeffs[k] t^k, ascending.
 
-    Exact: the distinct real roots are isolated by the Sturm sequence over Q
-    with bisection at dyadic points, and each isolating interval across
-    which the polynomial changes sign is refined to relative width 2^-60.
-    A root is returned as the midpoint of the dyadic cell that sign
-    bisection of its interval stops at, or exactly when a bisection point
-    hits it; the refinement finds that cell by verified secant jumps from a
-    float Newton seed, with a few exact evaluations (see `_refine`).  Roots
-    of even multiplicity (no sign change) are not reported; the zero
-    polynomial and the nonzero constants have no roots.
+    Exact: each root is the Fraction that Sturm bisection returns.  That
+    isolates the distinct real roots with the Sturm sequence over Q,
+    bisecting [-bound, bound] (a Fujiwara bound) at dyadic points, and
+    returns the midpoint of the dyadic cell of relative width 2^-60 at which
+    sign bisection of a root's isolating interval stops, or the root itself
+    when a bisection point hits it.
+
+    Floats propose and exact signs certify.  One eigenvalue solve gives a
+    float seed per complex root.  N is deg p when the solve found only real
+    roots (N crossing cells as below then leave no room for another root);
+    otherwise, or when that fails, N is the number of distinct real roots,
+    from the Sturm sequence's signs at +-infinity.  The N most nearly real
+    seeds each name a cell of the bisection grid of relative width about
+    2^-40; if the exact values at the ends of all N cells are nonzero and
+    change sign, and no cell is nested in another, each cell holds exactly
+    one root, of odd multiplicity, and `_refine` finds the Fraction from it
+    with a few exact evaluations (see `_certified_roots`).  Otherwise (a
+    tangency, a root on a coarse grid point, roots closer than a seed cell,
+    coefficients past the float range) the Sturm bisection runs, and the
+    seeds only start the refinement of its isolating intervals.  Roots of
+    even multiplicity (no sign change) are not reported; the zero polynomial
+    and the nonzero constants have no roots.
     """
     q = [Fraction(c) for c in coeffs]
     while q and q[-1] == 0:
@@ -982,7 +1052,6 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
         return []
     den = math.lcm(*(c.denominator for c in q))
     p = [c.numerator * (den // c.denominator) for c in q]
-    seq = _sturm_sequence(p)
 
     # Fujiwara's bound |t| <= 2 max_i |p[n-i] / p[n]|^(1/i), raised to a power of two
     lead = abs(p[-1]).bit_length()
@@ -990,6 +1059,21 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
                           for i, c in enumerate(reversed(p[:-1]), 1) if c])
     bound = 1 << (exponent + 1)
 
+    seeds, all_real = _float_roots(p)
+    if all_real:  # deg p crossing cells leave no room for another root
+        roots = _certified_roots(p, len(p) - 1, bound, seeds)
+        if roots is not None:
+            return roots
+    seq = _sturm_sequence(p)
+    count = _distinct_real_roots(seq)
+    if not count:
+        return []
+    roots = _certified_roots(p, count, bound, seeds)
+    return _bisection_roots(p, seq, bound, seeds) if roots is None else roots
+
+
+def _bisection_roots(p: List[int], seq: List[List[int]], bound: int, seeds: List[float]) -> List[Fraction]:
+    """`real_roots` by Sturm bisection of [-bound, bound]."""
     # an interval is (a, b, e, count at a, count at b) for [a, b] / 2^e
     roots: List[Fraction] = []
     stack = [(-bound, bound, 0, _sturm_count(seq, -bound, 0), _sturm_count(seq, bound, 0))]
@@ -997,7 +1081,7 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
         a, b, e, (s_a, v_a), (s_b, v_b) = stack.pop()
         if v_a - v_b == 1:
             if s_a != s_b:
-                roots.append(_refine(p, a, b, e, s_a > 0))
+                roots.append(_refine(p, *_start_cell(p, a, b, e, seeds)))
             continue
         if v_a == v_b:
             continue

@@ -9,13 +9,17 @@ For n = 2 the sphere is a circle; the restriction of the single equation to
 it becomes, under the tangent half-angle substitution, a univariate
 polynomial whose coefficients are computed exactly, from one table per
 center whose entries are polynomials in the radius (`HalfAngleTable`).  Its
-real roots of odd multiplicity (the crossings of the circle) are isolated
-exactly by Sturm sequences over Q and refined by exactly verified secant
-jumps to the Fractions exact sign bisection would return; tangencies (even
-multiplicity) are not reported.  The pivot chart's one equation is +-the one
-2x2 minor, so n = 2 slices need no revalidation against the minors.  The
-center screen passes its MilnorSystem on, and a system keeps its table and
-its crossings by radius.
+real roots of odd multiplicity (the crossings of the circle) are found
+exactly by `real_roots`: float eigenvalue seeds propose one dyadic cell per
+distinct real root (their number is the degree when the seeds are all real,
+else it comes from the Sturm sequence), exact signs at the cell ends certify
+them, and Sturm bisection over Q runs only where that certificate fails.
+Each root is refined by exactly verified secant jumps to the Fraction exact
+sign bisection would return; tangencies (even multiplicity) are not
+reported.  The pivot chart's one equation is +-the one 2x2 minor, so n = 2
+slices need no revalidation against the minors.  The center screen passes
+its MilnorSystem on, and a system keeps its table and its crossings by
+radius.
 
 A branch sample's f value is exact at its float point, rounded once
 (`ExactEvaluator.at_float`, cleared once per system); its float parts are
@@ -426,14 +430,20 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
 
 def _make_samples(sys: MilnorSystem, X: np.ndarray, residuals: np.ndarray, R: float) -> List[Sample]:
     """One sample per slice point (row of X), with the float parts evaluated
-    in one batch and the scaled residuals the slice's keep test read."""
-    nus = rabier_nus(sys.compiled_f.jacobians(X)[:, 0, :])
+    in one batch and the scaled residuals the slice's keep test read.
+    ValueError when f at a point is past the float range."""
+    points = X.tolist()
     # f exactly at the float point: float sums of a degree-d f cancel to
-    # errors of ~1e-16 * sum |c| R^d, above CONV_TOL at the outer radii
-    exact_f = sys.exact_f.at_float
-    return [Sample(radius=R, point=tuple(x), f_value=exact_f(x),
-                   malgrange=math.sqrt(v.dot(v)) * nu, residual=res)
-            for x, v, nu, res in zip(X.tolist(), X, nus, residuals.tolist())]
+    # errors of ~1e-16 * sum |c| R^d, above CONV_TOL at the outer radii.
+    # Taken first: past the float range it is the error, not the Jacobians'
+    # overflow warnings
+    try:
+        f_values = [sys.exact_f.at_float(x) for x in points]
+    except OverflowError:
+        raise ValueError(f"radius {R:g} is too large: f overflows floating point") from None
+    nus = rabier_nus(sys.compiled_f.jacobians(X)[:, 0, :])
+    return [Sample(radius=R, point=tuple(x), f_value=fx, malgrange=math.sqrt(v.dot(v)) * nu, residual=res)
+            for x, fx, v, nu, res in zip(points, f_values, X, nus, residuals.tolist())]
 
 
 # ---------------------------------------------------------------------------

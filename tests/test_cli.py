@@ -369,6 +369,16 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == f"error: {culprit} is too large: the Milnor equations overflow floating point\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["analyze", "trace"])
+    def test_overflowing_f_values_name_the_radius(self, capsys, command):
+        # the Milnor equation is y, which fits floats at every radius, but
+        # f ~ R^4 at the slice points does not
+        code, out, err = run_cli(capsys, command, "x^4 + 2*x^2*y^2 + y^4 + x", "--vars", "x,y",
+                                 "--center", "0,0", "--radii", "1e90:2:8")
+        assert (code, out) == (1, "")
+        assert err == "error: radius 1e+90 is too large: f overflows floating point\n"
+
     def test_radii_flag_validation(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0",

@@ -15,6 +15,7 @@ from milnorarc import (
     compose_arc,
     parse,
 )
+from milnorarc import poly as poly_module
 from milnorarc.poly import CompiledPolynomials, ExactEvaluator, compose_laurent, real_roots
 
 VARS2 = ["x", "y"]
@@ -622,6 +623,46 @@ class TestRefinementOracle:
     @settings(max_examples=150, deadline=None)
     def test_same_fractions_on_small_integer_factors(self, coeffs):
         assert real_roots(coeffs) == _bisection_real_roots(coeffs)
+
+    @pytest.mark.parametrize("complex_pair, skipped", [
+        ([1, 0, 1], "_sturm_count"),    # N from the Sturm sequence, no Sturm count
+        ([1], "_sturm_sequence"),       # only real roots: N is the degree
+    ])
+    def test_certified_path(self, monkeypatch, complex_pair, skipped):
+        # simple roots that are not grid points
+        coeffs = _product([Fraction(7, 3), 1], [Fraction(1, 3), 1], [Fraction(-2, 7), 1],
+                          [Fraction(-5, 3), 1], complex_pair)
+        expected = _bisection_real_roots(coeffs)
+
+        def refuse(*args):
+            raise AssertionError(f"{skipped} ran")
+
+        monkeypatch.setattr(poly_module, skipped, refuse)
+        assert real_roots(coeffs) == expected
+        assert len(expected) == 4
+
+    def test_one_cluster_is_not_counted_twice(self):
+        # three roots 2^-18 apart and one far off: the three float seeds of the
+        # cluster (two are a conjugate pair) name cells that hold all three
+        roots = [Fraction(12, 7) + i * Fraction(1, 2 ** 18) for i in range(3)] + [Fraction(-5, 3)]
+        coeffs = _product(*[[-r, 1] for r in roots])
+        assert real_roots(coeffs) == _bisection_real_roots(coeffs)
+        assert len(real_roots(coeffs)) == 4
+
+    @pytest.mark.parametrize("coeffs", [
+        _product([Fraction(-1, 3), 1], [Fraction(-1, 3), 1], [Fraction(-2, 7), 1], [Fraction(5, 3), 1]),
+        _product([0, 1], [Fraction(-1, 3), 1], [Fraction(5, 3), 1]),
+        _product([Fraction(-3, 4), 1], [Fraction(1, 3), 1]),
+        _product([Fraction(-1, 3), 1], [Fraction(-1, 3) - Fraction(1, 2 ** 70), 1], [Fraction(5, 3), 1]),
+        [c * (2 ** 1100 + 1) for c in _product([Fraction(-1, 3), 1], [Fraction(5, 3), 1])],
+    ], ids=["double-root", "root-at-zero", "dyadic-root", "pair-2^-70-apart", "past-the-float-range"])
+    def test_fall_back_to_bisection(self, monkeypatch, coeffs):
+        expected = _bisection_real_roots(coeffs)
+        counts = []
+        sturm_count = poly_module._sturm_count
+        monkeypatch.setattr(poly_module, "_sturm_count", lambda *args: counts.append(1) or sturm_count(*args))
+        assert real_roots(coeffs) == expected
+        assert counts
 
 
 # ---------------------------------------------------------------------------

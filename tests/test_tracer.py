@@ -18,12 +18,13 @@ from milnorarc import (
     estimate_limits,
     milnor_equations,
     parse,
+    pick_generic_center,
     s_a_estimate,
     s_infinity_estimate,
     slice_solve,
     trace_branches,
 )
-from milnorarc import tracer
+from milnorarc import poly, tracer
 from milnorarc.milnor import HalfAngleTable, rabier_nu
 from milnorarc.poly import LaurentScalar, Polynomial, compose_laurent
 from milnorarc.tracer import Sample, _center_text, _dedupe, _newton_steps
@@ -399,6 +400,45 @@ class TestHalfAngle:
         N, Q = HalfAngleTable(eq, center).at(radius)
         den = math.lcm(*(c.denominator for c in coeffs))
         assert [c // math.gcd(Q, *N) for c in N] == [int(c * den) for c in coeffs]
+
+
+class TestCertifiedCircles:
+    """The circle slices take `real_roots`' certified path; a slower fall-back
+    to Sturm bisection shows here, not only in the bench."""
+
+    @staticmethod
+    def _samples(f, center):
+        return [[(s.radius, s.point, s.f_value) for s in t.samples]
+                for t in trace_branches(f, _system(f, center), TraceConfig())]
+
+    @staticmethod
+    def _bisection_only(monkeypatch):
+        monkeypatch.setattr(poly, "_certified_roots", lambda *args: None)
+
+    def test_flagship_circles_are_certified(self, monkeypatch):
+        center = pick_generic_center(F_FLAG, 0)
+
+        def refuse(*args):
+            raise AssertionError("a circle fell back to Sturm bisection")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(poly, "_sturm_count", refuse)
+            certified = self._samples(F_FLAG, center)   # R = 10 ... 1280
+        self._bisection_only(monkeypatch)
+        assert certified == self._samples(F_FLAG, center)
+
+    def test_tangent_example_falls_back_to_the_same_samples(self, monkeypatch):
+        # at (0, 1) the R = 1280 circle has two crossings 2e-8 apart
+        # (relative); their float seeds are off by 1e-9, so no seed cell
+        # holds one crossing alone
+        counts = []
+        sturm_count = poly._sturm_count
+        with monkeypatch.context() as patch:
+            patch.setattr(poly, "_sturm_count", lambda *args: counts.append(1) or sturm_count(*args))
+            mixed = self._samples(F_TANGENT, (Fraction(0), Fraction(1)))
+        assert counts
+        self._bisection_only(monkeypatch)
+        assert mixed == self._samples(F_TANGENT, (Fraction(0), Fraction(1)))
 
 
 class TestTraceBranches:
