@@ -5,7 +5,8 @@ All JSON output is byte-deterministic for identical input, seed and config
 to re-run it exactly.
 
 Exit codes: 0 success, 1 user error (parse failure, bad arguments, a center
-too large for floating point), 2 analysis ran but every center was degenerate.
+too large or a radius too small for floating point), 2 analysis ran but every
+center was degenerate.
 """
 
 from __future__ import annotations

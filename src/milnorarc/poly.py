@@ -867,29 +867,30 @@ def _cell(p: List[int], L: int, H: int, e: int) -> Cell:
     return L, H, e, _scaled_value(p, L, e), _scaled_value(p, H, e)
 
 
-def _seed_cell(p: List[int], L: int, H: int, e: int, seed: float) -> Optional[Tuple[int, int, Cell]]:
-    """(level, index, cell) of the bisection cell of [L, H] / 2^e that holds
-    the float seed and has width about 2^-SEED_BITS |seed|, or of its
+def _seed_cell(p: List[int], bound: int, seed: float) -> Optional[Tuple[int, int, Cell]]:
+    """(level, index, cell) of the bisection cell of [-bound, bound] that
+    holds the float seed and has width about 2^-SEED_BITS |seed|, or of its
     ancestor WIDEN_LEVELS, 2 WIDEN_LEVELS, ... levels up (at most WIDENINGS
     times): the first at whose ends p has nonzero values of opposite signs.
-    None when the seed is 0 or outside [L, H) / 2^e, or no such cell has
+    None when the seed is 0 or outside [-bound, bound), or no such cell has
     them.
 
-    Cell j of level k has the ends (L 2^k + j W) / 2^(e+k) and
-    (L 2^k + (j+1) W) / 2^(e+k), W = H - L.  Unless it is [L, H] itself, it
-    holds the seed, so its relative width is above 2^-(SEED_BITS+2): far
-    from the 2^-60 at which `_refine` stops, at it and at every ancestor."""
+    Cell j of level k has the ends (j W - bound 2^k) / 2^k and
+    ((j+1) W - bound 2^k) / 2^k, W = 2 bound.  Unless it is [-bound, bound]
+    itself, it holds the seed, so its relative width is above
+    2^-(SEED_BITS+2): far from the 2^-60 at which `_refine` stops, at it and
+    at every ancestor."""
     if not seed:
         return None
-    W = H - L
-    k = max(0, W.bit_length() - e + SEED_BITS - math.frexp(seed)[1])
+    W = 2 * bound
+    k = max(0, W.bit_length() + SEED_BITS - math.frexp(seed)[1])
     num, den = seed.as_integer_ratio()
-    j = ((num << (e + k)) // den - (L << k)) // W
+    j = ((num << k) // den + (bound << k)) // W
     if not 0 <= j < 1 << k:
         return None
     for _ in range(WIDENINGS + 1):
-        A = (L << k) + j * W
-        cell = _cell(p, A, A + W, e + k)
+        A = j * W - (bound << k)
+        cell = _cell(p, A, A + W, k)
         a, b = cell[3:]
         if a and b and (a > 0) != (b > 0):
             return k, j, cell
@@ -982,23 +983,23 @@ def _refine(p: List[int], L: int, H: int, e: int, a: int, b: int) -> Fraction:
 
 
 def _certified_roots(p: List[int], count: int, bound: int, seeds: List[float]) -> Optional[List[Fraction]]:
-    """The roots of p, when the `count` most nearly real seeds certify them;
-    else None.  Each seed gives the crossing cell of the bisection grid of
-    [-bound, bound] around it (`_seed_cell`).  Cells of one grid are nested
-    or have disjoint interiors; if none of the `count` cells is nested in
-    another, they hold `count` distinct roots of odd multiplicity in their
-    interiors, and if p has at most `count` distinct real roots (`count` is
-    their number or deg p), each cell holds one root and p has no other.
-    No root is then a grid point of a coarser level (it would be the end of
-    its cell), so Sturm bisection of [-bound, bound] isolates each root in
-    its cell or in an ancestor, and `_refine` from the cell, which is far
-    wider than where refinement stops, returns the Fraction that bisection
-    returns."""
+    """The roots of p, when the `count` most nearly real seeds certify them
+    (none when `count` is 0); else None.  Each seed gives the crossing cell
+    of the bisection grid of [-bound, bound] around it (`_seed_cell`).  Cells
+    of one grid are nested or have disjoint interiors; if none of the
+    `count` cells is nested in another, they hold `count` distinct roots of
+    odd multiplicity in their interiors, and if p has at most `count`
+    distinct real roots (`count` is their number or deg p), each cell holds
+    one root and p has no other.  No root is then a grid point of a coarser
+    level (it would be the end of its cell), so Sturm bisection of
+    [-bound, bound] isolates each root in its cell or in an ancestor, and
+    `_refine` from the cell, which is far wider than where refinement stops,
+    returns the Fraction that bisection returns."""
     if len(seeds) < count:
         return None
     cells = []
     for seed in sorted(seeds[:count]):  # each seed is in its cell: the roots come out ascending
-        found = _seed_cell(p, -bound, bound, 0, seed)
+        found = _seed_cell(p, bound, seed)
         if found is None:
             return None
         k, j, _ = found
@@ -1006,17 +1007,6 @@ def _certified_roots(p: List[int], count: int, bound: int, seeds: List[float]) -
             return None
         cells.append(found)
     return [_refine(p, *cell) for _, _, cell in cells]
-
-
-def _start_cell(p: List[int], L: int, H: int, e: int, seeds: List[float]) -> Cell:
-    """The cell `_refine` starts from for the Sturm interval (L, H) / 2^e,
-    across which p changes sign: the first crossing seed cell in the
-    interval, else the interval itself."""
-    for seed in seeds:
-        found = _seed_cell(p, L, H, e, seed)
-        if found is not None:
-            return found[2]
-    return _cell(p, L, H, e)
 
 
 def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
@@ -1029,21 +1019,23 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
     sign bisection of a root's isolating interval stops, or the root itself
     when a bisection point hits it.
 
-    Floats propose and exact signs certify.  One eigenvalue solve gives a
-    float seed per complex root.  N is deg p when the solve found only real
-    roots (N crossing cells as below then leave no room for another root);
-    otherwise, or when that fails, N is the number of distinct real roots,
-    from the Sturm sequence's signs at +-infinity.  The N most nearly real
-    seeds each name a cell of the bisection grid of relative width about
-    2^-40; if the exact values at the ends of all N cells are nonzero and
-    change sign, and no cell is nested in another, each cell holds exactly
-    one root, of odd multiplicity, and `_refine` finds the Fraction from it
-    with a few exact evaluations (see `_certified_roots`).  Otherwise (a
-    tangency, a root on a coarse grid point, roots closer than a seed cell,
-    coefficients past the float range) the Sturm bisection runs, and the
-    seeds only start the refinement of its isolating intervals.  Roots of
-    even multiplicity (no sign change) are not reported; the zero polynomial
-    and the nonzero constants have no roots.
+    One pipeline: floats propose, exact signs certify, and every root,
+    certified or isolated, goes through the one refinement `_refine`.
+    1. Count: one eigenvalue solve gives a float seed per complex root.  N is
+       deg p when the solve found only real roots (N crossing cells as below
+       then leave no room for another root); otherwise N is the number of
+       distinct real roots, from the Sturm sequence's signs at +-infinity.
+    2. Certify: the N most nearly real seeds each name a cell of the
+       bisection grid of relative width about 2^-40; if the exact values at
+       the ends of all N cells are nonzero and change sign, and no cell is
+       nested in another, each cell holds exactly one root, of odd
+       multiplicity, and `_refine` finds the Fraction from it with a few
+       exact evaluations (see `_certified_roots`).
+    3. Otherwise (a tangency, a root on a coarse grid point, roots closer
+       than a seed cell, coefficients past the float range) Sturm bisection
+       isolates the roots, and `_refine` starts from each isolating interval.
+    Roots of even multiplicity (no sign change) are not reported; the zero
+    polynomial and the nonzero constants have no roots.
     """
     q = [Fraction(c) for c in coeffs]
     while q and q[-1] == 0:
@@ -1060,20 +1052,15 @@ def real_roots(coeffs: Sequence[Rational]) -> List[Fraction]:
     bound = 1 << (exponent + 1)
 
     seeds, all_real = _float_roots(p)
-    if all_real:  # deg p crossing cells leave no room for another root
-        roots = _certified_roots(p, len(p) - 1, bound, seeds)
-        if roots is not None:
-            return roots
-    seq = _sturm_sequence(p)
-    count = _distinct_real_roots(seq)
-    if not count:
-        return []
-    roots = _certified_roots(p, count, bound, seeds)
-    return _bisection_roots(p, seq, bound, seeds) if roots is None else roots
+    seq = None if all_real else _sturm_sequence(p)
+    roots = _certified_roots(p, len(p) - 1 if all_real else _distinct_real_roots(seq), bound, seeds)
+    return roots if roots is not None else _bisection_roots(p, seq or _sturm_sequence(p), bound)
 
 
-def _bisection_roots(p: List[int], seq: List[List[int]], bound: int, seeds: List[float]) -> List[Fraction]:
-    """`real_roots` by Sturm bisection of [-bound, bound]."""
+def _bisection_roots(p: List[int], seq: List[List[int]], bound: int) -> List[Fraction]:
+    """`real_roots` by Sturm bisection of [-bound, bound]: each isolating
+    interval across which p changes sign is refined from the interval
+    itself, by `_refine`."""
     # an interval is (a, b, e, count at a, count at b) for [a, b] / 2^e
     roots: List[Fraction] = []
     stack = [(-bound, bound, 0, _sturm_count(seq, -bound, 0), _sturm_count(seq, bound, 0))]
@@ -1081,7 +1068,7 @@ def _bisection_roots(p: List[int], seq: List[List[int]], bound: int, seeds: List
         a, b, e, (s_a, v_a), (s_b, v_b) = stack.pop()
         if v_a - v_b == 1:
             if s_a != s_b:
-                roots.append(_refine(p, *_start_cell(p, a, b, e, seeds)))
+                roots.append(_refine(p, *_cell(p, a, b, e)))
             continue
         if v_a == v_b:
             continue

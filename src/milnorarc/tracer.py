@@ -225,7 +225,7 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     Returns de-duplicated float points; each satisfies every equation to the
     scale-aware tolerance.  An empty list is a valid outcome.  Raises
     DegenerateMilnorError when an equation is identically zero, and
-    ValueError when the center or the equations overflow floating point.
+    ValueError when the center, the radius or the equations do not fit floats.
     """
     return list(_slice(sys, radius, config or TraceConfig())[0])
 
@@ -245,6 +245,10 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
         center_fits = np.isfinite(sys.compiled.scales(norm + 1.0)).all()  # at radius 0
         culprit = f"radius {radius:g}" if center_fits else f"center {_center_text(sys.center)}"
         raise ValueError(f"{culprit} is too large: the Milnor equations overflow floating point")
+    # a sphere point is radius / sqrt(n) off the center in some coordinate, over an ulp
+    # of it if radius > sqrt(n) eps ||a||; the escape directions need a normal radius^2
+    if radius * radius < np.finfo(float).tiny or radius <= math.sqrt(n) * np.finfo(float).eps * norm:
+        raise ValueError(f"radius {radius:g} is too small for floating point")
 
     if n == 2:  # the chart's one equation is +-the one minor; its crossings are solved once per system
         if (points := sys._crossings.get(radius)) is None:
@@ -297,13 +301,21 @@ def _slice_solve_circle(sys: MilnorSystem, a: np.ndarray, radius: float) -> List
     # the integers real_roots would clear the coefficients N_k / Q to
     G = math.gcd(Q, *N)
     p = [c // G for c in N]
-    thetas = [2.0 * math.atan(float(tau)) % (2.0 * math.pi) for tau in real_roots(p)]
+    thetas = [_angle(tau) for tau in real_roots(p)]
     # tau = infinity (theta = pi) is a root of the multiplicity of the
     # vanishing top coefficients; it is a crossing when that is odd
     drop = next((k for k, c in enumerate(reversed(p)) if c), 0)
     if drop % 2:
         thetas.append(math.pi)
     return [a + radius * np.array([math.cos(t), math.sin(t)]) for t in sorted(thetas)]
+
+
+def _angle(tau: Fraction) -> float:
+    """2 atan(tau) in [0, 2 pi); pi, correctly rounded, for tau past the float range."""
+    try:
+        return 2.0 * math.atan(float(tau)) % (2.0 * math.pi)
+    except OverflowError:
+        return math.pi
 
 
 @np.errstate(over="ignore", invalid="ignore")   # iterates far off the sphere may overflow
@@ -457,14 +469,11 @@ def _classify(trace: BranchTrace, final_radius: float, factor: float):
     if len(samples) < 4 or samples[-1].radius < final_radius * 0.999:
         trace.status = STATUS_LOST
         return None
-    fs = np.array([s.f_value for s in samples])
-    half = samples[len(samples) // 2:]
-    if len(half) < 3:
-        half = samples[-3:]
+    half = samples[min(len(samples) // 2, len(samples) - 3):]   # at least three
     hf = np.array([s.f_value for s in half])
     hr = np.array([s.radius for s in half])
 
-    absf = np.abs(fs)
+    absf = np.abs(hf)   # its last three are those of every sample
     # the status unless a convergence test below passes
     trace.status = STATUS_DIVERGENT if absf[-1] > DIV_THRESHOLD else STATUS_LOST
     if trace.status == STATUS_DIVERGENT and absf[-1] > absf[-2] > absf[-3]:

@@ -379,6 +379,58 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == "error: radius 1e+90 is too large: f overflows floating point\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("poly, names, center, r0, named", [
+        # radius^2 below the normal floats (a half-angle root past the float range, before)
+        ("x + x^2*y", "x,y", "0,0", "1e-160", "1e-160"),
+        ("x + x^2*y", "x,y", "0,0", "1e-300", "1e-300"),
+        ("x + x^2*y", "x,y", "0,0", "1e-320", "9.99989e-321"),
+        # every circle point rounds to the center
+        ("x + x^2*y", "x,y", "1,2", "1e-300", "1e-300"),
+        ("y*(x^2*y^2 + 3*x*y + 3)", "x,y", "0,1", "1e-300", "1e-300"),
+        # and every sphere point: no branch at all, before
+        ("x + x^2*y + z^2", "x,y,z", "1,2,-1", "1e-300", "1e-300"),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "trace"])
+    def test_radius_too_small_for_floats_is_one_error_line(self, capsys, command, poly, names, center, r0,
+                                                           named):
+        code, out, err = run_cli(capsys, command, poly, "--vars", names, "--center", center,
+                                 "--radii", f"{r0}:2:8")
+        assert (code, out) == (1, "")
+        assert err == f"error: radius {named} is too small for floating point\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "x + x^2*y", "--vars", "x,y"],
+        ["trace", "x + x^2*y", "--vars", "x,y", "--seed", "0"],
+    ])
+    def test_no_generic_center_is_exit_2_with_one_line_per_attempt(self, capsys, monkeypatch, argv):
+        import milnorarc.tracer as m
+
+        reason = "rank-deficient Milnor Jacobian at R=10.0"
+        monkeypatch.setattr(m, "_screen_center", lambda sys: (False, reason))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        first, *attempts = err.splitlines()
+        assert first == f"error: no generic center found in {m.CENTER_ATTEMPTS} attempts (seed 0)"
+        assert len(attempts) == m.CENTER_ATTEMPTS == 16
+        assert all(line.startswith(f"  attempt {i}: a=(") and line.endswith(f": {reason}")
+                   for i, line in enumerate(attempts))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["milnor", "x + x^2*y", "--vars", ","], "--vars must list at least one variable name"),
+        (["milnor", "x + x^2*y", "--vars", "x,x"], "duplicate variable names"),
+        (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0,0"],
+         "center '0,0,0' has 3 coordinates, expected 2"),
+        (["milnor", "x + x^2*y", "--vars", "x,y", "--pivot", "0"],
+         "pivot index -1 out of range for 2 variables"),
+        (["milnor", "x + x^2*y", "--vars", "x,y", "--pivot", "3"],
+         "pivot index 2 out of range for 2 variables"),
+        (["arc-search", "x", "--vars", "x,y"], "polynomial degree must be at least 2"),
+    ], ids=["empty-vars", "duplicate-vars", "center-coordinates", "pivot-0", "pivot-3", "arc-search-degree"])
+    def test_bad_variables_center_pivot_or_degree_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_radii_flag_validation(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0",

@@ -664,6 +664,27 @@ class TestRefinementOracle:
         assert real_roots(coeffs) == expected
         assert counts
 
+    @pytest.mark.parametrize("coeffs, falls_back", [
+        (_product([Fraction(7, 3), 1], [Fraction(-2, 7), 1], [1, 0, 1]), False),
+        (_product([Fraction(7, 3), 1], [Fraction(1, 3), 1], [Fraction(-2, 7), 1]), False),
+        (_product([Fraction(-1, 3), 1], [Fraction(-1, 3), 1], [Fraction(5, 3), 1]), True),
+        (_product([Fraction(-3, 4), 1], [Fraction(1, 3), 1]), True),
+        (_product([Fraction(-1, 2), 1], [Fraction(-1, 2), 1]), True),
+        ([1, 0, 1], False),
+    ], ids=["complex-pair", "only-real", "double-root", "dyadic-root", "real-double-root", "no-real-root"])
+    def test_one_certificate_per_call(self, monkeypatch, coeffs, falls_back):
+        # N is counted once and certified once; a failed certificate goes
+        # straight to Sturm bisection, which refines its own intervals.  On the
+        # dyadic root and the real double root the eigen-solve finds only real
+        # roots, so N is the degree there
+        calls = []
+        for name in ("_certified_roots", "_bisection_roots"):
+            wrapped = getattr(poly_module, name)
+            monkeypatch.setattr(poly_module, name,
+                                lambda *args, name=name, wrapped=wrapped: calls.append(name) or wrapped(*args))
+        assert real_roots(coeffs) == _bisection_real_roots(coeffs)
+        assert calls == ["_certified_roots"] + ["_bisection_roots"] * falls_back
+
 
 # ---------------------------------------------------------------------------
 # Laurent scalars and arcs

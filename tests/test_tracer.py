@@ -187,6 +187,23 @@ class TestSliceSolve:
         with pytest.raises(ValueError):
             slice_solve(_system(F_FLAG, (0, 0)), -1.0, TraceConfig())
 
+    @pytest.mark.parametrize("center, radius", [
+        ((0, 0), 1e-160),              # radius^2 is subnormal
+        ((0, 0), 1e-320),              # the radius itself is subnormal
+        ((1, 2), 1e-300),              # every circle point rounds to the center
+        ((1, 2), 1e-16),               # below sqrt(2) eps ||a||
+        ((1, 2, -1), 1e-300),
+    ])
+    def test_rejects_a_radius_too_small_for_floats(self, center, radius):
+        f = F_FLAG if len(center) == 2 else parse("x + x^2*y + z^2", "xyz")
+        with pytest.raises(ValueError, match=f"^radius {radius:g} is too small for floating point$"):
+            slice_solve(_system(f, center), radius, TraceConfig())
+
+    def test_root_past_the_float_range_is_the_angle_pi(self):
+        assert tracer._angle(Fraction(10 ** 400)) == math.pi
+        assert tracer._angle(Fraction(-10 ** 400, 3)) == math.pi
+        assert tracer._angle(Fraction(-1)) == 1.5 * math.pi
+
     def test_three_variables_exact_oracle(self):
         # every returned point is checked in exact arithmetic at its float
         # coordinates: scaled equations below tol, and on the sphere
@@ -553,6 +570,15 @@ class TestEstimateLimits:
     def test_empty_input(self):
         assert estimate_limits([], TraceConfig()) == ([], 0)
 
+    @pytest.mark.parametrize("values", [
+        [3.0 + R ** -0.1 for R in RADII],            # decay rate 0.1 <= ALPHA_MIN
+        [5.0 + 100.0 * R ** -0.5 for R in RADII],    # last value 2.8 from the limit
+    ], ids=["slow-decay", "far-from-the-limit"])
+    def test_fit_that_fails_a_convergence_test_is_lost(self, values):
+        trace = _synthetic_trace(0, self.RADII, values)
+        assert tracer._classify(trace, self.RADII[-1], 2.0) is None
+        assert trace.status == "lost"
+
 
 class TestReports:
     def test_flagship_single_center(self):
@@ -601,6 +627,20 @@ class TestReports:
     def test_s_infinity_needs_two_centers(self):
         with pytest.raises(ValueError):
             s_infinity_estimate(F_FLAG, [(0, 0)], TraceConfig())
+
+    def test_s_infinity_drops_a_value_one_center_lacks(self, monkeypatch):
+        values = {(0, 0): [0.0, 1.0, 5.0], (1, 0): [2e-4, 5.0], (2, 0): [-2e-4, 1.0, 5.0]}
+
+        def s_a_estimate(f, center, config):
+            limits = [tracer.LimitValue(v, (1e-5, 2e-5, 3e-5)[i], [i]) for i, v in enumerate(values[center])]
+            return tracer.AnalysisReport(center=center, status="ok", certified=True, bound_cap=2, seed=0,
+                                         radii=[], config={}, limit_values=limits)
+
+        monkeypatch.setattr(tracer, "s_a_estimate", s_a_estimate)
+        report = s_infinity_estimate(F_FLAG, list(values), TraceConfig())
+        # 1.0 is missing at (1, 0); 0 matches within cluster_tol at every center
+        assert [(lv.value, lv.uncertainty, lv.branch_ids) for lv in report.intersection] == [
+            (pytest.approx(0.0, abs=1e-18), 1e-5, [0]), (5.0, 3e-5, [1, 2])]
 
     def test_s_infinity_excludes_degenerate_centers(self):
         f = parse("x^2 + y^2", VARS2)
