@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, arcs, milnor, poly, tracer
-from .poly import ParseError, Polynomial, RationalArc
+from .poly import LaurentScalar, ParseError, Polynomial, RationalArc
 from .tracer import TraceConfig
 
 
@@ -90,59 +90,30 @@ def _parse_radii(spec: Optional[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Arc-spec text format: per-variable term lists, e.g. "x: 1/2 t^-1; y: -1 t^1"
+# Arc-spec text format: 'var: terms' clauses, e.g. "x: 1/2 t^-1; y: -t"
 # ---------------------------------------------------------------------------
 
 
 def parse_arc_spec(spec: str, var_names: Sequence[str]) -> RationalArc:
-    n = len(var_names)
-    index = {name: i for i, name in enumerate(var_names)}
-    coeffs: dict = {}
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
+    """The arc of ';'-separated 'var: terms' clauses.  Each clause's terms are
+    a Laurent polynomial in t in the polynomial grammar (`poly.parse_laurent`),
+    whose one-term factors may carry negative powers; the clauses of one
+    variable add up, and a variable with none is 0.  A `UserError` names the
+    clause, whose terms a parse error's position counts from."""
+    components = {name: LaurentScalar() for name in var_names}
+    for clause in filter(None, (c.strip() for c in spec.split(";"))):
         if ":" not in clause:
             raise UserError(f"arc clause {clause!r} is missing 'var:'")
-        name, body = clause.split(":", 1)
-        name = name.strip()
-        if name not in index:
+        name, body = (part.strip() for part in clause.split(":", 1))
+        if name not in components:
             raise UserError(f"unknown arc variable {name!r}")
-        j = index[name]
-        for coeff, k in _parse_arc_terms(body):
-            if coeff == 0:
-                continue
-            vec = list(coeffs.get(k, (Fraction(0),) * n))
-            vec[j] += coeff
-            coeffs[k] = tuple(vec)
-    return RationalArc(n, coeffs)
-
-
-def _parse_arc_terms(body: str) -> List[Tuple[Fraction, int]]:
-    import re
-
-    token_re = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:(?P<num>\d+(?:/\d+)?)\s*\*?\s*)?"
-        r"(?:t(?:\^(?P<exp>-?\d+))?)?"
-    )
-    terms: List[Tuple[Fraction, int]] = []
-    pos = 0
-    body = body.strip()
-    while pos < len(body):
-        m = token_re.match(body, pos)
-        if not m or m.end() == pos:
-            raise UserError(f"cannot parse arc terms at {body[pos:]!r}")
-        sign, num, exp = m.group("sign"), m.group("num"), m.group("exp")
-        has_t = "t" in body[m.start():m.end()]
-        if num is None and not has_t:
-            raise UserError(f"cannot parse arc terms at {body[pos:]!r}")
-        coeff = _parse_rational(num) if num is not None else Fraction(1)
-        if sign == "-":
-            coeff = -coeff
-        k = int(exp) if exp is not None else (1 if has_t else 0)
-        terms.append((coeff, k))
-        pos = m.end()
-    return terms
+        try:
+            components[name] += poly.parse_laurent(body)
+        except ParseError as exc:
+            raise UserError(f"arc clause {clause!r}: {exc} in {body!r}") from exc
+    comps = list(components.values())
+    powers = sorted(set().union(*(c.terms for c in comps)))
+    return RationalArc(len(comps), {k: tuple(c.coefficient(k) for c in comps) for k in powers})
 
 
 # ---------------------------------------------------------------------------

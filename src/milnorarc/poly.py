@@ -260,31 +260,27 @@ class Polynomial:
             var_names = default_var_names(self.num_vars)
         if len(var_names) != self.num_vars:
             raise ValueError("wrong number of variable names")
-        if not self.terms:
-            return "0"
-        pieces: List[str] = []
-        for exp, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(var_names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(pieces)
+        return _terms_text((coeff, [_power_text(name, e) for name, e in zip(var_names, exp) if e])
+                           for exp, coeff in self.sorted_terms())
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _power_text(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _terms_text(terms) -> str:
+    """Rational (coefficient, factor texts) pairs as signed terms of the input
+    grammar, '-x + 1/2*x*y^2'; '0' for none."""
+    pieces: List[str] = []
+    for coeff, factors in terms:
+        mag = abs(coeff)
+        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+        sign = "-" if coeff < 0 else "+"
+        pieces.append(f"{sign} {body}" if pieces else body if coeff > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
 
 
 class ExactEvaluator:
@@ -480,20 +476,23 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive-descent parser for the polynomial grammar.
+    """Recursive-descent parser for the polynomial grammar, over the ring of
+    the caller's `constant` (a Fraction's value) and `variable` (a name's
+    value, None for an unknown name) constructors.
 
     expr   := ('+'|'-')? term (('+'|'-') term)*
     term   := factor ('*' factor)*           (implicit '*' after a number)
-    factor := rational | var | '(' expr ')' | factor '^' uint
+    factor := rational | var | '(' expr ')' | factor '^' '-'? uint
+
+    A negative exponent is read where the ring's power takes it: in
+    `parse_laurent`, on a one-term factor; never in `parse`.
     """
 
-    def __init__(self, text: str, var_names: Sequence[str]):
+    def __init__(self, text: str, constant, variable):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.var_index = {name: i for i, name in enumerate(var_names)}
-        self.num_vars = len(var_names)
-        if self.num_vars == 0:
-            raise ValueError("var_names must be non-empty")
+        self.constant = constant
+        self.variable = variable
 
     def peek(self):
         return self.tokens[self.pos]
@@ -503,14 +502,14 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Polynomial:
+    def parse(self):
         poly = self.parse_expr()
         kind, value, pos = self.peek()
         if kind != "END":
             raise ParseError(f"unexpected token {value!r}", pos)
         return poly
 
-    def parse_expr(self) -> Polynomial:
+    def parse_expr(self):
         sign = 1
         kind, value, _ = self.peek()
         if kind == "OP" and value in "+-":
@@ -527,7 +526,7 @@ class _Parser:
                 break
         return poly
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self):
         poly, was_number = self.parse_factor()
         while True:
             kind, value, _ = self.peek()
@@ -543,7 +542,7 @@ class _Parser:
                 break
         return poly
 
-    def parse_factor(self) -> Tuple[Polynomial, bool]:
+    def parse_factor(self) -> Tuple[object, bool]:
         kind, value, pos = self.next()
         was_number = False
         if kind == "NUM":
@@ -558,12 +557,12 @@ class _Parser:
                 den = int(v3)
                 if den == 0:
                     raise ParseError("zero denominator", p3)
-            poly = Polynomial.constant(self.num_vars, Fraction(num, den))
+            poly = self.constant(Fraction(num, den))
             was_number = True
         elif kind == "NAME":
-            if value not in self.var_index:
+            poly = self.variable(value)
+            if poly is None:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            poly = Polynomial.variable(self.num_vars, self.var_index[value])
         elif kind == "OP" and value == "(":
             poly = self.parse_expr()
             k2, v2, p2 = self.next()
@@ -571,15 +570,21 @@ class _Parser:
                 raise ParseError("expected ')'", p2)
         else:
             raise ParseError(f"unexpected token {value!r}", pos)
-        # postfix powers: factor '^' uint, possibly repeated
+        # postfix powers: factor '^' '-'? uint, possibly repeated
         while True:
             kind, value, _ = self.peek()
             if kind == "OP" and value == "^":
                 self.next()
                 k2, v2, p2 = self.next()
+                negative = (k2, v2) == ("OP", "-")
+                if negative:
+                    k2, v2, _ = self.next()
                 if k2 != "NUM":
-                    raise ParseError("exponent must be a nonnegative integer", p2)
-                poly = poly ** int(v2)
+                    raise ParseError("exponent must be an integer", p2)
+                try:
+                    poly = poly ** (-int(v2) if negative else int(v2))
+                except ValueError as exc:
+                    raise ParseError(str(exc), p2) from exc
                 was_number = False
             else:
                 break
@@ -588,7 +593,17 @@ class _Parser:
 
 def parse(text: str, var_names: Sequence[str]) -> Polynomial:
     """Parse polynomial text over the given ordered variable names."""
-    return _Parser(text, var_names).parse()
+    n = len(var_names)
+    if n == 0:
+        raise ValueError("var_names must be non-empty")
+    names = {name: Polynomial.variable(n, i) for i, name in enumerate(var_names)}
+    return _Parser(text, lambda c: Polynomial.constant(n, c), names.get).parse()
+
+
+def parse_laurent(text: str, var: str = "t") -> "LaurentScalar":
+    """Parse a Laurent polynomial over Q in `var`, in the polynomial grammar;
+    a one-term factor may carry a negative power (`1/2 t^-1`, `(2*t)^-2`)."""
+    return _Parser(text, lambda c: LaurentScalar({0: c}), {var: LaurentScalar({1: Fraction(1)})}.get).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +685,10 @@ class LaurentScalar:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a Laurent scalar")
+            if len(self.terms) != 1:
+                raise ValueError("a negative power needs a one-term Laurent scalar")
+            (k, c), = self.terms.items()
+            return LaurentScalar({k * n: Fraction(1) / c ** -n})
         result = LaurentScalar({0: Fraction(1)})
         base = self
         while n:
@@ -689,16 +707,12 @@ class LaurentScalar:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c}*t^{k}" if k != 1 else f"{c}*t")
-        return " + ".join(parts)
+        """In the grammar of `parse_laurent`, ascending: '1/2*t^-1 - t'; a
+        Polynomial coefficient prints in parentheses, '(-x)*t^2'."""
+        def term(k, c):
+            power = [_power_text("t", k)] if k else []
+            return (1, [f"({c})"] + power) if isinstance(c, Polynomial) else (c, power)
+        return _terms_text(term(k, self.terms[k]) for k in sorted(self.terms))
 
     def __repr__(self) -> str:
         return f"LaurentScalar({dict(sorted(self.terms.items()))})"

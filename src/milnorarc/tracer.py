@@ -23,7 +23,8 @@ radius.
 
 A branch sample's f value is exact at its float point, rounded once
 (`ExactEvaluator.at_float`, cleared once per system); its float parts are
-one batch per slice, and its residual is the one the slice's keep test read.
+one batch per slice, and its residual is the scaled residual of its slice
+(for n >= 3, the value the keep test read).
 
 For n >= 3 a multistart damped Newton solver is used and results are
 explicitly best-effort (branches may be missed); its points are rechecked
@@ -75,7 +76,9 @@ class TraceConfig:
     `tol` is a scale-aware residual tolerance: an equation value counts as
     zero when |eq(x)| < tol * S where S sums |coeff| * B^deg over the terms
     with B = ||a|| + R + 1.  A raw absolute tolerance would be meaningless at
-    large radii where polynomial values grow like R^deg.
+    large radii where polynomial values grow like R^deg.  It applies to
+    n >= 3 slices only: n = 2 crossings are certified exactly and kept,
+    whatever their float residual.
 
     Construction raises ValueError on a bad tolerance or radius schedule.
     """
@@ -222,7 +225,8 @@ def _center_text(center: Sequence[Fraction]) -> str:
 def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] = None) -> List[np.ndarray]:
     """Points of the Milnor set on the sphere ||x - a|| = radius.
 
-    Returns de-duplicated float points; each satisfies every equation to the
+    Returns de-duplicated float points: for n = 2 the exactly certified
+    crossings, for n >= 3 those that satisfy every equation to the
     scale-aware tolerance.  An empty list is a valid outcome.  Raises
     DegenerateMilnorError when an equation is identically zero, and
     ValueError when the center, the radius or the equations do not fit floats.
@@ -232,7 +236,7 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
 
 def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.ndarray, np.ndarray]:
     """slice_solve's points as the rows of X (m, n), and each point's
-    scaled residual max_i |eq_i(x)| / S_i, the value its keep test read."""
+    scaled residual max_i |eq_i(x)| / S_i, the value the n >= 3 keep test read."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if sys.has_zero_equation():
@@ -263,7 +267,7 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
                             | (revalidation[:, 1:].max(axis=1) < config.tol)]
     X = np.reshape(points, (-1, n))
     residuals = (np.abs(sys.compiled.values(X)) / scales).max(axis=1)
-    kept = np.flatnonzero(residuals < config.tol)
+    kept = np.flatnonzero((residuals < config.tol) | (n == 2))   # n = 2 crossings are certified
     kept = kept[_dedupe(X[kept], max(MERGE_DIST, 4e-12 * (1.0 + radius)))]
     return X[kept], residuals[kept]
 
@@ -442,7 +446,7 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
 
 def _make_samples(sys: MilnorSystem, X: np.ndarray, residuals: np.ndarray, R: float) -> List[Sample]:
     """One sample per slice point (row of X), with the float parts evaluated
-    in one batch and the scaled residuals the slice's keep test read.
+    in one batch and the slice's scaled residuals.
     ValueError when f at a point is past the float range."""
     points = X.tolist()
     # f exactly at the float point: float sums of a degree-d f cancel to

@@ -143,6 +143,10 @@ class TestMembership:
         with pytest.raises(ValueError):
             check_membership(parse("x + y", VARS2), WITNESS)
 
+    def test_num_vars_mismatch(self):
+        with pytest.raises(ValueError, match="num_vars mismatch"):
+            check_membership(F_FLAG, RationalArc(3, {1: (1, 0, 0)}))
+
     def test_lambda_estimate(self):
         # ||a_1||^2 = 4 needs lam with 4 lam^2 = 1, i.e. lam = 1/2
         xi = RationalArc(2, {1: (2, 0)})

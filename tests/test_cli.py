@@ -42,6 +42,29 @@ class TestArcSpecParsing:
         with pytest.raises(UserError):
             parse_arc_spec("w: t", ["x", "y"])
 
+    def test_products_parentheses_and_powers(self):
+        xi = parse_arc_spec("x: (1/2)*t^-1; y: -(2t)^1; x: (t^2)^-1", ["x", "y"])
+        assert xi.coeffs == {-1: (Fraction(1, 2), Fraction(0)), 1: (Fraction(0), Fraction(-2)),
+                             -2: (Fraction(1), Fraction(0))}
+
+    def test_clauses_of_one_variable_add_up(self):
+        xi = parse_arc_spec("x: t; y: 1; x: -t + 3", ["x", "y"])
+        assert xi.coeffs == {0: (Fraction(3), Fraction(1))}
+
+    @pytest.mark.parametrize("spec, clause", [
+        ("x: 1/2 t^-1 3; y: -1 t", "x: 1/2 t^-1 3"),   # terms side by side
+        ("x: 2 3; y: t", "x: 2 3"),
+        ("x: t; y: t^2t", "y: t^2t"),
+        ("x:; y: t", "x:"),                             # an empty body
+        ("x: t; y: (t+1)^-1", "y: (t+1)^-1"),           # a negative power of a sum
+        ("x: 1/0 t^-1", "x: 1/0 t^-1"),
+    ])
+    def test_malformed_terms_name_their_clause(self, capsys, spec, clause):
+        code, out, err = run_cli(capsys, "arc-check", "x + x^2*y", spec, "--vars", "x,y")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: arc clause {clause!r}: ")
+        assert err.count("\n") == 1
+
 
 class TestDims:
     def test_output(self, capsys):
@@ -280,6 +303,22 @@ class TestArcCheckGolden:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("command", ["analyze", "trace", "milnor"])
+    def test_one_variable_is_one_error_line(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "x^3 + x", "--vars", "x")
+        assert (code, out) == (1, "")
+        assert err == f"error: {command} requires at least 2 variables\n"
+
+    @pytest.mark.parametrize("tol", ["1e-17", "1e-20"])
+    @pytest.mark.parametrize("poly, center", [("x + x^2*y", "0,0"), ("y*(x^2*y^2 + 3*x*y + 3)", "0,1")])
+    def test_n2_crossings_do_not_depend_on_tol(self, capsys, poly, center, tol):
+        # the n = 2 crossings are certified exactly, so tol only acts on n >= 3 slices
+        argv = ["analyze", poly, "--vars", "x,y", "--center", center]
+        default = json.loads(run_cli(capsys, *argv)[1])
+        tight = json.loads(run_cli(capsys, *argv, "--tol", tol)[1])
+        assert tight.pop("config") == {**default.pop("config"), "tol": float(tol)}
+        assert tight == default
+
     def test_single_center_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0"

@@ -16,7 +16,7 @@ from milnorarc import (
     parse,
 )
 from milnorarc import poly as poly_module
-from milnorarc.poly import CompiledPolynomials, ExactEvaluator, compose_laurent, real_roots
+from milnorarc.poly import CompiledPolynomials, ExactEvaluator, compose_laurent, parse_laurent, real_roots
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -159,6 +159,50 @@ class TestParser:
     @settings(max_examples=25, deadline=None)
     def test_text_round_trip_three_vars(self, f):
         assert parse(f.to_text(VARS3), VARS3) == f
+
+    @given(laurent_scalars())
+    @settings(max_examples=50, deadline=None)
+    @example(LaurentScalar({-1: Fraction(1, 2), 1: -1}))
+    def test_laurent_text_round_trip(self, L):
+        assert parse_laurent(str(L)) == L
+
+    def test_laurent_text(self):
+        assert str(LaurentScalar({-1: Fraction(1, 2), 1: -1})) == "1/2*t^-1 - t"
+        assert str(LaurentScalar({0: -3, 2: Fraction(-2, 7)})) == "-3 - 2/7*t^2"
+        assert str(LaurentScalar()) == "0"
+        assert str(LaurentScalar({-1: parse("x - 1", VARS2), 2: parse("-x", VARS2)})) == "(-1 + x)*t^-1 + (-x)*t^2"
+
+    def test_negative_exponent_is_rejected_at_the_exponent(self):
+        with pytest.raises(ParseError) as info:
+            parse("y + x^-1", VARS2)
+        assert info.value.position == 6
+
+    def test_empty_variable_list(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            parse("1", [])
+
+
+class TestLaurentParser:
+    def test_the_polynomial_grammar_in_t(self):
+        assert parse_laurent("1/2 t^-1 - t") == LaurentScalar({-1: Fraction(1, 2), 1: -1})
+        assert parse_laurent("(1/2)*t^-1") == LaurentScalar({-1: Fraction(1, 2)})
+        assert parse_laurent("(t + 1)^2 - 2t") == LaurentScalar({0: 1, 2: 1})
+        assert parse_laurent("(2*t^3)^-2 + 2^-1") == LaurentScalar({-6: Fraction(1, 4), 0: Fraction(1, 2)})
+        assert parse_laurent("s^-1", var="s") == LaurentScalar({-1: 1})
+
+    @pytest.mark.parametrize("text, position", [
+        ("(t + 1)^-1", 8),   # a negative power of a sum
+        ("0^-1", 2),         # and of zero
+        ("1/2 t^-1 3", 9),   # terms side by side
+        ("t^2t", 3),
+        ("", 0),
+        ("1/0 t", 2),
+        ("x", 0),
+    ])
+    def test_malformed(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_laurent(text)
+        assert info.value.position == position
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +751,13 @@ class TestLaurentScalar:
         t_inv = LaurentScalar({-1: 1})
         assert (t_inv ** 3).support() == [-3]
 
+    def test_negative_power_of_one_term(self):
+        assert LaurentScalar({2: Fraction(2, 3)}) ** -2 == LaurentScalar({-4: Fraction(9, 4)})
+        assert LaurentScalar({1: 2}) ** -1 == LaurentScalar({-1: Fraction(1, 2)})
+        for bad in [LaurentScalar(), LaurentScalar({0: 1, 1: 1})]:
+            with pytest.raises(ValueError):
+                bad ** -1
+
 
 class TestRationalArc:
     def test_components_and_support(self):
@@ -746,6 +797,10 @@ class TestComposeArc:
         f = parse("7", VARS2)
         xi = RationalArc(2, {1: (1, 1)})
         assert compose_arc(f, xi) == LaurentScalar({0: 7})
+
+    def test_num_vars_mismatch(self):
+        with pytest.raises(ValueError, match="2 variables, arc has 3"):
+            compose_arc(parse("x + y", VARS2), RationalArc(3, {1: (1, 0, 0)}))
 
     @given(polynomials(2, max_degree=3, max_terms=4))
     @settings(max_examples=25, deadline=None)

@@ -290,6 +290,11 @@ class TestSliceSolve:
             center = tuple(Fraction(int(v), int(d)) for v, d in zip(rng.integers(-100, 100, 2), rng.integers(1, 100, 2)))
             assert tracer._screen_center(_system(f, center)) == _screen_loop(_system(f, center))
 
+    def test_zero_pivot_chart_equation_fails_the_screen(self):
+        # the gradient of x^2 + y^2 is parallel to x - a everywhere about the origin
+        screen = tracer._screen_center(_system(parse("x^2 + y^2", VARS2), (0, 0)))
+        assert screen == (False, "identically zero pivot-chart equation")
+
     @pytest.mark.parametrize("text, center, ok", [("x*y*z", (0, 0, 0), False), ("x*y*z", (1, 2, -1), True),
                                                   ("x + x^2*y + z^2", (1, 2, -1), True)])
     def test_stacked_svd_screen_matches_the_loop_for_n3(self, text, center, ok):
