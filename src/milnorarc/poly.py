@@ -484,8 +484,8 @@ class _Parser:
     term   := factor ('*' factor)*           (implicit '*' after a number)
     factor := rational | var | '(' expr ')' | factor '^' '-'? uint
 
-    A negative exponent is read where the ring's power takes it: in
-    `parse_laurent`, on a one-term factor; never in `parse`.
+    A signed exponent is read everywhere and the ring's power decides: a
+    one-term `LaurentScalar` takes a negative one, `Polynomial` only `x^-0`.
     """
 
     def __init__(self, text: str, constant, variable):
@@ -600,10 +600,10 @@ def parse(text: str, var_names: Sequence[str]) -> Polynomial:
     return _Parser(text, lambda c: Polynomial.constant(n, c), names.get).parse()
 
 
-def parse_laurent(text: str, var: str = "t") -> "LaurentScalar":
-    """Parse a Laurent polynomial over Q in `var`, in the polynomial grammar;
+def parse_laurent(text: str) -> "LaurentScalar":
+    """Parse a Laurent polynomial over Q in t, in the polynomial grammar;
     a one-term factor may carry a negative power (`1/2 t^-1`, `(2*t)^-2`)."""
-    return _Parser(text, lambda c: LaurentScalar({0: c}), {var: LaurentScalar({1: Fraction(1)})}.get).parse()
+    return _Parser(text, lambda c: LaurentScalar({0: c}), {"t": LaurentScalar({1: Fraction(1)})}.get).parse()
 
 
 # ---------------------------------------------------------------------------
