@@ -342,7 +342,8 @@ class _TermTable:
     term, so every cell is a nonempty contiguous segment for reduceat.  A
     term is ((x_1^e_1 * x_2^e_2) * ...) * c, gathered and multiplied one
     variable at a time, left to right: the order in which `prod` reduces a
-    term's gathered powers, so both give the same bits.
+    term's gathered powers, so both give the same bits.  The power table has
+    one row per power and one column per point: the gathers take whole rows.
     """
 
     def __init__(self, cells: Sequence[List[Tuple[Exponent, Fraction]]], num_vars: int, stride: int):
@@ -354,33 +355,39 @@ class _TermTable:
                 exps.append(exp)
                 coeffs.append(float(c))
         exps = np.array(exps, dtype=np.int64)
-        # column of x_k^e in the flattened power table is k * stride + e
-        self.columns = list((exps + stride * np.arange(num_vars)).T.copy())
+        # row of x_k^e in the flattened power table is k * stride + e
+        self.rows = list((exps + stride * np.arange(num_vars)).T.copy())
         self.degrees = exps.sum(axis=1)
         self.coeffs = np.array(coeffs, dtype=float)
         self.starts = np.array(starts, dtype=np.int64)
 
-    def evaluate(self, powers: np.ndarray) -> np.ndarray:
-        """Cell sums (m, cells) from a power table (m, num_vars * stride)."""
-        terms = powers[:, self.columns[0]]
-        for column in self.columns[1:]:
-            terms *= powers[:, column]
-        terms *= self.coeffs
-        return np.add.reduceat(terms, self.starts, axis=1)
+    def sums(self, powers: np.ndarray) -> np.ndarray:
+        """Cell sums (cells, m) from a power table (num_vars * stride, m)."""
+        terms = powers[self.rows[0]]
+        for rows in self.rows[1:]:
+            terms *= powers[rows]
+        terms *= self.coeffs[:, None]
+        return np.add.reduceat(terms, self.starts, axis=0)
+
+
+def _point_major(A: np.ndarray) -> np.ndarray:
+    """A (..., m) with its last axis, the points, moved first, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(A, -1, 0))
 
 
 class CompiledPolynomials:
     """Polynomials in the same variables lowered once to float term tables.
 
-    Built from p polynomials in n variables; evaluates a batch of m points
-    X (m, n) to values (m, p) and Jacobians (m, p, n), the derivative table
-    coming from the exact partials.  Both read one table of the powers
-    x_k^e, 0 <= e <= the largest exponent, built by repeated multiplication
-    (relative error at most (e - 1) ulp, exact on small integers);
-    `values_and_jacobians` builds that table once for both.  Each term
-    table is built on first use, since most callers need only one of them.
-    Every row of X is evaluated on its own: a row's result does not depend on
-    the other rows, not even on an inf or nan among them.
+    Built from p polynomials in n variables.  The one kernel is variable-major:
+    `column_values(_and_jacobians)` takes the m points as the columns of XT
+    (n, m) to values (p, m) and Jacobians (p, n, m), the latter from the exact
+    partials; `values`, `jacobians` and `values_and_jacobians` take the rows of
+    X (m, n) and return the same bits as (m, p) and (m, p, n).  An evaluation
+    reads one table of the powers x_k^e, 0 <= e <= the largest exponent,
+    built by repeated multiplication (relative error at most (e - 1) ulp,
+    exact on small integers), once for values and Jacobians both.  Each term
+    table is built on first use.  Every point is evaluated on its own: its
+    result does not depend on the other points, not even on an inf or nan.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -404,27 +411,36 @@ class CompiledPolynomials:
         partials = [f.partial(k).sorted_terms() for f in self._polys for k in range(self.num_vars)]
         return _TermTable(partials, self.num_vars, self._stride)
 
-    def _power_table(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        P = np.empty((len(X), self.num_vars, self._stride))
-        P[:, :, 0] = 1.0
+    def _powers(self, XT) -> np.ndarray:
+        """The power table (n * stride, m): row k * stride + e holds x_k^e at every column of XT."""
+        XT = np.asarray(XT, dtype=float)
+        P = np.empty((self.num_vars, self._stride, XT.shape[1]))
+        P[:, 0] = 1.0
         for e in range(1, self._stride):
-            P[:, :, e] = P[:, :, e - 1] * X
-        return P.reshape(len(X), self.num_vars * self._stride)
+            P[:, e] = P[:, e - 1] * XT
+        return P.reshape(self.num_vars * self._stride, XT.shape[1])
+
+    def column_values(self, XT) -> np.ndarray:
+        """Values at the columns of XT (n, m): shape (p, m)."""
+        return self._values.sums(self._powers(XT))
+
+    def column_values_and_jacobians(self, XT) -> Tuple[np.ndarray, np.ndarray]:
+        """`column_values(XT)` and the Jacobians (p, n, m), from one power table."""
+        P = self._powers(XT)
+        return self._values.sums(P), self._jacobians.sums(P).reshape(self.num_polys, self.num_vars, -1)
 
     def values(self, X) -> np.ndarray:
         """Values at the rows of X (m, n): shape (m, p)."""
-        return self._values.evaluate(self._power_table(X))
+        return _point_major(self.column_values(np.asarray(X, dtype=float).T))
 
     def jacobians(self, X) -> np.ndarray:
         """Jacobian matrices at the rows of X (m, n): shape (m, p, n)."""
-        J = self._jacobians.evaluate(self._power_table(X))
-        return J.reshape(-1, self.num_polys, self.num_vars)
+        J = self._jacobians.sums(self._powers(np.asarray(X, dtype=float).T))
+        return _point_major(J.reshape(self.num_polys, self.num_vars, -1))
 
     def values_and_jacobians(self, X) -> Tuple[np.ndarray, np.ndarray]:
         """`values(X)` and `jacobians(X)`, bit for bit, from one power table."""
-        P = self._power_table(X)
-        return self._values.evaluate(P), self._jacobians.evaluate(P).reshape(-1, self.num_polys, self.num_vars)
+        return tuple(map(_point_major, self.column_values_and_jacobians(np.asarray(X, dtype=float).T)))
 
     def scales(self, bound: float) -> np.ndarray:
         """Magnitude bounds sum |c| * bound^deg + 1, one per polynomial.

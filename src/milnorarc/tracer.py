@@ -236,7 +236,10 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
 
 def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.ndarray, np.ndarray]:
     """slice_solve's points as the rows of X (m, n), and each point's
-    scaled residual max_i |eq_i(x)| / S_i, the value the n >= 3 keep test read."""
+    scaled residual max_i |eq_i(x)| / S_i, the value the n >= 3 keep test read.
+    For n >= 3 a radius <= 1e9 sqrt(n) ulp(max |a_i|) is too small (ValueError):
+    there the float grid of ||x - a||^2 has spacing about 2 R sqrt(n) ulp(max |a_i|),
+    and half of it is wider than the sphere keep test's window, R^2 +- 1e-9 R^2."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if sys.has_zero_equation():
@@ -251,7 +254,8 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
         raise ValueError(f"{culprit} is too large: the Milnor equations overflow floating point")
     # a sphere point is radius / sqrt(n) off the center in some coordinate, over an ulp
     # of it if radius > sqrt(n) eps ||a||; the escape directions need a normal radius^2
-    if radius * radius < np.finfo(float).tiny or radius <= math.sqrt(n) * np.finfo(float).eps * norm:
+    if (radius * radius < np.finfo(float).tiny or radius <= math.sqrt(n) * np.finfo(float).eps * norm
+            or (n > 2 and radius <= 1e9 * math.sqrt(n) * math.ulp(np.abs(a).max()))):
         raise ValueError(f"radius {radius:g} is too small for floating point")
 
     if n == 2:  # the chart's one equation is +-the one minor; its crossings are solved once per system
@@ -325,47 +329,52 @@ def _angle(tau: Fraction) -> float:
 @np.errstate(over="ignore", invalid="ignore")   # iterates far off the sphere may overflow
 def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales: np.ndarray,
                         config: TraceConfig) -> np.ndarray:
+    """The multistart's points near the sphere, as rows (k, n).  The iterates are
+    the columns of X (n, m); the sphere term and the scaled norm add rows left to
+    right, (r0 + r1) + r2 ..., as np.add.reduce(axis=1) does on point-major rows
+    shorter than 8 (numpy sums longer ones pairwise), so for n < 8 every start
+    has the bits of a point-major loop."""
     n = a.shape[0]
     rng = np.random.default_rng([config.seed, int(round(radius * 1024)) & 0x7FFFFFFF])
     U = rng.standard_normal((config.starts, n))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    X = a[None, :] + radius * U
-
-    scales = np.append(scales, radius ** 2)
+    a = a[:, None]
+    X = a + radius * U.T
+    scales = np.append(scales, radius ** 2)[:, None]
 
     def residuals(X, values=None):
-        """The residuals F at the rows of X and their scaled norms."""
-        sphere = np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2
-        F = np.concatenate([sys.compiled.values(X) if values is None else values, sphere[:, None]], axis=1)
-        return F, np.linalg.norm(F / scales[None, :], axis=1)
+        """The residuals F at the columns of X and their scaled norms."""
+        sphere = functools.reduce(np.add, (X - a) ** 2) - radius ** 2
+        F = np.concatenate([sys.compiled.column_values(X) if values is None else values, sphere[None]])
+        return F, np.sqrt(functools.reduce(np.add, (F / scales) ** 2))
 
-    norms = np.empty(X.shape[0])   # each row's scaled residual at its latest iterate
-    live = np.arange(X.shape[0])
+    norms = np.empty(X.shape[1])   # each start's scaled residual at its latest iterate
+    live = np.arange(X.shape[1])
     for _ in range(NEWTON_ITERS):
-        Xl = X[live]
-        values, jacobians = sys.compiled.values_and_jacobians(Xl)
+        Xl = X[:, live]
+        values, jacobians = sys.compiled.column_values_and_jacobians(Xl)
         F, norm_before = residuals(Xl, values)
         norms[live] = norm_before
-        J = np.concatenate([jacobians, 2.0 * (Xl - a[None, :])[:, None, :]], axis=1)
-        step = _newton_steps(J, F)
-        # damped update: a row takes the first of 1, 1/2, ..., 1/32 of its step that does
-        # not grow its scaled residual, else 1/64; the fractions below 1 are one batch
+        J = np.concatenate([jacobians, 2.0 * (Xl - a)[None]])
+        step = _newton_steps(J.transpose(2, 0, 1), F.T).T
+        # damped update: a start takes the first of 1, 1/2, ..., 1/32 of its step that does
+        # not grow its scaled residual, else 1/64; the fractions below 1 are one batch (n, 6, g)
         Xn = Xl - step
         grew = np.flatnonzero(residuals(Xn)[1] > norm_before)
         if grew.size:
-            trial = Xl[grew, None, :] - 0.5 ** np.arange(1, 7)[:, None] * step[grew, None, :]
-            after = residuals(trial[:, :-1].reshape(-1, n))[1].reshape(grew.size, -1)
-            stop = np.column_stack([~(after > norm_before[grew, None]), np.ones(grew.size, bool)])
-            Xn[grew] = trial[np.arange(grew.size), np.argmax(stop, axis=1)]
-        # rows are evaluated independently, so a row at a bitwise fixed point stays there
-        X[live] = Xn
-        live = live[(Xn.view(np.uint64) != Xl.view(np.uint64)).any(axis=1)]
+            trial = Xl[:, None, grew] - 0.5 ** np.arange(1, 7)[:, None] * step[:, None, grew]
+            after = residuals(trial[:, :-1].reshape(n, -1))[1].reshape(-1, grew.size)
+            stop = np.vstack([~(after > norm_before[grew]), np.ones(grew.size, bool)])
+            Xn[:, grew] = trial[:, np.argmax(stop, axis=0), np.arange(grew.size)]
+        # starts are evaluated independently, so a start at a bitwise fixed point stays there
+        X[:, live] = Xn
+        live = live[(Xn.view(np.uint64) != Xl.view(np.uint64)).any(axis=0)]
         if np.max(norms) < 1e-15 or live.size == 0:
             break
 
-    # the equations are tested by the caller; a non-finite row fails both tests
-    sphere = np.abs(np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2)
-    return X[(sphere / radius ** 2 < config.tol) & (sphere < 1e-10 * radius ** 2 * 10)]
+    # the equations are tested by the caller; a non-finite start fails both tests
+    sphere = np.abs(functools.reduce(np.add, (X - a) ** 2) - radius ** 2)
+    return X.T[(sphere / radius ** 2 < config.tol) & (sphere < 1e-10 * radius ** 2 * 10)]
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -429,6 +429,11 @@ class TestAnalyze:
         ("y*(x^2*y^2 + 3*x*y + 3)", "x,y", "0,1", "1e-300", "1e-300"),
         # and every sphere point: no branch at all, before
         ("x + x^2*y + z^2", "x,y,z", "1,2,-1", "1e-300", "1e-300"),
+        # the n >= 3 sphere keep test is finer than the float grid of ||x - a||^2
+        # there: no branch at all, before
+        ("x + x^2*y + z^2", "x,y,z", "1,2,-1", "1e-15", "1e-15"),
+        ("x + x^2*y + z^2", "x,y,z", "1,2,-1", "1e-12", "1e-12"),
+        ("x + x^2*y + z^2", "x,y,z", "1,2,-1", "1e-11", "1e-11"),
     ])
     @pytest.mark.parametrize("command", ["analyze", "trace"])
     def test_radius_too_small_for_floats_is_one_error_line(self, capsys, command, poly, names, center, r0,
@@ -437,6 +442,12 @@ class TestAnalyze:
                                  "--radii", f"{r0}:2:8")
         assert (code, out) == (1, "")
         assert err == f"error: radius {named} is too small for floating point\n"
+
+    def test_small_radius_the_floats_resolve_still_traces(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1",
+                                 "--radii", "1e-3:2:8", "--format", "json")
+        assert (code, err) == (0, "")
+        assert [len(b["samples"]) for b in json.loads(out)["branches"]] == [8, 8]
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "x + x^2*y", "--vars", "x,y"],

@@ -432,17 +432,22 @@ class TestCompiledPolynomials:
         X = np.array(rows)
         with np.errstate(all="ignore"):
             values, jacobians = compiled.values(X), compiled.jacobians(X)
+            column_values, column_jacobians = compiled.column_values_and_jacobians(X.T)
             for i, row in enumerate(X):
                 if not np.all(np.isfinite(row)):
                     continue
                 assert values[i].tobytes() == compiled.values(X[i:i + 1])[0].tobytes()
                 assert jacobians[i].tobytes() == compiled.jacobians(X[i:i + 1])[0].tobytes()
+                # the variable-major kernel: an inf or nan column does not leak into another
+                alone = compiled.column_values_and_jacobians(X[i:i + 1].T)
+                assert column_values[:, i].tobytes() == alone[0][:, 0].tobytes() == values[i].tobytes()
+                assert column_jacobians[..., i].tobytes() == alone[1][..., 0].tobytes() == jacobians[i].tobytes()
 
 
 def _prod_oracle(compiled, table, X):
-    """Reference cell sums: gather every term's powers, then `prod` over them."""
-    powers = compiled._power_table(X)
-    index = np.stack(table.columns, axis=1)
+    """Reference cell sums (m, cells): gather every term's powers, then `prod` over them."""
+    powers = compiled._powers(X.T).T
+    index = np.stack(table.rows, axis=1)
     terms = powers.take(index, axis=1).prod(axis=2) * table.coeffs
     return np.add.reduceat(terms, table.starts, axis=1)
 
@@ -470,11 +475,16 @@ class TestCompiledKernels:
             oracle_values = _prod_oracle(compiled, compiled._values, X)
             oracle_jacobians = _prod_oracle(compiled, compiled._jacobians, X)
             both = compiled.values_and_jacobians(X)
+            columns = compiled.column_values_and_jacobians(X.T)
         assert values.tobytes() == oracle_values.tobytes()
         assert jacobians.tobytes() == oracle_jacobians.reshape(jacobians.shape).tobytes()
         assert both[0].tobytes() == values.tobytes()
         assert both[1].tobytes() == jacobians.tobytes()
         assert both[1].shape == (len(X), 2, n)
+        assert columns[0].shape == (2, len(X)) and columns[1].shape == (2, n, len(X))
+        assert columns[0].T.tobytes() == values.tobytes()
+        assert np.moveaxis(columns[1], -1, 0).tobytes() == jacobians.tobytes()
+        assert compiled.column_values(X.T).tobytes() == columns[0].tobytes()
 
 
 def _product(*factors):

@@ -346,8 +346,8 @@ class TestSliceSolve:
                 return types.SimpleNamespace(standard_normal=standard_normal)
             monkeypatch.setattr(np.random, "default_rng", default_rng)
         iterates = []
-        evaluate = sys.compiled.values_and_jacobians
-        monkeypatch.setattr(sys.compiled, "values_and_jacobians", lambda X: iterates.append(1) or evaluate(X))
+        evaluate = sys.compiled.column_values_and_jacobians
+        monkeypatch.setattr(sys.compiled, "column_values_and_jacobians", lambda X: iterates.append(1) or evaluate(X))
         for seed in (0, 3):
             for R in radii:
                 out = []
