@@ -372,7 +372,7 @@ class _TermTable:
 
 def _point_major(A: np.ndarray) -> np.ndarray:
     """A (..., m) with its last axis, the points, moved first, C-contiguous."""
-    return np.ascontiguousarray(np.moveaxis(A, -1, 0))
+    return np.ascontiguousarray(A.transpose(A.ndim - 1, *range(A.ndim - 1)))
 
 
 class CompiledPolynomials:
