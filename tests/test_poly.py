@@ -476,6 +476,7 @@ class TestCompiledKernels:
             oracle_jacobians = _prod_oracle(compiled, compiled._jacobians, X)
             both = compiled.values_and_jacobians(X)
             columns = compiled.column_values_and_jacobians(X.T)
+            column_values = compiled.column_values(X.T)
         assert values.tobytes() == oracle_values.tobytes()
         assert jacobians.tobytes() == oracle_jacobians.reshape(jacobians.shape).tobytes()
         assert both[0].tobytes() == values.tobytes()
@@ -484,7 +485,7 @@ class TestCompiledKernels:
         assert columns[0].shape == (2, len(X)) and columns[1].shape == (2, n, len(X))
         assert columns[0].T.tobytes() == values.tobytes()
         assert np.moveaxis(columns[1], -1, 0).tobytes() == jacobians.tobytes()
-        assert compiled.column_values(X.T).tobytes() == columns[0].tobytes()
+        assert column_values.tobytes() == columns[0].tobytes()
 
 
 def _product(*factors):
