@@ -370,11 +370,6 @@ class _TermTable:
         return np.add.reduceat(terms, self.starts, axis=0)
 
 
-def _point_major(A: np.ndarray) -> np.ndarray:
-    """A (..., m) with its last axis, the points, moved first, C-contiguous."""
-    return np.ascontiguousarray(A.transpose(A.ndim - 1, *range(A.ndim - 1)))
-
-
 class CompiledPolynomials:
     """Polynomials in the same variables lowered once to float term tables.
 
@@ -430,17 +425,18 @@ class CompiledPolynomials:
         return self._values.sums(P), self._jacobians.sums(P).reshape(self.num_polys, self.num_vars, -1)
 
     def values(self, X) -> np.ndarray:
-        """Values at the rows of X (m, n): shape (m, p)."""
-        return _point_major(self.column_values(np.asarray(X, dtype=float).T))
+        """Values at the rows of X (m, n): shape (m, p), C-contiguous."""
+        return self.column_values(np.asarray(X, dtype=float).T).T.copy()
 
     def jacobians(self, X) -> np.ndarray:
-        """Jacobian matrices at the rows of X (m, n): shape (m, p, n)."""
+        """Jacobian matrices at the rows of X (m, n): shape (m, p, n), C-contiguous."""
         J = self._jacobians.sums(self._powers(np.asarray(X, dtype=float).T))
-        return _point_major(J.reshape(self.num_polys, self.num_vars, -1))
+        return J.T.copy().reshape(-1, self.num_polys, self.num_vars)
 
     def values_and_jacobians(self, X) -> Tuple[np.ndarray, np.ndarray]:
         """`values(X)` and `jacobians(X)`, bit for bit, from one power table."""
-        return tuple(map(_point_major, self.column_values_and_jacobians(np.asarray(X, dtype=float).T)))
+        values, jacobians = self.column_values_and_jacobians(np.asarray(X, dtype=float).T)
+        return values.T.copy(), jacobians.transpose(2, 0, 1).copy()
 
     def scales(self, bound: float) -> np.ndarray:
         """Magnitude bounds sum |c| * bound^deg + 1, one per polynomial.
