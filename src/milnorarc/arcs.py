@@ -358,6 +358,8 @@ class ArcSearchConfig:
     tol: float = 1e-8        # acceptance threshold on the sum of squared violations
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
         if not (math.isfinite(self.tol) and self.tol > 0):

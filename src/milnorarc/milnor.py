@@ -222,5 +222,5 @@ def malgrange_quantity(source: Sequence[Polynomial], x: Sequence[float]) -> floa
     point = np.asarray([float(v) for v in x], dtype=float)
     if not np.all(np.isfinite(point)):
         raise ValueError("non-finite point")
-    J = CompiledPolynomials([f]).jacobians(point[None, :])[0]
+    J = CompiledPolynomials([f]).column_jacobians(point[:, None])[:, :, 0]
     return float(np.linalg.norm(point)) * rabier_nu(J)

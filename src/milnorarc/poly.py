@@ -373,16 +373,16 @@ class _TermTable:
 class CompiledPolynomials:
     """Polynomials in the same variables lowered once to float term tables.
 
-    Built from p polynomials in n variables.  The one kernel is variable-major:
-    `column_values(_and_jacobians)` takes the m points as the columns of XT
-    (n, m) to values (p, m) and Jacobians (p, n, m), the latter from the exact
-    partials; `values`, `jacobians` and `values_and_jacobians` take the rows of
-    X (m, n) and return the same bits as (m, p) and (m, p, n).  An evaluation
-    reads one table of the powers x_k^e, 0 <= e <= the largest exponent,
-    built by repeated multiplication (relative error at most (e - 1) ulp,
-    exact on small integers), once for values and Jacobians both.  Each term
-    table is built on first use.  Every point is evaluated on its own: its
-    result does not depend on the other points, not even on an inf or nan.
+    Built from p polynomials in n variables.  The one layout is variable-major:
+    `column_values` and `column_jacobians` take the m points as the columns of
+    XT (n, m) to values (p, m) and Jacobians (p, n, m), the latter from the
+    exact partials; `column_values_and_jacobians` gives both, bit for bit.  An
+    evaluation reads one table of the powers x_k^e, 0 <= e <= the largest
+    exponent, built by repeated multiplication (relative error at most
+    (e - 1) ulp, exact on small integers), once for values and Jacobians both.
+    Each term table is built on first use.  Every point is evaluated on its
+    own: its result does not depend on the other points, not even on an inf
+    or nan.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -419,24 +419,14 @@ class CompiledPolynomials:
         """Values at the columns of XT (n, m): shape (p, m)."""
         return self._values.sums(self._powers(XT))
 
+    def column_jacobians(self, XT) -> np.ndarray:
+        """Jacobians at the columns of XT (n, m): shape (p, n, m)."""
+        return self._jacobians.sums(self._powers(XT)).reshape(self.num_polys, self.num_vars, -1)
+
     def column_values_and_jacobians(self, XT) -> Tuple[np.ndarray, np.ndarray]:
-        """`column_values(XT)` and the Jacobians (p, n, m), from one power table."""
+        """`column_values(XT)` and `column_jacobians(XT)`, from one power table."""
         P = self._powers(XT)
         return self._values.sums(P), self._jacobians.sums(P).reshape(self.num_polys, self.num_vars, -1)
-
-    def values(self, X) -> np.ndarray:
-        """Values at the rows of X (m, n): shape (m, p), C-contiguous."""
-        return self.column_values(np.asarray(X, dtype=float).T).T.copy()
-
-    def jacobians(self, X) -> np.ndarray:
-        """Jacobian matrices at the rows of X (m, n): shape (m, p, n), C-contiguous."""
-        J = self._jacobians.sums(self._powers(np.asarray(X, dtype=float).T))
-        return J.T.copy().reshape(-1, self.num_polys, self.num_vars)
-
-    def values_and_jacobians(self, X) -> Tuple[np.ndarray, np.ndarray]:
-        """`values(X)` and `jacobians(X)`, bit for bit, from one power table."""
-        values, jacobians = self.column_values_and_jacobians(np.asarray(X, dtype=float).T)
-        return values.T.copy(), jacobians.transpose(2, 0, 1).copy()
 
     def scales(self, bound: float) -> np.ndarray:
         """Magnitude bounds sum |c| * bound^deg + 1, one per polynomial.

@@ -63,6 +63,7 @@ ALPHA_MIN = 0.25        # least decay rate of f - t0 in R for a convergent branc
 MATCH_TOL = 0.5         # max direction drift between consecutive radii
 NEWTON_ITERS = 60       # damped Newton iterations per n >= 3 slice
 CENTER_ATTEMPTS = 16    # center draws before pick_generic_center gives up
+SPHERE_TOL = 1e-9       # an n >= 3 slice point has |(||x - a||^2 - R^2)| < SPHERE_TOL * R^2
 
 
 class DegenerateMilnorError(RuntimeError):
@@ -76,11 +77,12 @@ class TraceConfig:
     `tol` is a scale-aware residual tolerance: an equation value counts as
     zero when |eq(x)| < tol * S where S sums |coeff| * B^deg over the terms
     with B = ||a|| + R + 1.  A raw absolute tolerance would be meaningless at
-    large radii where polynomial values grow like R^deg.  It applies to
-    n >= 3 slices only: n = 2 crossings are certified exactly and kept,
-    whatever their float residual.
+    large radii where polynomial values grow like R^deg.  It applies to the
+    n >= 3 equation residuals and pivot revalidation only: the sphere window
+    is the module constant SPHERE_TOL, and n = 2 crossings are certified
+    exactly and kept, whatever their float residual.
 
-    Construction raises ValueError on a bad tolerance or radius schedule.
+    Construction raises ValueError on a bad seed, tolerance or radius schedule.
     """
 
     seed: int = 0
@@ -91,6 +93,8 @@ class TraceConfig:
     starts: int = 512             # Newton starts per slice for n >= 3
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.starts < 1:
@@ -237,9 +241,9 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
 def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.ndarray, np.ndarray]:
     """slice_solve's points as the rows of X (m, n), and each point's
     scaled residual max_i |eq_i(x)| / S_i, the value the n >= 3 keep test read.
-    For n >= 3 a radius <= 1e9 sqrt(n) ulp(max |a_i|) is too small (ValueError):
+    For n >= 3 a radius with SPHERE_TOL R <= sqrt(n) ulp(max |a_i|) is too small (ValueError):
     there the float grid of ||x - a||^2 has spacing about 2 R sqrt(n) ulp(max |a_i|),
-    and half of it is wider than the sphere keep test's window, R^2 +- 1e-9 R^2."""
+    and half of it is at least the sphere keep test's window, R^2 +- SPHERE_TOL R^2."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if sys.has_zero_equation():
@@ -255,7 +259,7 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
     # a sphere point is radius / sqrt(n) off the center in some coordinate, over an ulp
     # of it if radius > sqrt(n) eps ||a||; the escape directions need a normal radius^2
     if (radius * radius < np.finfo(float).tiny or radius <= math.sqrt(n) * np.finfo(float).eps * norm
-            or (n > 2 and radius <= 1e9 * math.sqrt(n) * math.ulp(np.abs(a).max()))):
+            or (n > 2 and SPHERE_TOL * radius <= math.sqrt(n) * math.ulp(np.abs(a).max()))):
         raise ValueError(f"radius {radius:g} is too small for floating point")
 
     if n == 2:  # the chart's one equation is +-the one minor; its crossings are solved once per system
@@ -266,11 +270,10 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
         if sys.pivot != milnor.PIVOT_MINORS:
             # where the pivot partial nearly vanishes, recheck against minors mode
             compiled = sys.compiled_revalidation
-            revalidation = np.abs(compiled.values(points)) / compiled.scales(bound)
-            points = points[(revalidation[:, 0] > math.sqrt(config.tol))
-                            | (revalidation[:, 1:].max(axis=1) < config.tol)]
+            revalidation = np.abs(compiled.column_values(points.T)) / compiled.scales(bound)[:, None]
+            points = points[(revalidation[0] > math.sqrt(config.tol)) | (revalidation[1:].max(axis=0) < config.tol)]
     X = np.reshape(points, (-1, n))
-    residuals = (np.abs(sys.compiled.values(X)) / scales).max(axis=1)
+    residuals = (np.abs(sys.compiled.column_values(X.T)) / scales[:, None]).max(axis=0)
     kept = np.flatnonzero((residuals < config.tol) | (n == 2))   # n = 2 crossings are certified
     kept = kept[_dedupe(X[kept], max(MERGE_DIST, 4e-12 * (1.0 + radius)))]
     return X[kept], residuals[kept]
@@ -329,11 +332,11 @@ def _angle(tau: Fraction) -> float:
 @np.errstate(over="ignore", invalid="ignore")   # iterates far off the sphere may overflow
 def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales: np.ndarray,
                         config: TraceConfig) -> np.ndarray:
-    """The multistart's points near the sphere, as rows (k, n).  The iterates are
-    the columns of X (n, m); the sphere term and the scaled norm add rows left to
-    right, (r0 + r1) + r2 ..., as np.add.reduce(axis=1) does on point-major rows
-    shorter than 8 (numpy sums longer ones pairwise), so for n < 8 every start
-    has the bits of a point-major loop."""
+    """The multistart's points in the sphere window |(||x - a||^2 - R^2)| < SPHERE_TOL R^2,
+    as rows (k, n).  The iterates are the columns of X (n, m); the sphere term and the
+    scaled norm add rows left to right, (r0 + r1) + r2 ..., as np.add.reduce(axis=1) does
+    on point-major rows shorter than 8 (numpy sums longer ones pairwise), so for n < 8
+    every start has the bits of a point-major loop."""
     n = a.shape[0]
     rng = np.random.default_rng([config.seed, int(round(radius * 1024)) & 0x7FFFFFFF])
     U = rng.standard_normal((config.starts, n))
@@ -374,7 +377,7 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
 
     # the equations are tested by the caller; a non-finite start fails both tests
     sphere = np.abs(functools.reduce(np.add, (X - a) ** 2) - radius ** 2)
-    return X.T[(sphere / radius ** 2 < config.tol) & (sphere < 1e-10 * radius ** 2 * 10)]
+    return X.T[sphere < SPHERE_TOL * radius ** 2]
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -466,7 +469,7 @@ def _make_samples(sys: MilnorSystem, X: np.ndarray, residuals: np.ndarray, R: fl
         f_values = [sys.exact_f.at_float(x) for x in points]
     except OverflowError:
         raise ValueError(f"radius {R:g} is too large: f overflows floating point") from None
-    nus = rabier_nus(sys.compiled_f.jacobians(X)[:, 0, :])
+    nus = rabier_nus(sys.compiled_f.column_jacobians(X.T)[0].T.copy())
     return [Sample(radius=R, point=tuple(x), f_value=fx, malgrange=math.sqrt(v.dot(v)) * nu, residual=res)
             for x, fx, v, nu, res in zip(points, f_values, X, nus, residuals.tolist())]
 
@@ -649,12 +652,13 @@ def _screen_center(sys: MilnorSystem) -> Tuple[bool, str]:
     cfg = TraceConfig(seed=0, starts=64)
     for R in (10.0, 40.0):
         try:
-            X = np.reshape(slice_solve(sys, R, cfg)[:16], (-1, sys.num_vars))
+            XT = np.reshape(slice_solve(sys, R, cfg)[:16], (-1, sys.num_vars)).T
         except ValueError as exc:  # overflow or a singular solve fails the screen
             return False, f"slice solve failed at R={R}: {exc}"
-        gnorms = np.linalg.norm(sys.compiled_f.jacobians(X)[:, 0, :], axis=1)
+        gnorms = np.linalg.norm(sys.compiled_f.column_jacobians(XT)[0], axis=0)
         # points near Sing f are excluded from the screen
-        sv = np.linalg.svd(sys.compiled.jacobians(X)[~(gnorms < 1e-9 * (1.0 + R))], compute_uv=False)
+        J = sys.compiled.column_jacobians(XT).transpose(2, 0, 1)
+        sv = np.linalg.svd(J[~(gnorms < 1e-9 * (1.0 + R))], compute_uv=False)
         if np.any(sv[:, -1] < 1e-8 * (sv[:, 0] + 1.0)):
             return False, f"rank-deficient Milnor Jacobian at R={R}"
     return True, "ok"

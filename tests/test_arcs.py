@@ -421,6 +421,7 @@ class TestSearch:
         {"starts": 0},
         {"tol": float("nan")},
         {"tol": 0.0},
+        {"seed": -1},
     ])
     def test_config_rejects_bad_values(self, field):
         with pytest.raises(ValueError):
@@ -533,11 +534,11 @@ def test_rows_match_the_symbolic_system(text, names, data):
     r, J = system.evaluate(u)
     assert r.shape == (len(labels) + 1,)
     assert J.shape == (len(labels) + 1, N)
-    scale = bound.values(np.abs(u)[None, :])[0]
-    assert np.all(np.abs(r - rows.values(u[None, :])[0]) <= 1e-12 * scale + UNDERFLOW)
-    scale = bound.jacobians(np.abs(u)[None, :])[0]
-    assert np.all(np.abs(J - rows.jacobians(u[None, :])[0]) <= 1e-12 * scale + UNDERFLOW)
-    assert system.b0(u) == pytest.approx(b0.values(u[None, :])[0, 0], rel=1e-12, abs=1e-12)
+    scale = bound.column_values(np.abs(u)[:, None])[:, 0]
+    assert np.all(np.abs(r - rows.column_values(u[:, None])[:, 0]) <= 1e-12 * scale + UNDERFLOW)
+    scale = bound.column_jacobians(np.abs(u)[:, None])[..., 0]
+    assert np.all(np.abs(J - rows.column_jacobians(u[:, None])[..., 0]) <= 1e-12 * scale + UNDERFLOW)
+    assert system.b0(u) == pytest.approx(b0.column_values(u[:, None])[0, 0], rel=1e-12, abs=1e-12)
 
 
 def _row_polynomial(f: Polynomial, label: str):

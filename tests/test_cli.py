@@ -444,10 +444,12 @@ class TestAnalyze:
         assert err == f"error: radius {named} is too small for floating point\n"
 
     def test_small_radius_the_floats_resolve_still_traces(self, capsys):
-        code, out, err = run_cli(capsys, "trace", "x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1",
-                                 "--radii", "1e-3:2:8", "--format", "json")
-        assert (code, err) == (0, "")
-        assert [len(b["samples"]) for b in json.loads(out)["branches"]] == [8, 8]
+        # a tol below the sphere window leaves the window as it is
+        for flags in ([], ["--tol", "1e-14"]):
+            code, out, err = run_cli(capsys, "trace", "x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1",
+                                     "--radii", "1e-3:2:8", "--format", "json", *flags)
+            assert (code, err) == (0, "")
+            assert [len(b["samples"]) for b in json.loads(out)["branches"]] == [8, 8]
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "x + x^2*y", "--vars", "x,y"],
@@ -472,9 +474,9 @@ class TestAnalyze:
         (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0,0"],
          "center '0,0,0' has 3 coordinates, expected 2"),
         (["milnor", "x + x^2*y", "--vars", "x,y", "--pivot", "0"],
-         "pivot index -1 out of range for 2 variables"),
+         "--pivot must be between 1 and 2, got 0"),
         (["milnor", "x + x^2*y", "--vars", "x,y", "--pivot", "3"],
-         "pivot index 2 out of range for 2 variables"),
+         "--pivot must be between 1 and 2, got 3"),
         (["arc-search", "x", "--vars", "x,y"], "polynomial degree must be at least 2"),
     ], ids=["empty-vars", "duplicate-vars", "center-coordinates", "pivot-0", "pivot-3", "arc-search-degree"])
     def test_bad_variables_center_pivot_or_degree_is_one_error_line(self, capsys, argv, message):
@@ -494,6 +496,7 @@ class TestAnalyze:
         ["--radii", "1e300:2:8"],
         ["--radii", "10:1:8"],
         ["--radii", "1e200:1e100:8"],
+        ["--seed", "-1"],
     ])
     @pytest.mark.parametrize("command", ["analyze", "trace"])
     def test_bad_trace_config_is_one_error_line(self, capsys, command, flags):

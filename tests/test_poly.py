@@ -389,15 +389,15 @@ class TestCompiledPolynomials:
         fs = [self._integral(f) for f in fs]
         n = fs[0].num_vars
         compiled = CompiledPolynomials(fs)
-        X = np.array(pts, dtype=float).reshape(-1, n)
-        values, jacobians = compiled.values(X), compiled.jacobians(X)
-        assert values.shape == (len(pts), len(fs))
-        assert jacobians.shape == (len(pts), len(fs), n)
+        XT = np.array(pts, dtype=float).reshape(-1, n).T
+        values, jacobians = compiled.column_values(XT), compiled.column_jacobians(XT)
+        assert values.shape == (len(fs), len(pts))
+        assert jacobians.shape == (len(fs), n, len(pts))
         for m, pt in enumerate(pts):
             for r, f in enumerate(fs):
-                assert values[m, r] == f.evaluate(list(pt))
+                assert values[r, m] == f.evaluate(list(pt))
                 for i in range(n):
-                    assert jacobians[m, r, i] == f.partial(i).evaluate(list(pt))
+                    assert jacobians[r, i, m] == f.partial(i).evaluate(list(pt))
         for r, f in enumerate(fs):
             expected = sum(abs(c) * 2 ** sum(e) for e, c in f.terms.items()) + 1
             assert compiled.scales(2.0)[r] == expected
@@ -416,8 +416,8 @@ class TestCompiledPolynomials:
 
     def test_empty_batch(self):
         compiled = CompiledPolynomials([parse("x + x^2*y", VARS2)])
-        assert compiled.values(np.zeros((0, 2))).shape == (0, 1)
-        assert compiled.jacobians(np.zeros((0, 2))).shape == (0, 1, 2)
+        assert compiled.column_values(np.zeros((2, 0))).shape == (1, 0)
+        assert compiled.column_jacobians(np.zeros((2, 0))).shape == (1, 2, 0)
 
     @given(polynomials(3), polynomials(3),
            st.lists(st.tuples(*([st.floats(-1e3, 1e3)] * 3)), min_size=1, max_size=6),
@@ -431,17 +431,18 @@ class TestCompiledPolynomials:
         rows.insert(min(at, len(rows)), (1.0, bad, -2.0))
         X = np.array(rows)
         with np.errstate(all="ignore"):
-            values, jacobians = compiled.values(X), compiled.jacobians(X)
-            column_values, column_jacobians = compiled.column_values_and_jacobians(X.T)
+            values, jacobians = compiled.column_values(X.T), compiled.column_jacobians(X.T)
+            both = compiled.column_values_and_jacobians(X.T)
             for i, row in enumerate(X):
                 if not np.all(np.isfinite(row)):
                     continue
-                assert values[i].tobytes() == compiled.values(X[i:i + 1])[0].tobytes()
-                assert jacobians[i].tobytes() == compiled.jacobians(X[i:i + 1])[0].tobytes()
-                # the variable-major kernel: an inf or nan column does not leak into another
-                alone = compiled.column_values_and_jacobians(X[i:i + 1].T)
-                assert column_values[:, i].tobytes() == alone[0][:, 0].tobytes() == values[i].tobytes()
-                assert column_jacobians[..., i].tobytes() == alone[1][..., 0].tobytes() == jacobians[i].tobytes()
+                # an inf or nan column does not leak into another
+                XT = X[i:i + 1].T
+                alone = compiled.column_values_and_jacobians(XT)
+                assert values[:, i].tobytes() == compiled.column_values(XT)[:, 0].tobytes()
+                assert jacobians[..., i].tobytes() == compiled.column_jacobians(XT)[..., 0].tobytes()
+                assert both[0][:, i].tobytes() == alone[0][:, 0].tobytes() == values[:, i].tobytes()
+                assert both[1][..., i].tobytes() == alone[1][..., 0].tobytes() == jacobians[..., i].tobytes()
 
 
 def _prod_oracle(compiled, table, X):
@@ -471,21 +472,15 @@ class TestCompiledKernels:
         X = self._rows(data.draw, n)
         compiled = CompiledPolynomials(fs)
         with np.errstate(all="ignore"):
-            values, jacobians = compiled.values(X), compiled.jacobians(X)
+            values, jacobians = compiled.column_values(X.T), compiled.column_jacobians(X.T)
             oracle_values = _prod_oracle(compiled, compiled._values, X)
             oracle_jacobians = _prod_oracle(compiled, compiled._jacobians, X)
-            both = compiled.values_and_jacobians(X)
-            columns = compiled.column_values_and_jacobians(X.T)
-            column_values = compiled.column_values(X.T)
-        assert values.tobytes() == oracle_values.tobytes()
-        assert jacobians.tobytes() == oracle_jacobians.reshape(jacobians.shape).tobytes()
+            both = compiled.column_values_and_jacobians(X.T)
+        assert values.shape == (2, len(X)) and jacobians.shape == (2, n, len(X))
+        assert values.T.tobytes() == oracle_values.tobytes()
+        assert jacobians.transpose(2, 0, 1).tobytes() == oracle_jacobians.reshape(len(X), 2, n).tobytes()
         assert both[0].tobytes() == values.tobytes()
         assert both[1].tobytes() == jacobians.tobytes()
-        assert both[1].shape == (len(X), 2, n)
-        assert columns[0].shape == (2, len(X)) and columns[1].shape == (2, n, len(X))
-        assert columns[0].T.tobytes() == values.tobytes()
-        assert np.moveaxis(columns[1], -1, 0).tobytes() == jacobians.tobytes()
-        assert column_values.tobytes() == columns[0].tobytes()
 
 
 def _product(*factors):

@@ -77,8 +77,8 @@ def _screen_loop(sys):
         except ValueError as exc:
             return False, f"slice solve failed at R={R}: {exc}"
         X = np.reshape(points[:16], (-1, sys.num_vars))
-        gnorms = np.linalg.norm(sys.compiled_f.jacobians(X)[:, 0, :], axis=1)
-        for gnorm, Jm in zip(gnorms, sys.compiled.jacobians(X)):
+        gnorms = np.linalg.norm(sys.compiled_f.column_jacobians(X.T)[0].T, axis=1)
+        for gnorm, Jm in zip(gnorms, sys.compiled.column_jacobians(X.T).transpose(2, 0, 1)):
             if gnorm < 1e-9 * (1.0 + R):
                 continue
             sv = np.linalg.svd(Jm, compute_uv=False)
@@ -100,10 +100,12 @@ def _halving_newton(sys, a, radius, scales, config):
 
     def residuals(X, values=None):
         sphere = np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2
-        return np.concatenate([sys.compiled.values(X) if values is None else values, sphere[:, None]], axis=1)
+        values = sys.compiled.column_values(X.T).T if values is None else values
+        return np.concatenate([values, sphere[:, None]], axis=1)
 
     for _ in range(tracer.NEWTON_ITERS):
-        values, jacobians = sys.compiled.values_and_jacobians(X)
+        values, jacobians = sys.compiled.column_values_and_jacobians(X.T)
+        values, jacobians = values.T, jacobians.transpose(2, 0, 1)   # (m, p) and (m, p, n)
         F = residuals(X, values)
         J = np.concatenate([jacobians, 2.0 * (X - a[None, :])[:, None, :]], axis=1)
         norm_before = np.linalg.norm(F / scales[None, :], axis=1)
@@ -122,7 +124,7 @@ def _halving_newton(sys, a, radius, scales, config):
         if np.max(norm_before) < 1e-15:
             break
     sphere = np.abs(np.sum((X - a[None, :]) ** 2, axis=1) - radius ** 2)
-    return X[(sphere / radius ** 2 < config.tol) & (sphere < 1e-10 * radius ** 2 * 10)]
+    return X[sphere < tracer.SPHERE_TOL * radius ** 2]
 
 
 class TestSliceSolve:
@@ -333,7 +335,7 @@ class TestSliceSolve:
     def test_newton_matches_the_halving_loop(self, monkeypatch, text, center, radii, first_start, stops_early):
         sys = _system(parse(text, "xyzw"[:len(center)]), center)
         if first_start is not None:
-            assert not sys.compiled.jacobians(0.5 * np.array([first_start]))[0, 1].any()
+            assert not sys.compiled.column_jacobians(0.5 * np.array([first_start]).T)[1, :, 0].any()
             draw = np.random.default_rng
 
             def default_rng(seed):
@@ -497,8 +499,8 @@ class TestTraceBranches:
         assert samples
         for s in samples:
             x = np.array(s.point)
-            g = sys.compiled_f.jacobians(x[None, :])[0]
-            scaled = np.abs(sys.compiled.values(x[None, :])) / sys.compiled.scales(bound + s.radius)
+            g = sys.compiled_f.column_jacobians(x[:, None])[:, :, 0]
+            scaled = np.abs(sys.compiled.column_values(x[:, None])[:, 0]) / sys.compiled.scales(bound + s.radius)
             assert s.f_value == float(f.evaluate(x))
             assert s.malgrange == float(np.linalg.norm(x)) * rabier_nu(g)
             assert s.residual == float(scaled.max())
@@ -516,6 +518,11 @@ class TestTraceBranches:
         # fewer than one Newton start would fail inside numpy for n >= 3
         with pytest.raises(ValueError, match="starts"):
             TraceConfig(starts=starts)
+
+    def test_requires_a_non_negative_seed(self):
+        # numpy's generators refuse a negative seed deep inside an n >= 3 slice
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            TraceConfig(seed=-1)
 
     def test_degenerate_center(self):
         with pytest.raises(DegenerateMilnorError):
