@@ -297,9 +297,11 @@ def cmd_dims(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, config: bool = False):
     p.add_argument("--vars", required=True, help="comma-separated variable names, in order")
-    p.add_argument("--seed", type=int, default=None)
+    if config:   # the flags `_config` reads, for the commands that draw at random
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -318,11 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline over one or more centers")
     p.add_argument("poly")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--center", action="append", help="explicit center 'c1,c2,...' (repeatable)")
     p.add_argument("--centers", type=int, help="count of seeded random centers")
     p.add_argument("--radii", help="radius schedule R0:factor:count")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_analyze)
 
@@ -342,17 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arc-search", help="numerical multistart search for asymptotic arcs")
     p.add_argument("poly")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_arc_search)
 
     p = sub.add_parser("trace", help="emit per-branch samples as CSV or JSON")
     p.add_argument("poly")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--center", help="center 'c1,c2,...' (default: seeded generic draw)")
     p.add_argument("--radii", help="radius schedule R0:factor:count")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(func=cmd_trace)
 

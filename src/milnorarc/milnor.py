@@ -218,9 +218,14 @@ def rabier_nus(gradients: np.ndarray) -> List[float]:
 def malgrange_quantity(source: Sequence[Polynomial], x: Sequence[float]) -> float:
     """The product ||x|| * nu(Df(x)) = ||x|| * ||grad f(x)|| for `source` = [f],
     monitored along branches at infinity."""
-    f = _the_polynomial(source)
-    point = np.asarray([float(v) for v in x], dtype=float)
-    if not np.all(np.isfinite(point)):
+    return malgrange_quantities(CompiledPolynomials([_the_polynomial(source)]), [[float(v) for v in x]])[0]
+
+
+def malgrange_quantities(compiled_f: CompiledPolynomials, X: np.ndarray) -> List[float]:
+    """||x|| * nu(Df(x)) at each row x of X (m, n), from `compiled_f`, the compiled [f].
+    ||x|| is sqrt(x . x), the bits of np.linalg.norm(x); ValueError at a non-finite point or gradient."""
+    X = np.ascontiguousarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
         raise ValueError("non-finite point")
-    J = CompiledPolynomials([f]).column_jacobians(point[:, None])[:, :, 0]
-    return float(np.linalg.norm(point)) * rabier_nu(J)
+    nus = rabier_nus(compiled_f.column_jacobians(X.T)[0].T.copy())
+    return [math.sqrt(x.dot(x)) * nu for x, nu in zip(X, nus)]

@@ -17,19 +17,19 @@ them, and Sturm bisection over Q runs only where that certificate fails.
 Each root is refined by exactly verified secant jumps to the Fraction exact
 sign bisection would return; tangencies (even multiplicity) are not
 reported.  The pivot chart's one equation is +-the one 2x2 minor, so n = 2
-slices need no revalidation against the minors.  The center screen passes
-its MilnorSystem on, and a system keeps its table and its crossings by
-radius.
+slices need no revalidation against the minors; every crossing, a distinct
+root, is kept.  The center screen passes its MilnorSystem on, and a system
+keeps its table and its crossings by radius.
 
 A branch sample's f value is exact at its float point, rounded once
 (`ExactEvaluator.at_float`, cleared once per system); its float parts are
 one batch per slice, and its residual is the scaled residual of its slice
 (for n >= 3, the value the keep test read).
 
-For n >= 3 a multistart damped Newton solver is used and results are
-explicitly best-effort (branches may be missed); its points are rechecked
-against all the minors where the pivot partial nearly vanishes.  Its rows
-back-track their steps in one batch and leave it at a bitwise fixed point.
+For n >= 3 a multistart damped Newton solver is best-effort (branches may be
+missed); points are rechecked against all the minors where the pivot partial
+nearly vanishes, and merged within SPHERE_TOL * R, the sphere window's width.
+Its rows back-track in one batch and leave it at a bitwise fixed point.
 `trace_branches` solves the slices of all radii first, on the cores the
 process may run on (`_cores.map_on_cores`, the same bits as one at a time),
 and then matches them; n = 2 circles stay serial.
@@ -48,14 +48,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import _cores, milnor
-from .milnor import DegenerateCenterError, MilnorSystem, default_pivot, milnor_equations, rabier_nus
+from .milnor import DegenerateCenterError, MilnorSystem, default_pivot, malgrange_quantities, milnor_equations
 from .poly import Polynomial, real_roots
 
 STATUS_CONVERGENT = "convergent"
 STATUS_DIVERGENT = "divergent"
 STATUS_LOST = "lost"
 
-MERGE_DIST = 1e-9       # absolute point-merging distance
 CONV_TOL = 1e-3         # max distance of the last f value from a convergent limit
 CLUSTER_TOL = 1e-3      # limit values this close are one value
 DIV_THRESHOLD = 1e6     # |f| at the last radius past which a branch that does not converge diverges
@@ -229,9 +228,9 @@ def _center_text(center: Sequence[Fraction]) -> str:
 def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] = None) -> List[np.ndarray]:
     """Points of the Milnor set on the sphere ||x - a|| = radius.
 
-    Returns de-duplicated float points: for n = 2 the exactly certified
-    crossings, for n >= 3 those that satisfy every equation to the
-    scale-aware tolerance.  An empty list is a valid outcome.  Raises
+    Returns float points: for n = 2 every exactly certified crossing, for
+    n >= 3 those that satisfy every equation to the scale-aware tolerance,
+    merged within SPHERE_TOL * radius.  An empty list is a valid outcome.  Raises
     DegenerateMilnorError when an equation is identically zero, and
     ValueError when the center, the radius or the equations do not fit floats.
     """
@@ -239,11 +238,12 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
 
 
 def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """slice_solve's points as the rows of X (m, n), and each point's
-    scaled residual max_i |eq_i(x)| / S_i, the value the n >= 3 keep test read.
-    For n >= 3 a radius with SPHERE_TOL R <= sqrt(n) ulp(max |a_i|) is too small (ValueError):
-    there the float grid of ||x - a||^2 has spacing about 2 R sqrt(n) ulp(max |a_i|),
-    and half of it is at least the sphere keep test's window, R^2 +- SPHERE_TOL R^2."""
+    """slice_solve's points as the rows of X (m, n), and each point's scaled residual max_i |eq_i(x)| / S_i.
+    n = 2 keeps every certified crossing, a distinct root, whatever its residual; n >= 3 keeps the points
+    that pass revalidation and residual < tol, merged within SPHERE_TOL R, the window that accepted them.
+    For n >= 3 a radius with SPHERE_TOL R <= sqrt(n) ulp(max |a_i|) is too small (ValueError): there the
+    float grid of ||x - a||^2 has spacing about 2 R sqrt(n) ulp(max |a_i|), and half of it is at least the
+    sphere window, R^2 +- SPHERE_TOL R^2; above it the merge distance exceeds sqrt(n) ulp(max |a_i|)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if sys.has_zero_equation():
@@ -274,8 +274,10 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
             points = points[(revalidation[0] > math.sqrt(config.tol)) | (revalidation[1:].max(axis=0) < config.tol)]
     X = np.reshape(points, (-1, n))
     residuals = (np.abs(sys.compiled.column_values(X.T)) / scales[:, None]).max(axis=0)
-    kept = np.flatnonzero((residuals < config.tol) | (n == 2))   # n = 2 crossings are certified
-    kept = kept[_dedupe(X[kept], max(MERGE_DIST, 4e-12 * (1.0 + radius)))]
+    if n == 2:   # every certified crossing is kept
+        return X, residuals
+    kept = np.flatnonzero(residuals < config.tol)
+    kept = kept[_dedupe(X[kept], SPHERE_TOL * radius)]
     return X[kept], residuals[kept]
 
 
@@ -469,9 +471,8 @@ def _make_samples(sys: MilnorSystem, X: np.ndarray, residuals: np.ndarray, R: fl
         f_values = [sys.exact_f.at_float(x) for x in points]
     except OverflowError:
         raise ValueError(f"radius {R:g} is too large: f overflows floating point") from None
-    nus = rabier_nus(sys.compiled_f.column_jacobians(X.T)[0].T.copy())
-    return [Sample(radius=R, point=tuple(x), f_value=fx, malgrange=math.sqrt(v.dot(v)) * nu, residual=res)
-            for x, fx, v, nu, res in zip(points, f_values, X, nus, residuals.tolist())]
+    return [Sample(radius=R, point=tuple(x), f_value=fx, malgrange=mq, residual=res)
+            for x, fx, mq, res in zip(points, f_values, malgrange_quantities(sys.compiled_f, X), residuals.tolist())]
 
 
 # ---------------------------------------------------------------------------

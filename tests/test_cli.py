@@ -528,6 +528,8 @@ class TestAnalyze:
         ["analyze", "x + x^2*y", "--vars", "x,y", "--centers", "0,0;1,0"],
         ["dims", "two", "3"],
         ["analyze", "x + x^2*y", "--vars", "x,y", "--no-such-flag"],
+        ["milnor", "x + x^2*y", "--vars", "x,y", "--seed", "1"],
+        ["arc-check", "x + x^2*y", "x: 1/2 t^-1; y: -1 t^1", "--vars", "x,y", "--seed", "1"],
         [],
     ])
     def test_argparse_error_is_one_error_line(self, capsys, argv):
@@ -546,6 +548,14 @@ class TestAnalyze:
 
 
 class TestTraceCommand:
+    def test_three_variable_trace_has_eight_whole_branches(self, capsys):
+        # at R = 80 a second iterate of one branch point, inside the sphere
+        # window and 6e-9 from the converged point, merges with it
+        code, out, err = run_cli(capsys, "trace", "x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert [len(b["samples"]) for b in json.loads(out)["branches"]] == [8] * 8
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_gradients_give_finite_malgrange_values(self, capsys):
         # |grad f| reaches 1e180 at R = 1e90; its square is past the float range

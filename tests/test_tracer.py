@@ -245,6 +245,15 @@ class TestSliceSolve:
             slice_solve(sys, R, TraceConfig())
         assert "compiled_revalidation" not in vars(sys)
 
+    def test_two_variables_keep_every_certified_crossing(self, monkeypatch):
+        # distinct certified crossings are neither merged nor residual-tested, however close
+        crossings = [np.array([10.0, 0.0]), np.array([10.0, 1e-12])]
+        monkeypatch.setattr(tracer, "_slice_solve_circle", lambda *args: crossings)
+        monkeypatch.setattr(tracer, "_dedupe", None)
+        points, residuals = tracer._slice(_system(F_FLAG, (0, 0)), 10.0, TraceConfig(tol=1e-300))
+        assert points.tolist() == [x.tolist() for x in crossings]
+        assert residuals.shape == (2,) and np.all(residuals > 1e-300)
+
     @pytest.mark.parametrize("text, pivot", [("x + x^2*y", 0), ("x + y^3", 1)])
     def test_two_variable_chart_slice_is_the_minors_slice(self, text, pivot):
         # for n = 2 the chart's one equation is +-the one minor, bit for bit
