@@ -191,9 +191,7 @@ def cmd_milnor(args) -> int:
     if args.pivot is not None and not 1 <= args.pivot <= f.num_vars:
         raise UserError(f"--pivot must be between 1 and {f.num_vars}, got {args.pivot}")
     center = _parse_center(args.center, f.num_vars) if args.center else (Fraction(0),) * f.num_vars
-    pivot = milnor.PIVOT_MINORS if args.minors else (
-        args.pivot - 1 if args.pivot is not None else milnor.default_pivot(f)
-    )
+    pivot = milnor.PIVOT_MINORS if args.minors else None if args.pivot is None else args.pivot - 1
     try:
         sys_ = milnor.milnor_equations([f], center, pivot=pivot)
     except (ValueError, IndexError) as exc:

@@ -86,8 +86,10 @@ class MilnorSystem:
 
     @cached_property
     def compiled_revalidation(self) -> CompiledPolynomials:
-        """Pivot mode with n >= 3 only: the pivot partial followed by all the
-        minors, which recheck points where the pivot chart degenerates."""
+        """Pivot mode with n >= 3 only: the pivot partial and all the minors, which recheck
+        points where the chart degenerates.  The tracer reads it first: a minors system is refused."""
+        if self.pivot == PIVOT_MINORS:
+            raise ValueError("an n >= 3 trace needs the pivot chart, not all the minors (pass pivot=None)")
         minors = milnor_equations([self.f], self.center, pivot=PIVOT_MINORS)
         return CompiledPolynomials([self.f.partial(self.pivot), *minors.equations])
 
@@ -138,8 +140,8 @@ class HalfAngleTable:
 def default_pivot(f: Polynomial) -> int:
     """Pivot variable: the one whose partial derivative has maximal degree.
 
-    Ties break to the lowest index.  For n >= 3 the tracer re-validates points
-    where the pivot partial vanishes against the minors description.
+    Ties break to the lowest index; milnor_equations' default pivot.  The n >= 3
+    tracer rechecks points where it nearly vanishes against all the minors.
     """
     degrees = []
     for i in range(f.num_vars):
@@ -158,14 +160,14 @@ def _the_polynomial(source: Sequence[Polynomial]) -> Polynomial:
 def milnor_equations(
     source: Sequence[Polynomial],
     center: Sequence[Rational],
-    pivot: Union[int, str] = PIVOT_MINORS,
+    pivot: Union[int, str, None] = None,
 ) -> MilnorSystem:
     """Build the Milnor system of `source` = [f] for the given center.
 
     Every equation is a 2x2 minor f_i * (x_j - a_j) - f_j * (x_i - a_i) of
-    [grad f; x - a].  With `pivot` an integer i (0-based) these are the n-1
-    pairs (i, j), j != i, in increasing j; with `pivot` PIVOT_MINORS they are
-    all C(n, 2) pairs i < j in lexicographic order.
+    [grad f; x - a].  With `pivot` an integer i (0-based; None is default_pivot(f)) these are
+    the n-1 pairs (i, j), j != i, in increasing j, the pivot chart; with PIVOT_MINORS all
+    C(n, 2) pairs i < j in lexicographic order, which the n >= 3 tracer refuses.
     """
     f = _the_polynomial(source)
     n = f.num_vars
@@ -178,7 +180,7 @@ def milnor_equations(
     if pivot == PIVOT_MINORS:
         pairs = itertools.combinations(range(n), 2)
     else:
-        pivot = int(pivot)
+        pivot = default_pivot(f) if pivot is None else int(pivot)
         if not 0 <= pivot < n:
             raise IndexError(f"pivot index {pivot} out of range for {n} variables")
         pairs = [(pivot, j) for j in range(n) if j != pivot]

@@ -63,6 +63,17 @@ def _grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
     return (sum(exp), exp)
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, from `one`."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -202,14 +213,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.num_vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.constant(self.num_vars, 1))
 
     # ----- calculus and evaluation -------------------------------------
 
@@ -691,14 +695,7 @@ class LaurentScalar:
                 raise ValueError("a negative power needs a one-term Laurent scalar")
             (k, c), = self.terms.items()
             return LaurentScalar({k * n: Fraction(1) / c ** -n})
-        result = LaurentScalar({0: Fraction(1)})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentScalar({0: Fraction(1)}))
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

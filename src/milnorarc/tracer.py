@@ -27,9 +27,10 @@ one batch per slice, and its residual is the scaled residual of its slice
 (for n >= 3, the value the keep test read).
 
 For n >= 3 a multistart damped Newton solver is best-effort (branches may be
-missed); points are rechecked against all the minors where the pivot partial
-nearly vanishes, and merged within SPHERE_TOL * R, the sphere window's width.
-Its rows back-track in one batch and leave it at a bitwise fixed point.
+missed) on the pivot chart and the sphere, a square system; points are
+rechecked against all the minors where the pivot partial nearly vanishes, and
+merged within SPHERE_TOL * R, the sphere window's width.  Its rows back-track
+in one batch and leave it at a bitwise fixed point.
 `trace_branches` solves the slices of all radii first, on the cores the
 process may run on (`_cores.map_on_cores`, the same bits as one at a time),
 and then matches them; n = 2 circles stay serial.
@@ -47,8 +48,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import _cores, milnor
-from .milnor import DegenerateCenterError, MilnorSystem, default_pivot, malgrange_quantities, milnor_equations
+from . import _cores
+from .milnor import DegenerateCenterError, MilnorSystem, malgrange_quantities, milnor_equations
 from .poly import Polynomial, real_roots
 
 STATUS_CONVERGENT = "convergent"
@@ -231,8 +232,8 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     Returns float points: for n = 2 every exactly certified crossing, for
     n >= 3 those that satisfy every equation to the scale-aware tolerance,
     merged within SPHERE_TOL * radius.  An empty list is a valid outcome.  Raises
-    DegenerateMilnorError when an equation is identically zero, and
-    ValueError when the center, the radius or the equations do not fit floats.
+    DegenerateMilnorError when an equation is identically zero, and ValueError
+    for an n >= 3 minors system or a center, radius or equations past floats.
     """
     return list(_slice(sys, radius, config or TraceConfig())[0])
 
@@ -266,12 +267,11 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
         if (points := sys._crossings.get(radius)) is None:
             points = sys._crossings[radius] = _slice_solve_circle(sys, a, radius)
     else:
+        compiled = sys.compiled_revalidation   # refuses a minors system before any iterate
         points = _slice_solve_newton(sys, a, radius, scales, config)
-        if sys.pivot != milnor.PIVOT_MINORS:
-            # where the pivot partial nearly vanishes, recheck against minors mode
-            compiled = sys.compiled_revalidation
-            revalidation = np.abs(compiled.column_values(points.T)) / compiled.scales(bound)[:, None]
-            points = points[(revalidation[0] > math.sqrt(config.tol)) | (revalidation[1:].max(axis=0) < config.tol)]
+        # where the pivot partial nearly vanishes, recheck against all the minors
+        revalidation = np.abs(compiled.column_values(points.T)) / compiled.scales(bound)[:, None]
+        points = points[(revalidation[0] > math.sqrt(config.tol)) | (revalidation[1:].max(axis=0) < config.tol)]
     X = np.reshape(points, (-1, n))
     residuals = (np.abs(sys.compiled.column_values(X.T)) / scales[:, None]).max(axis=0)
     if n == 2:   # every certified crossing is kept
@@ -400,13 +400,17 @@ def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _system(f: Polynomial, center) -> MilnorSystem:
-    return center if isinstance(center, MilnorSystem) else milnor_equations([f], center, pivot=default_pivot(f))
+    sys = center if isinstance(center, MilnorSystem) else milnor_equations([f], center)
+    if sys.f != f:
+        raise ValueError("the MilnorSystem is of another polynomial than f")
+    return sys
 
 
 def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
                    config: Optional[TraceConfig] = None) -> List[BranchTrace]:
     """Follow branches at infinity of the Milnor set across the spheres of
-    `config.radii()`; `center` is its coordinates or a MilnorSystem of f.
+    `config.radii()`; `center` is its coordinates or a MilnorSystem of f, a
+    pivot chart for n >= 3 (else ValueError, before any slice).
 
     Points at consecutive radii are matched by escape direction, greedy
     globally nearest pair first; unmatched points open or close branches.
@@ -417,9 +421,7 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     if sys.num_vars == 2:  # a circle costs less than a fork, and the system keeps it for the screen
         slices = [_slice(sys, R, config) for R in radii]
     else:
-        sys.compiled, sys.compiled_f  # compiled once, before the workers fork
-        if sys.pivot != milnor.PIVOT_MINORS:
-            sys.compiled_revalidation
+        sys.compiled, sys.compiled_f, sys.compiled_revalidation  # compiled once, before the workers fork
         slices = _cores.map_on_cores(functools.partial(_slice, sys, config=config), radii)
     a = _float_center(sys)[0]
     branches: List[BranchTrace] = []

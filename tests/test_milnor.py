@@ -70,11 +70,12 @@ class TestEquations:
         with pytest.raises(ValueError):
             milnor_equations([f, f], (0, 0))  # p >= n
 
-    def test_minors_is_the_default_and_only_spelling(self):
-        f = parse("x + x^2*y + z^2", VARS3)
-        assert milnor_equations([f], (0, 0, 0)) == milnor_equations([f], (0, 0, 0), pivot=PIVOT_MINORS)
-        with pytest.raises(TypeError):
-            milnor_equations([f], (0, 0, 0), pivot=None)
+    @pytest.mark.parametrize("text, names", [("x + y^3", VARS2), ("x + x^2*y + z^2", VARS3)])
+    def test_default_pivot_is_the_default(self, text, names):
+        f = parse(text, names)
+        center = (Fraction(1, 3),) * len(names)
+        assert milnor_equations([f], center) == milnor_equations([f], center, pivot=default_pivot(f))
+        assert milnor_equations([f], center, pivot=None).pivot == default_pivot(f)
 
     def test_rejects_several_polynomials(self):
         f, g = CORPUS[3], CORPUS[4]

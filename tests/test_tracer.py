@@ -25,7 +25,7 @@ from milnorarc import (
     trace_branches,
 )
 from milnorarc import poly, tracer
-from milnorarc.milnor import HalfAngleTable, rabier_nu
+from milnorarc.milnor import PIVOT_MINORS, HalfAngleTable, rabier_nu
 from milnorarc.poly import LaurentScalar, Polynomial, compose_laurent
 from milnorarc.tracer import Sample, _center_text, _dedupe, _newton_steps
 
@@ -235,7 +235,7 @@ class TestSliceSolve:
         bound = Fraction(float(np.linalg.norm([float(c) for c in center])) + R + 1)
         for x in pts:
             xq = [Fraction(v) for v in x]
-            for eq in milnor_equations([f], center).equations:
+            for eq in milnor_equations([f], center, pivot=PIVOT_MINORS).equations:
                 scale = sum(abs(c) * bound ** sum(e) for e, c in eq.terms.items()) + 1
                 assert abs(eq.evaluate(xq)) / scale < config.tol
 
@@ -260,10 +260,24 @@ class TestSliceSolve:
         f = parse(text, VARS2)
         center = (Fraction(1, 3), Fraction(-2, 7))
         assert default_pivot(f) == pivot
-        chart, minors = _system(f, center), milnor_equations([f], center)
+        chart, minors = _system(f, center), milnor_equations([f], center, pivot=PIVOT_MINORS)
         for R in (10.0, 80.0, 1280.0):
             a, b = slice_solve(chart, R, TraceConfig()), slice_solve(minors, R, TraceConfig())
             assert a and np.array(a).tobytes() == np.array(b).tobytes()
+
+    def test_three_variable_minors_system_is_refused_before_any_iterate(self, monkeypatch):
+        # C(3, 2) minors and the sphere are not a square system: one error line, no Newton solve
+        def newton(*args):
+            raise AssertionError("a Newton iterate ran on a minors system")
+
+        f = parse("x + x^2*y + z^2", ["x", "y", "z"])
+        minors = milnor_equations([f], (1, 2, -1), pivot=PIVOT_MINORS)
+        monkeypatch.setattr(tracer, "_slice_solve_newton", newton)
+        for call in (lambda: slice_solve(minors, 10.0), lambda: trace_branches(f, minors),
+                     lambda: s_a_estimate(f, minors)):
+            with pytest.raises(ValueError, match="pivot chart") as info:
+                call()
+            assert "\n" not in str(info.value)
 
     def test_dedupe_keeps_first_seen_order(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.5], [3.0, 0.25]])
@@ -662,6 +676,21 @@ class TestReports:
         # 1.0 is missing at (1, 0); 0 matches within cluster_tol at every center
         assert [(lv.value, lv.uncertainty, lv.branch_ids) for lv in report.intersection] == [
             (pytest.approx(0.0, abs=1e-18), 1e-5, [0]), (5.0, 3e-5, [1, 2])]
+
+    def test_a_system_of_another_polynomial_is_refused(self):
+        sys = _system(F_FLAG, (0, 0))
+        g = parse("x + x^2*y + y", VARS2)
+        for call in (trace_branches, s_a_estimate, lambda f, c: s_infinity_estimate(f, [c, c])):
+            with pytest.raises(ValueError, match="another polynomial"):
+                call(g, sys)
+        # an equal polynomial is the same f
+        assert len(trace_branches(parse("x + x^2*y", VARS2), sys)) == len(trace_branches(F_FLAG, sys))
+
+    def test_the_default_system_traces_as_the_explicit_pivot_chart(self):
+        f = parse("x + x^2*y + z^2", ["x", "y", "z"])
+        report = s_a_estimate(f, milnor_equations([f], (1, 2, -1))).to_dict()
+        assert report == s_a_estimate(f, milnor_equations([f], (1, 2, -1), pivot=default_pivot(f))).to_dict()
+        assert [b["samples"] for b in report["branches"]] == [8] * 8
 
     def test_s_infinity_excludes_degenerate_centers(self):
         f = parse("x^2 + y^2", VARS2)
