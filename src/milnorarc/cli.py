@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -122,8 +123,8 @@ def parse_arc_spec(spec: str, var_names: Sequence[str]) -> RationalArc:
 
 
 def _config(cls, args, **fields):
-    """A TraceConfig or ArcSearchConfig from `fields` and the --seed and --tol given."""
-    fields.update({k: getattr(args, k) for k in ("seed", "tol") if getattr(args, k) is not None})
+    """A TraceConfig or ArcSearchConfig from `fields` and the --seed and (arc-search's) --tol given."""
+    fields.update({k: v for k in ("seed", "tol") if (v := getattr(args, k, None)) is not None})
     try:
         return cls(**fields)
     except ValueError as exc:
@@ -174,7 +175,8 @@ def cmd_analyze(args) -> int:
         raise UserError(str(exc)) from exc
 
     if args.format == "csv":
-        rows = [row for i, r in enumerate(reports) for row in _traces_csv(r.traces, 1000 * i)]
+        offsets = itertools.accumulate((len(r.traces) for r in reports), initial=0)
+        rows = [row for r, offset in zip(reports, offsets) for row in _traces_csv(r.traces, offset)]
         _write_csv(rows, f.num_vars, args.out)
     else:
         _emit_report(payload, args, var_names)
@@ -295,11 +297,10 @@ def cmd_dims(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, config: bool = False):
+def _add_common(p, seed: bool = False):
     p.add_argument("--vars", required=True, help="comma-separated variable names, in order")
-    if config:   # the flags `_config` reads, for the commands that draw at random
+    if seed:   # for the commands that draw at random
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline over one or more centers")
     p.add_argument("poly")
-    _add_common(p, config=True)
+    _add_common(p, seed=True)
     p.add_argument("--center", action="append", help="explicit center 'c1,c2,...' (repeatable)")
     p.add_argument("--centers", type=int, help="count of seeded random centers")
     p.add_argument("--radii", help="radius schedule R0:factor:count")
@@ -341,13 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arc-search", help="numerical multistart search for asymptotic arcs")
     p.add_argument("poly")
-    _add_common(p, config=True)
+    _add_common(p, seed=True)
     p.add_argument("--starts", type=int, default=32)
+    p.add_argument("--tol", type=float, default=None, help="acceptance threshold on the sum of squared violations")
     p.set_defaults(func=cmd_arc_search)
 
     p = sub.add_parser("trace", help="emit per-branch samples as CSV or JSON")
     p.add_argument("poly")
-    _add_common(p, config=True)
+    _add_common(p, seed=True)
     p.add_argument("--center", help="center 'c1,c2,...' (default: seeded generic draw)")
     p.add_argument("--radii", help="radius schedule R0:factor:count")
     p.add_argument("--format", choices=["json", "csv"], default="csv")

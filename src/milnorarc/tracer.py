@@ -64,6 +64,11 @@ MATCH_TOL = 0.5         # max direction drift between consecutive radii
 NEWTON_ITERS = 60       # damped Newton iterations per n >= 3 slice
 CENTER_ATTEMPTS = 16    # center draws before pick_generic_center gives up
 SPHERE_TOL = 1e-9       # an n >= 3 slice point has |(||x - a||^2 - R^2)| < SPHERE_TOL * R^2
+# an n >= 3 slice point has |eq(x)| < RESIDUAL_TOL * S for every equation, S = 1 + the sum of
+# |coeff| * B^deg over its terms with B = ||a|| + R + 1: the values grow like R^deg
+RESIDUAL_TOL = 1e-8
+NEWTON_STARTS = 512     # damped Newton starts per n >= 3 slice
+SCREEN_STARTS = 64      # starts per n >= 3 slice of the center screen
 
 
 class DegenerateMilnorError(RuntimeError):
@@ -72,33 +77,21 @@ class DegenerateMilnorError(RuntimeError):
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """The residual tolerance, radius schedule and multistart of the tracer.
+    """The seed and radius schedule of the tracer.
 
-    `tol` is a scale-aware residual tolerance: an equation value counts as
-    zero when |eq(x)| < tol * S where S sums |coeff| * B^deg over the terms
-    with B = ||a|| + R + 1.  A raw absolute tolerance would be meaningless at
-    large radii where polynomial values grow like R^deg.  It applies to the
-    n >= 3 equation residuals and pivot revalidation only: the sphere window
-    is the module constant SPHERE_TOL, and n = 2 crossings are certified
-    exactly and kept, whatever their float residual.
-
-    Construction raises ValueError on a bad seed, tolerance or radius schedule.
+    The tolerances and the multistart size are module constants: RESIDUAL_TOL,
+    SPHERE_TOL and NEWTON_STARTS.  Construction raises ValueError on a bad
+    seed or radius schedule.
     """
 
     seed: int = 0
-    tol: float = 1e-8
     r0: float = 10.0
     radius_factor: float = 2.0
     radius_count: int = 8
-    starts: int = 512             # Newton starts per slice for n >= 3
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.starts < 1:
-            raise ValueError(f"starts must be at least 1, got {self.starts}")
         try:
             largest = self.r0 * self.radius_factor ** (self.radius_count - 1)
         except OverflowError:
@@ -230,18 +223,20 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     """Points of the Milnor set on the sphere ||x - a|| = radius.
 
     Returns float points: for n = 2 every exactly certified crossing, for
-    n >= 3 those that satisfy every equation to the scale-aware tolerance,
-    merged within SPHERE_TOL * radius.  An empty list is a valid outcome.  Raises
-    DegenerateMilnorError when an equation is identically zero, and ValueError
-    for an n >= 3 minors system or a center, radius or equations past floats.
+    n >= 3 those of NEWTON_STARTS starts drawn from `config.seed` that satisfy
+    every equation to RESIDUAL_TOL, merged within SPHERE_TOL * radius.  An empty
+    list is a valid outcome.  Raises DegenerateMilnorError when an equation is
+    identically zero, and ValueError for an n >= 3 minors system or a center,
+    radius or equations past floats.
     """
-    return list(_slice(sys, radius, config or TraceConfig())[0])
+    return list(_slice(sys, radius, (config or TraceConfig()).seed)[0])
 
 
-def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _slice(sys: MilnorSystem, radius: float, seed: int, starts: int = NEWTON_STARTS) -> Tuple[np.ndarray, np.ndarray]:
     """slice_solve's points as the rows of X (m, n), and each point's scaled residual max_i |eq_i(x)| / S_i.
-    n = 2 keeps every certified crossing, a distinct root, whatever its residual; n >= 3 keeps the points
-    that pass revalidation and residual < tol, merged within SPHERE_TOL R, the window that accepted them.
+    n = 2 keeps every certified crossing, a distinct root, whatever its residual; n >= 3 keeps the points of
+    `starts` Newton starts that pass revalidation and residual < RESIDUAL_TOL, merged within SPHERE_TOL R,
+    the window that accepted them.
     For n >= 3 a radius with SPHERE_TOL R <= sqrt(n) ulp(max |a_i|) is too small (ValueError): there the
     float grid of ||x - a||^2 has spacing about 2 R sqrt(n) ulp(max |a_i|), and half of it is at least the
     sphere window, R^2 +- SPHERE_TOL R^2; above it the merge distance exceeds sqrt(n) ulp(max |a_i|)."""
@@ -268,15 +263,15 @@ def _slice(sys: MilnorSystem, radius: float, config: TraceConfig) -> Tuple[np.nd
             points = sys._crossings[radius] = _slice_solve_circle(sys, a, radius)
     else:
         compiled = sys.compiled_revalidation   # refuses a minors system before any iterate
-        points = _slice_solve_newton(sys, a, radius, scales, config)
+        points = _slice_solve_newton(sys, a, radius, scales, seed, starts)
         # where the pivot partial nearly vanishes, recheck against all the minors
         revalidation = np.abs(compiled.column_values(points.T)) / compiled.scales(bound)[:, None]
-        points = points[(revalidation[0] > math.sqrt(config.tol)) | (revalidation[1:].max(axis=0) < config.tol)]
+        points = points[(revalidation[0] > math.sqrt(RESIDUAL_TOL)) | (revalidation[1:].max(axis=0) < RESIDUAL_TOL)]
     X = np.reshape(points, (-1, n))
     residuals = (np.abs(sys.compiled.column_values(X.T)) / scales[:, None]).max(axis=0)
     if n == 2:   # every certified crossing is kept
         return X, residuals
-    kept = np.flatnonzero(residuals < config.tol)
+    kept = np.flatnonzero(residuals < RESIDUAL_TOL)
     kept = kept[_dedupe(X[kept], SPHERE_TOL * radius)]
     return X[kept], residuals[kept]
 
@@ -333,15 +328,15 @@ def _angle(tau: Fraction) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")   # iterates far off the sphere may overflow
 def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales: np.ndarray,
-                        config: TraceConfig) -> np.ndarray:
-    """The multistart's points in the sphere window |(||x - a||^2 - R^2)| < SPHERE_TOL R^2,
+                        seed: int, starts: int) -> np.ndarray:
+    """The points of `starts` seeded starts in the sphere window |(||x - a||^2 - R^2)| < SPHERE_TOL R^2,
     as rows (k, n).  The iterates are the columns of X (n, m); the sphere term and the
     scaled norm add rows left to right, (r0 + r1) + r2 ..., as np.add.reduce(axis=1) does
     on point-major rows shorter than 8 (numpy sums longer ones pairwise), so for n < 8
     every start has the bits of a point-major loop."""
     n = a.shape[0]
-    rng = np.random.default_rng([config.seed, int(round(radius * 1024)) & 0x7FFFFFFF])
-    U = rng.standard_normal((config.starts, n))
+    rng = np.random.default_rng([seed, int(round(radius * 1024)) & 0x7FFFFFFF])
+    U = rng.standard_normal((starts, n))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     a = a[:, None]
     X = a + radius * U.T
@@ -419,10 +414,10 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     sys = _system(f, center)
     radii = config.radii()
     if sys.num_vars == 2:  # a circle costs less than a fork, and the system keeps it for the screen
-        slices = [_slice(sys, R, config) for R in radii]
+        slices = [_slice(sys, R, config.seed) for R in radii]
     else:
         sys.compiled, sys.compiled_f, sys.compiled_revalidation  # compiled once, before the workers fork
-        slices = _cores.map_on_cores(functools.partial(_slice, sys, config=config), radii)
+        slices = _cores.map_on_cores(functools.partial(_slice, sys, seed=config.seed), radii)
     a = _float_center(sys)[0]
     branches: List[BranchTrace] = []
     open_branches: List[Tuple[BranchTrace, np.ndarray]] = []  # (trace, last direction)
@@ -652,10 +647,9 @@ def _screen_center(sys: MilnorSystem) -> Tuple[bool, str]:
     certificate."""
     if sys.has_zero_equation():
         return False, "identically zero pivot-chart equation"
-    cfg = TraceConfig(seed=0, starts=64)
     for R in (10.0, 40.0):
         try:
-            XT = np.reshape(slice_solve(sys, R, cfg)[:16], (-1, sys.num_vars)).T
+            XT = _slice(sys, R, 0, starts=SCREEN_STARTS)[0][:16].T
         except ValueError as exc:  # overflow or a singular solve fails the screen
             return False, f"slice solve failed at R={R}: {exc}"
         gnorms = np.linalg.norm(sys.compiled_f.column_jacobians(XT)[0], axis=0)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from milnorarc import tracer
 from milnorarc.cli import main, parse_arc_spec
 
 
@@ -309,16 +310,6 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == f"error: {command} requires at least 2 variables\n"
 
-    @pytest.mark.parametrize("tol", ["1e-17", "1e-20"])
-    @pytest.mark.parametrize("poly, center", [("x + x^2*y", "0,0"), ("y*(x^2*y^2 + 3*x*y + 3)", "0,1")])
-    def test_n2_crossings_do_not_depend_on_tol(self, capsys, poly, center, tol):
-        # the n = 2 crossings are certified exactly, so tol only acts on n >= 3 slices
-        argv = ["analyze", poly, "--vars", "x,y", "--center", center]
-        default = json.loads(run_cli(capsys, *argv)[1])
-        tight = json.loads(run_cli(capsys, *argv, "--tol", tol)[1])
-        assert tight.pop("config") == {**default.pop("config"), "tol": float(tol)}
-        assert tight == default
-
     def test_single_center_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0"
@@ -350,6 +341,24 @@ class TestAnalyze:
         lines = out.strip().split("\n")
         assert lines[0] == "branch_id,R,x1,x2,f,malgrange,residual"
         assert len(lines) > 1
+
+    def test_csv_branch_ids_are_unique_across_centers(self, capsys, monkeypatch):
+        # each center's ids follow the earlier centers' branches, however many there are
+        sample = tracer.Sample(radius=10.0, point=(10.0, 0.0), f_value=0.0, malgrange=0.0, residual=0.0)
+        counts = iter([1001, 2])
+
+        def s_infinity_estimate(f, centers, cfg):
+            reports = [tracer.AnalysisReport(
+                status="ok", center=(0, 0), certified=True, bound_cap=1, seed=0, radii=cfg.radii(), config={},
+                traces=[tracer.BranchTrace(i, [sample]) for i in range(next(counts))]) for _ in centers]
+            return tracer.SInfinityReport(per_center=reports, intersection=[], cluster_tol=tracer.CLUSTER_TOL)
+
+        monkeypatch.setattr(tracer, "s_infinity_estimate", s_infinity_estimate)
+        code, out, _ = run_cli(capsys, "analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0",
+                               "--center", "1,2", "--format", "csv")
+        assert code == 0
+        ids = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert ids == list(range(1003))
 
     def test_degenerate_only_is_exit_2(self, capsys):
         code, _, _ = run_cli(
@@ -444,12 +453,10 @@ class TestAnalyze:
         assert err == f"error: radius {named} is too small for floating point\n"
 
     def test_small_radius_the_floats_resolve_still_traces(self, capsys):
-        # a tol below the sphere window leaves the window as it is
-        for flags in ([], ["--tol", "1e-14"]):
-            code, out, err = run_cli(capsys, "trace", "x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1",
-                                     "--radii", "1e-3:2:8", "--format", "json", *flags)
-            assert (code, err) == (0, "")
-            assert [len(b["samples"]) for b in json.loads(out)["branches"]] == [8, 8]
+        code, out, err = run_cli(capsys, "trace", "x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1",
+                                 "--radii", "1e-3:2:8", "--format", "json")
+        assert (code, err) == (0, "")
+        assert [len(b["samples"]) for b in json.loads(out)["branches"]] == [8, 8]
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "x + x^2*y", "--vars", "x,y"],
@@ -492,7 +499,6 @@ class TestAnalyze:
         assert "R0:factor:count" in err
 
     @pytest.mark.parametrize("flags", [
-        ["--tol", "nan"],
         ["--radii", "1e300:2:8"],
         ["--radii", "10:1:8"],
         ["--radii", "1e200:1e100:8"],
@@ -531,6 +537,9 @@ class TestAnalyze:
         ["milnor", "x + x^2*y", "--vars", "x,y", "--seed", "1"],
         ["arc-check", "x + x^2*y", "x: 1/2 t^-1; y: -1 t^1", "--vars", "x,y", "--seed", "1"],
         [],
+        # the n >= 3 residual tolerance is the module constant tracer.RESIDUAL_TOL
+        ["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0", "--tol", "1e-8"],
+        ["trace", "x + x^2*y", "--vars", "x,y", "--center", "0,0", "--tol", "1e-8"],
     ])
     def test_argparse_error_is_one_error_line(self, capsys, argv):
         # exit code 2 means "every center was degenerate", never a bad argument

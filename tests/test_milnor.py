@@ -266,15 +266,15 @@ class TestCenters:
         import milnorarc.tracer as m
 
         def failing_solve(error):
-            def solve(*args):
+            def solve(*args, **kwargs):
                 raise error
             return solve
 
         f = parse("x + x^2*y", VARS2)
-        monkeypatch.setattr(m, "slice_solve", failing_solve(ValueError("overflow")))
+        monkeypatch.setattr(m, "_slice", failing_solve(ValueError("overflow")))
         with pytest.raises(DegenerateCenterError):
             pick_generic_center(f, seed=0)
         # a programming error in the slicer is not a failed screen
-        monkeypatch.setattr(m, "slice_solve", failing_solve(TypeError("bug")))
+        monkeypatch.setattr(m, "_slice", failing_solve(TypeError("bug")))
         with pytest.raises(TypeError, match="bug"):
             pick_generic_center(f, seed=0)

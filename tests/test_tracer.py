@@ -1,6 +1,7 @@
 """Tests for sphere slicing, branch tracing and limit estimation."""
 
 import dataclasses
+import itertools
 import math
 import types
 from fractions import Fraction
@@ -70,10 +71,9 @@ def _screen_loop(sys):
     """Reference for `tracer._screen_center`: one SVD per screened point."""
     if sys.has_zero_equation():
         return False, "identically zero pivot-chart equation"
-    cfg = TraceConfig(seed=0, starts=64)
     for R in (10.0, 40.0):
         try:
-            points = slice_solve(sys, R, cfg)
+            points = tracer._slice(sys, R, 0, starts=tracer.SCREEN_STARTS)[0]
         except ValueError as exc:
             return False, f"slice solve failed at R={R}: {exc}"
         X = np.reshape(points[:16], (-1, sys.num_vars))
@@ -87,13 +87,13 @@ def _screen_loop(sys):
     return True, "ok"
 
 
-def _halving_newton(sys, a, radius, scales, config):
+def _halving_newton(sys, a, radius, scales, seed, starts):
     """Reference for `tracer._slice_solve_newton`: every row is iterated
     NEWTON_ITERS times, unless all rows converge, and each step is halved in
     up to 6 sequential rounds while the scaled residual grows."""
     n = a.shape[0]
-    rng = np.random.default_rng([config.seed, int(round(radius * 1024)) & 0x7FFFFFFF])
-    U = rng.standard_normal((config.starts, n))
+    rng = np.random.default_rng([seed, int(round(radius * 1024)) & 0x7FFFFFFF])
+    U = rng.standard_normal((starts, n))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     X = a[None, :] + radius * U
     scales = np.append(scales, radius ** 2)
@@ -208,19 +208,22 @@ class TestSliceSolve:
 
     def test_three_variables_exact_oracle(self):
         # every returned point is checked in exact arithmetic at its float
-        # coordinates: scaled equations below tol, and on the sphere
-        f = parse("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", ["x", "y", "z"])
-        sys = _system(f, (0, 0, 0))
-        config, R = TraceConfig(), 80
-        pts = slice_solve(sys, float(R), config)
-        assert pts
-        bound = R + 1  # ||a|| + R + 1 with a = 0
-        scales = [sum(abs(c) * bound ** sum(e) for e, c in eq.terms.items()) + 1 for eq in sys.equations]
-        for x in pts:
-            xq = [Fraction(v) for v in x]
-            for eq, scale in zip(sys.equations, scales):
-                assert abs(eq.evaluate(xq)) / scale < config.tol
-            assert abs(sum(v * v for v in xq) - R ** 2) < config.tol * R ** 2
+        # coordinates: its scaled residual is the one the float kernel
+        # reported, to 1e-15, and it lies in the sphere window
+        cases = [("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", (0, 0, 0)), ("x + x^2*y + z^2", (1, 2, -1))]
+        for (text, center), R in itertools.product(cases, TraceConfig().radii()):
+            sys = _system(parse(text, ["x", "y", "z"]), center)
+            pts, residuals = tracer._slice(sys, R, 0)
+            assert len(pts)
+            bound = Fraction(float(np.linalg.norm(np.array(center, dtype=float))) + R + 1.0)
+            scales = [sum(abs(c) * bound ** sum(e) for e, c in eq.terms.items()) + 1 for eq in sys.equations]
+            for x, reported in zip(pts, residuals):
+                xq = [Fraction(v) for v in x]
+                exact = max(abs(eq.evaluate(xq)) / scale for eq, scale in zip(sys.equations, scales))
+                assert reported < tracer.RESIDUAL_TOL
+                assert abs(exact - Fraction(reported)) < Fraction(1e-15)
+                sphere = sum((v - Fraction(c)) ** 2 for v, c in zip(xq, center)) - Fraction(R) ** 2
+                assert abs(sphere) < Fraction(tracer.SPHERE_TOL) * Fraction(R) ** 2
 
     @pytest.mark.parametrize("R", [10, 80])
     def test_three_variables_revalidation_drops_the_chart_only_points(self, R):
@@ -229,15 +232,14 @@ class TestSliceSolve:
         # minors, checked exactly at its float coordinates
         f = parse("x^2 + y^2 - z^2 + x + y*z", ["x", "y", "z"])
         center = (Fraction(-1, 2), Fraction(1, 3), Fraction(2, 5))
-        config = TraceConfig()
-        pts = slice_solve(milnor_equations([f], center, pivot=0), float(R), config)
+        pts = slice_solve(milnor_equations([f], center, pivot=0), float(R), TraceConfig())
         assert len(pts) == 2
         bound = Fraction(float(np.linalg.norm([float(c) for c in center])) + R + 1)
         for x in pts:
             xq = [Fraction(v) for v in x]
             for eq in milnor_equations([f], center, pivot=PIVOT_MINORS).equations:
                 scale = sum(abs(c) * bound ** sum(e) for e, c in eq.terms.items()) + 1
-                assert abs(eq.evaluate(xq)) / scale < config.tol
+                assert abs(eq.evaluate(xq)) / scale < tracer.RESIDUAL_TOL
 
     def test_two_variables_never_revalidate(self):
         sys = _system(F_FLAG, (Fraction(1, 3), Fraction(-2, 7)))
@@ -250,7 +252,8 @@ class TestSliceSolve:
         crossings = [np.array([10.0, 0.0]), np.array([10.0, 1e-12])]
         monkeypatch.setattr(tracer, "_slice_solve_circle", lambda *args: crossings)
         monkeypatch.setattr(tracer, "_dedupe", None)
-        points, residuals = tracer._slice(_system(F_FLAG, (0, 0)), 10.0, TraceConfig(tol=1e-300))
+        monkeypatch.setattr(tracer, "RESIDUAL_TOL", 1e-300)
+        points, residuals = tracer._slice(_system(F_FLAG, (0, 0)), 10.0, 0)
         assert points.tolist() == [x.tolist() for x in crossings]
         assert residuals.shape == (2,) and np.all(residuals > 1e-300)
 
@@ -344,6 +347,19 @@ class TestSliceSolve:
         assert steps[4].tobytes() == np.linalg.lstsq(J[4], F[4], rcond=None)[0].tobytes()
         assert _newton_steps(J[others], F[others]).tobytes() == batched.tobytes()
 
+    @pytest.mark.parametrize("caller, starts", [
+        (lambda sys: slice_solve(sys, 10.0), tracer.NEWTON_STARTS),
+        (lambda sys: trace_branches(sys.f, sys), tracer.NEWTON_STARTS),
+        (tracer._screen_center, tracer.SCREEN_STARTS),
+    ], ids=["slice_solve", "trace_branches", "screen"])
+    def test_start_counts_are_the_module_constants(self, monkeypatch, caller, starts):
+        drawn = []
+        solve = tracer._slice_solve_newton
+        monkeypatch.setattr(tracer, "_slice_solve_newton", lambda *args: drawn.append(args[-1]) or solve(*args))
+        monkeypatch.setattr(tracer._cores, "map_on_cores", lambda fn, items: [fn(x) for x in items])
+        caller(_system(parse("x + x^2*y + z^2", ["x", "y", "z"]), (1, 2, -1)))
+        assert drawn and set(drawn) == {starts}
+
     @pytest.mark.parametrize("text, center, radii, first_start, stops_early", [
         ("x - 3*x^3*y^2 + 2*x^4*y^3 + y*z", (0, 0, 0), (10.0, 1280.0), None, False),
         ("x + x^2*y + z^2", (1, 2, -1), (3.5, 80.0), None, False),
@@ -394,7 +410,7 @@ class TestSliceSolve:
     def test_three_variables_best_effort(self):
         f = parse("x^2 + y^2 - z^2 + x", ["x", "y", "z"])
         sys = _system(f, (Fraction(1, 3), Fraction(-1, 7), Fraction(1, 2)))
-        pts = slice_solve(sys, 10.0, TraceConfig(starts=128))
+        pts = tracer._slice(sys, 10.0, 0, starts=128)[0]
         for x in pts:
             center = np.array([1 / 3, -1 / 7, 1 / 2])
             assert abs(np.linalg.norm(x - center) - 10.0) < 1e-6
@@ -516,7 +532,7 @@ class TestTraceBranches:
         # the batched sample floats against one evaluation per point
         f = parse(text, VARS2 if len(center) == 2 else ["x", "y", "z"])
         sys = _system(f, center)
-        cfg = TraceConfig(starts=64)
+        cfg = TraceConfig()
         bound = float(np.linalg.norm(np.array(center, dtype=float))) + 1.0
         samples = [s for t in trace_branches(f, sys, cfg) for s in t.samples]
         assert samples
@@ -535,12 +551,6 @@ class TestTraceBranches:
             TraceConfig(radius_count=3)
         with pytest.raises(ValueError):
             TraceConfig(radius_factor=0.5)
-
-    @pytest.mark.parametrize("starts", [0, -2])
-    def test_requires_a_start(self, starts):
-        # fewer than one Newton start would fail inside numpy for n >= 3
-        with pytest.raises(ValueError, match="starts"):
-            TraceConfig(starts=starts)
 
     def test_requires_a_non_negative_seed(self):
         # numpy's generators refuse a negative seed deep inside an n >= 3 slice
@@ -701,3 +711,8 @@ class TestReports:
 @pytest.mark.parametrize("config", [TraceConfig(), ArcSearchConfig()])
 def test_config_to_dict_lists_every_field(config):
     assert set(config.to_dict()) == {f.name for f in dataclasses.fields(config)}
+
+
+def test_trace_config_holds_only_the_seed_and_the_radius_schedule():
+    # the tolerances and the multistart size are module constants
+    assert [f.name for f in dataclasses.fields(TraceConfig)] == ["seed", "r0", "radius_factor", "radius_count"]
