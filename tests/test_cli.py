@@ -310,6 +310,15 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == f"error: {command} requires at least 2 variables\n"
 
+    @pytest.mark.parametrize("tol", ["1e-17", "1e-20"])
+    @pytest.mark.parametrize("poly, center", [("x + x^2*y", "0,0"), ("y*(x^2*y^2 + 3*x*y + 3)", "0,1")])
+    def test_n2_crossings_do_not_depend_on_tol(self, capsys, monkeypatch, poly, center, tol):
+        # the n = 2 crossings are certified exactly, so RESIDUAL_TOL only acts on n >= 3 slices
+        argv = ["analyze", poly, "--vars", "x,y", "--center", center]
+        default = json.loads(run_cli(capsys, *argv)[1])
+        monkeypatch.setattr(tracer, "RESIDUAL_TOL", float(tol))
+        assert json.loads(run_cli(capsys, *argv)[1]) == default
+
     def test_single_center_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0"
@@ -503,6 +512,7 @@ class TestAnalyze:
         ["--radii", "10:1:8"],
         ["--radii", "1e200:1e100:8"],
         ["--seed", "-1"],
+        ["--radii", "10:2:3"],
     ])
     @pytest.mark.parametrize("command", ["analyze", "trace"])
     def test_bad_trace_config_is_one_error_line(self, capsys, command, flags):
