@@ -73,7 +73,7 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_center(text: str, n: int) -> Tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != n:
         raise UserError(f"center {text!r} has {len(parts)} coordinates, expected {n}")
     return tuple(_parse_rational(p) for p in parts)
@@ -193,12 +193,14 @@ def cmd_milnor(args) -> int:
     if args.pivot is not None and not 1 <= args.pivot <= f.num_vars:
         raise UserError(f"--pivot must be between 1 and {f.num_vars}, got {args.pivot}")
     center = _parse_center(args.center, f.num_vars) if args.center else (Fraction(0),) * f.num_vars
-    pivot = milnor.PIVOT_MINORS if args.minors else None if args.pivot is None else args.pivot - 1
     try:
-        sys_ = milnor.milnor_equations([f], center, pivot=pivot)
+        sys_ = milnor.milnor_equations([f], center, pivot=None if args.pivot is None else args.pivot - 1)
     except (ValueError, IndexError) as exc:
         raise UserError(str(exc)) from exc
-    _emit_report(sys_.to_dict(var_names), args, var_names)
+    payload = sys_.to_dict(var_names)
+    if args.minors:
+        payload.update(pivot="minors", equations=[eq.to_text(var_names) for eq in sys_.minors])
+    _emit_report(payload, args, var_names)
     return 0
 
 

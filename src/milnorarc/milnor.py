@@ -6,9 +6,9 @@ where grad f is parallel to x - a, that is where the 2 x n matrix
 
     m_ij = (df/dx_i) * (x_j - a_j) - (df/dx_j) * (x_i - a_i):
 
-the pivot chart (valid where the pivot partial df/dx_i does not vanish)
-takes the n-1 minors m_ij, j != i; the minors description takes all C(n, 2)
-minors m_ij, i < j.
+a `MilnorSystem` is the pivot chart (valid where the pivot partial df/dx_i
+does not vanish), the n-1 minors m_ij, j != i; it derives all C(n, 2) minors
+m_ij, i < j, which hold everywhere, as `MilnorSystem.minors`.
 
 For n = 2 the Milnor set meets the circle ||x - a|| = R where the one
 equation's restriction to it vanishes; `HalfAngleTable` gives that
@@ -22,13 +22,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .poly import ClearedComponents, CompiledPolynomials, ExactEvaluator, LaurentScalar, Polynomial, Rational
-
-PIVOT_MINORS = "minors"
 
 
 class DegenerateCenterError(RuntimeError):
@@ -41,17 +39,16 @@ class DegenerateCenterError(RuntimeError):
 
 @dataclass(frozen=True)
 class MilnorSystem:
-    """Defining equations of the Milnor set of f for a chosen center.
+    """The pivot chart of the Milnor set of f for a chosen center.
 
-    `pivot` is the 0-based pivot variable index of the pivot chart, or the
-    string "minors" for the description by all 2x2 minors.  For n = 2 the
-    tracer keeps the circle crossings it solves in `_crossings`, by radius,
-    and reads the circles' equations from `half_angle`.
+    `pivot` is the 0-based pivot variable index; `minors` holds all the 2x2 minors.
+    For n = 2 the tracer keeps the circle crossings it solves in `_crossings`,
+    by radius, and reads the circles' equations from `half_angle`.
     """
 
     f: Polynomial
     center: Tuple[Fraction, ...]
-    pivot: Union[int, str]
+    pivot: int
     equations: Tuple[Polynomial, ...]
     _crossings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -63,6 +60,11 @@ class MilnorSystem:
         return any(eq.is_zero() for eq in self.equations)
 
     # float evaluators, compiled on first use and kept with the system
+
+    @cached_property
+    def minors(self) -> Tuple[Polynomial, ...]:
+        """All C(n, 2) minors m_ij, i < j, in lexicographic order."""
+        return _minors(self.f, self.center, itertools.combinations(range(self.num_vars), 2))
 
     @cached_property
     def compiled(self) -> CompiledPolynomials:
@@ -86,17 +88,13 @@ class MilnorSystem:
 
     @cached_property
     def compiled_revalidation(self) -> CompiledPolynomials:
-        """Pivot mode with n >= 3 only: the pivot partial and all the minors, which recheck
-        points where the chart degenerates.  The tracer reads it first: a minors system is refused."""
-        if self.pivot == PIVOT_MINORS:
-            raise ValueError("an n >= 3 trace needs the pivot chart, not all the minors (pass pivot=None)")
-        minors = milnor_equations([self.f], self.center, pivot=PIVOT_MINORS)
-        return CompiledPolynomials([self.f.partial(self.pivot), *minors.equations])
+        """n >= 3 only: the pivot partial and all the minors, which recheck points where the chart degenerates."""
+        return CompiledPolynomials([self.f.partial(self.pivot), *self.minors])
 
     def to_dict(self, var_names: Optional[Sequence[str]] = None) -> dict:
         return {
             "center": [str(c) for c in self.center],
-            "pivot": self.pivot if isinstance(self.pivot, str) else int(self.pivot),
+            "pivot": self.pivot,
             "equations": [eq.to_text(var_names) for eq in self.equations],
             "num_vars": self.num_vars,
         }
@@ -160,14 +158,13 @@ def _the_polynomial(source: Sequence[Polynomial]) -> Polynomial:
 def milnor_equations(
     source: Sequence[Polynomial],
     center: Sequence[Rational],
-    pivot: Union[int, str, None] = None,
+    pivot: Optional[int] = None,
 ) -> MilnorSystem:
-    """Build the Milnor system of `source` = [f] for the given center.
+    """Build the pivot chart of `source` = [f] for the given center.
 
-    Every equation is a 2x2 minor f_i * (x_j - a_j) - f_j * (x_i - a_i) of
-    [grad f; x - a].  With `pivot` an integer i (0-based; None is default_pivot(f)) these are
-    the n-1 pairs (i, j), j != i, in increasing j, the pivot chart; with PIVOT_MINORS all
-    C(n, 2) pairs i < j in lexicographic order, which the n >= 3 tracer refuses.
+    Its equations are the 2x2 minors f_i * (x_j - a_j) - f_j * (x_i - a_i) of
+    [grad f; x - a] of the n-1 pairs (i, j), j != i, in increasing j, for the
+    pivot i (0-based; None is default_pivot(f)).
     """
     f = _the_polynomial(source)
     n = f.num_vars
@@ -177,17 +174,18 @@ def milnor_equations(
     if len(a) != n:
         raise ValueError(f"center has length {len(a)}, expected {n}")
 
-    if pivot == PIVOT_MINORS:
-        pairs = itertools.combinations(range(n), 2)
-    else:
-        pivot = default_pivot(f) if pivot is None else int(pivot)
-        if not 0 <= pivot < n:
-            raise IndexError(f"pivot index {pivot} out of range for {n} variables")
-        pairs = [(pivot, j) for j in range(n) if j != pivot]
+    pivot = default_pivot(f) if pivot is None else int(pivot)
+    if not 0 <= pivot < n:
+        raise IndexError(f"pivot index {pivot} out of range for {n} variables")
+    return MilnorSystem(f, a, pivot, _minors(f, a, [(pivot, j) for j in range(n) if j != pivot]))
+
+
+def _minors(f: Polynomial, a: Tuple[Fraction, ...], pairs: Iterable[Tuple[int, int]]) -> Tuple[Polynomial, ...]:
+    """The minors m_ij = f_i * (x_j - a_j) - f_j * (x_i - a_i) of [grad f; x - a], one per pair (i, j)."""
+    n = f.num_vars
     grad = f.gradient()
     shifts = [Polynomial.variable(n, j) - Polynomial.constant(n, a[j]) for j in range(n)]
-    equations = tuple(grad[i] * shifts[j] - grad[j] * shifts[i] for i, j in pairs)
-    return MilnorSystem(f, a, pivot, equations)
+    return tuple(grad[i] * shifts[j] - grad[j] * shifts[i] for i, j in pairs)
 
 
 def rabier_nu(J) -> float:

@@ -226,8 +226,7 @@ def slice_solve(sys: MilnorSystem, radius: float, config: Optional[TraceConfig] 
     n >= 3 those of NEWTON_STARTS starts drawn from `config.seed` that satisfy
     every equation to RESIDUAL_TOL, merged within SPHERE_TOL * radius.  An empty
     list is a valid outcome.  Raises DegenerateMilnorError when an equation is
-    identically zero, and ValueError for an n >= 3 minors system or a center,
-    radius or equations past floats.
+    identically zero, and ValueError for a center, radius or equations past floats.
     """
     return list(_slice(sys, radius, (config or TraceConfig()).seed)[0])
 
@@ -262,9 +261,9 @@ def _slice(sys: MilnorSystem, radius: float, seed: int, starts: int = NEWTON_STA
         if (points := sys._crossings.get(radius)) is None:
             points = sys._crossings[radius] = _slice_solve_circle(sys, a, radius)
     else:
-        compiled = sys.compiled_revalidation   # refuses a minors system before any iterate
         points = _slice_solve_newton(sys, a, radius, scales, seed, starts)
         # where the pivot partial nearly vanishes, recheck against all the minors
+        compiled = sys.compiled_revalidation
         revalidation = np.abs(compiled.column_values(points.T)) / compiled.scales(bound)[:, None]
         points = points[(revalidation[0] > math.sqrt(RESIDUAL_TOL)) | (revalidation[1:].max(axis=0) < RESIDUAL_TOL)]
     X = np.reshape(points, (-1, n))
@@ -404,8 +403,8 @@ def _system(f: Polynomial, center) -> MilnorSystem:
 def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
                    config: Optional[TraceConfig] = None) -> List[BranchTrace]:
     """Follow branches at infinity of the Milnor set across the spheres of
-    `config.radii()`; `center` is its coordinates or a MilnorSystem of f, a
-    pivot chart for n >= 3 (else ValueError, before any slice).
+    `config.radii()`; `center` is its coordinates or a MilnorSystem of f
+    (else ValueError, before any slice).
 
     Points at consecutive radii are matched by escape direction, greedy
     globally nearest pair first; unmatched points open or close branches.

@@ -27,6 +27,7 @@ from milnorarc import (
     search_arcs,
     truncate,
 )
+from milnorarc import arcs
 from milnorarc.arcs import _LaurentSystem, _composed_conditions, _conditions, _lambda_estimate, unknown_name
 from milnorarc.poly import CompiledPolynomials, LaurentScalar, compose_laurent
 from milnorarc.tracer import CLUSTER_TOL
@@ -432,6 +433,27 @@ class TestSearch:
         for c in found:
             d = c.to_dict()
             assert set(d) == {"coeffs", "b0_estimate", "residual", "start_index"}
+
+    def test_starts_that_reach_one_point_are_one_candidate(self, monkeypatch):
+        # every start converges to p, or to p moved by 2 DEDUPE_DIST when its first unknown is positive
+        def levenberg_marquardt(system, u):
+            point = np.full(system.num_unknowns, 0.25)
+            point[0] += 2 * arcs.DEDUPE_DIST * (u[0] > 0)
+            return point, np.zeros(1)
+
+        starts, real_map = [], arcs._cores.map_on_cores
+
+        def map_on_cores(fn, items):
+            starts.extend(items)
+            return real_map(fn, starts)
+
+        monkeypatch.setattr(arcs, "_levenberg_marquardt", levenberg_marquardt)
+        monkeypatch.setattr(arcs._cores, "map_on_cores", map_on_cores)
+        found = search_arcs(F_FLAG, ArcSearchConfig(seed=0, starts=8))
+        moved = [u[0] > 0 for u in starts]
+        assert len(starts) == 8 and 2 <= sum(moved) <= 6
+        assert [c.start_index for c in found] == sorted([moved.index(False), moved.index(True)])
+        assert [c.residual for c in found] == [0.0, 0.0]
 
     def test_degree_four_search_finishes(self):
         # the symbolic expansion of this system ran for more than 9 minutes

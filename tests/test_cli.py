@@ -489,12 +489,16 @@ class TestAnalyze:
         (["milnor", "x + x^2*y", "--vars", "x,x"], "duplicate variable names"),
         (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0,0"],
          "center '0,0,0' has 3 coordinates, expected 2"),
+        (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "1,,2"],
+         "center '1,,2' has 3 coordinates, expected 2"),
+        (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "1,abc"], "invalid rational 'abc'"),
         (["milnor", "x + x^2*y", "--vars", "x,y", "--pivot", "0"],
          "--pivot must be between 1 and 2, got 0"),
         (["milnor", "x + x^2*y", "--vars", "x,y", "--pivot", "3"],
          "--pivot must be between 1 and 2, got 3"),
         (["arc-search", "x", "--vars", "x,y"], "polynomial degree must be at least 2"),
-    ], ids=["empty-vars", "duplicate-vars", "center-coordinates", "pivot-0", "pivot-3", "arc-search-degree"])
+    ], ids=["empty-vars", "duplicate-vars", "center-coordinates", "center-blank-coordinate",
+            "center-not-rational", "pivot-0", "pivot-3", "arc-search-degree"])
     def test_bad_variables_center_pivot_or_degree_is_one_error_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -530,6 +534,7 @@ class TestAnalyze:
         ["arc-search", "--tol", "-1"],
         ["analyze", "--centers", "0"],
         ["arc-check", "x: 1/0 t^-1; y: -1 t"],
+        ["arc-check", "t^-1"],
     ])
     def test_bad_search_or_center_flag_is_one_error_line(self, capsys, argv):
         command, *flags = argv

@@ -18,7 +18,7 @@ from milnorarc import (
     pick_generic_center,
     rabier_nu,
 )
-from milnorarc.milnor import PIVOT_MINORS, rabier_nus
+from milnorarc.milnor import rabier_nus
 from milnorarc.poly import Polynomial
 from milnorarc.tracer import CENTER_ATTEMPTS
 
@@ -49,9 +49,9 @@ class TestEquations:
     def test_minors_count(self):
         # C(n, p+1) minors for a single polynomial
         f = CORPUS[3]
-        sys = milnor_equations([f], (0, 0, 0), pivot=PIVOT_MINORS)
-        assert sys.pivot == PIVOT_MINORS
-        assert len(sys.equations) == 3
+        sys = milnor_equations([f], (0, 0, 0), pivot=0)
+        assert sys.pivot == 0
+        assert len(sys.minors) == 3
 
     def test_center_shifts_equations(self):
         f = parse("x + x^2*y", VARS2)
@@ -129,12 +129,12 @@ class TestAgainstSympyDeterminants:
         def minor(i, j):
             return rows.extract([0, 1], [i, j]).det()
 
-        minors = milnor_equations([f], center, pivot=PIVOT_MINORS).equations
+        sys = milnor_equations([f], center, pivot=pivot)
         pairs = list(itertools.combinations(range(n), 2))
-        assert len(minors) == len(pairs)
-        for eq, (i, j) in zip(minors, pairs):
+        assert len(sys.minors) == len(pairs)
+        for eq, (i, j) in zip(sys.minors, pairs):
             assert sympy.expand(to_sympy(eq) - minor(i, j)) == 0
-        chart = milnor_equations([f], center, pivot=pivot).equations
+        chart = sys.equations
         others = [j for j in range(n) if j != pivot]
         assert len(chart) == len(others)
         for eq, j in zip(chart, others):
@@ -152,7 +152,6 @@ class TestPivotMinorsEquivalence:
         center = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n))
         i = default_pivot(f)
         pivot_sys = milnor_equations([f], center, pivot=i)
-        minor_sys = milnor_equations([f], center, pivot=PIVOT_MINORS)
         f_i = f.partial(i)
         checked = 0
         for _ in range(1000):
@@ -161,7 +160,7 @@ class TestPivotMinorsEquivalence:
                 continue
             checked += 1
             pivot_zero = all(eq.evaluate(x) == 0 for eq in pivot_sys.equations)
-            minors_zero = all(eq.evaluate(x) == 0 for eq in minor_sys.equations)
+            minors_zero = all(eq.evaluate(x) == 0 for eq in pivot_sys.minors)
             assert pivot_zero == minors_zero
         assert checked > 900
 
@@ -171,9 +170,8 @@ class TestPivotMinorsEquivalence:
         f = parse("x + x^2*y", VARS2)
         x = [Fraction(1), Fraction(1, 2)]
         pivot_sys = milnor_equations([f], (0, 0), pivot=0)
-        minor_sys = milnor_equations([f], (0, 0), pivot=PIVOT_MINORS)
         assert all(eq.evaluate(x) == 0 for eq in pivot_sys.equations)
-        assert all(eq.evaluate(x) == 0 for eq in minor_sys.equations)
+        assert all(eq.evaluate(x) == 0 for eq in pivot_sys.minors)
 
 
 class TestRabier:

@@ -26,7 +26,7 @@ from milnorarc import (
     trace_branches,
 )
 from milnorarc import poly, tracer
-from milnorarc.milnor import PIVOT_MINORS, HalfAngleTable, rabier_nu
+from milnorarc.milnor import HalfAngleTable, rabier_nu
 from milnorarc.poly import LaurentScalar, Polynomial, compose_laurent
 from milnorarc.tracer import Sample, _center_text, _dedupe, _newton_steps
 
@@ -232,12 +232,13 @@ class TestSliceSolve:
         # minors, checked exactly at its float coordinates
         f = parse("x^2 + y^2 - z^2 + x + y*z", ["x", "y", "z"])
         center = (Fraction(-1, 2), Fraction(1, 3), Fraction(2, 5))
-        pts = slice_solve(milnor_equations([f], center, pivot=0), float(R), TraceConfig())
+        sys = milnor_equations([f], center, pivot=0)
+        pts = slice_solve(sys, float(R), TraceConfig())
         assert len(pts) == 2
         bound = Fraction(float(np.linalg.norm([float(c) for c in center])) + R + 1)
         for x in pts:
             xq = [Fraction(v) for v in x]
-            for eq in milnor_equations([f], center, pivot=PIVOT_MINORS).equations:
+            for eq in sys.minors:
                 scale = sum(abs(c) * bound ** sum(e) for e, c in eq.terms.items()) + 1
                 assert abs(eq.evaluate(xq)) / scale < tracer.RESIDUAL_TOL
 
@@ -259,28 +260,13 @@ class TestSliceSolve:
 
     @pytest.mark.parametrize("text, pivot", [("x + x^2*y", 0), ("x + y^3", 1)])
     def test_two_variable_chart_slice_is_the_minors_slice(self, text, pivot):
-        # for n = 2 the chart's one equation is +-the one minor, bit for bit
+        # for n = 2 the chart's one equation is +-the one minor, so its slice is the minor's
         f = parse(text, VARS2)
         center = (Fraction(1, 3), Fraction(-2, 7))
         assert default_pivot(f) == pivot
-        chart, minors = _system(f, center), milnor_equations([f], center, pivot=PIVOT_MINORS)
-        for R in (10.0, 80.0, 1280.0):
-            a, b = slice_solve(chart, R, TraceConfig()), slice_solve(minors, R, TraceConfig())
-            assert a and np.array(a).tobytes() == np.array(b).tobytes()
-
-    def test_three_variable_minors_system_is_refused_before_any_iterate(self, monkeypatch):
-        # C(3, 2) minors and the sphere are not a square system: one error line, no Newton solve
-        def newton(*args):
-            raise AssertionError("a Newton iterate ran on a minors system")
-
-        f = parse("x + x^2*y + z^2", ["x", "y", "z"])
-        minors = milnor_equations([f], (1, 2, -1), pivot=PIVOT_MINORS)
-        monkeypatch.setattr(tracer, "_slice_solve_newton", newton)
-        for call in (lambda: slice_solve(minors, 10.0), lambda: trace_branches(f, minors),
-                     lambda: s_a_estimate(f, minors)):
-            with pytest.raises(ValueError, match="pivot chart") as info:
-                call()
-            assert "\n" not in str(info.value)
+        chart = _system(f, center)
+        assert len(chart.minors) == 1
+        assert chart.equations[0] == (chart.minors[0] if pivot == 0 else -chart.minors[0])
 
     def test_dedupe_keeps_first_seen_order(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.5], [3.0, 0.25]])
