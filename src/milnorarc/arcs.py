@@ -37,8 +37,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -46,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _cores
-from .poly import ClearedComponents, LaurentScalar, Polynomial, RationalArc, divided
+from .poly import ClearedComponents, ExactEvaluator, LaurentScalar, Polynomial, RationalArc, divided
 
 
 class WindowViolationError(ValueError):
@@ -170,65 +168,43 @@ def _float_or_none(x: Fraction) -> Optional[float]:
         return None
 
 
-_INF_BITS = 0x7FF0000000000000   # the bit pattern of float inf
-
-
-def _float_of(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _value_of(bits: int) -> Fraction:
-    """The float of this bit pattern, exactly; the pattern of inf stands for 2^1024."""
-    return Fraction(2 ** 1024) if bits == _INF_BITS else Fraction(_float_of(bits))
-
-
-def _float_seed(sums: Dict[int, Fraction]) -> int:
-    """The bit pattern of a float estimate of lam, or 0 when a sum is not a normal
-    float: Newton's method on the convex, increasing sum_k sums[k] x^k = 1 falls
-    to x = lam^2 from the least (1 / sums[k])^(1/k), with no term past 1."""
-    if not all(sys.float_info.min <= v <= sys.float_info.max for v in sums.values()):
-        return 0
-    s = [(k, float(v)) for k, v in sums.items()]
-    x = min((1 / v) ** (1 / k) for k, v in s)
-    while (y := x - (sum(v * x ** k for k, v in s) - 1) / sum(k * v * x ** (k - 1) for k, v in s)) < x:
-        x = y
-    return struct.unpack("<q", struct.pack("<d", math.sqrt(x)))[0]
-
-
 def _lambda_estimate(sums: Dict[int, Fraction]) -> Optional[float]:
     """The float nearest the scale lam > 0 with sum_k sums[k] lam^(2k) = 1.
 
     None if there are no sums (the arc does not escape), or if lam rounds to
-    0 or overflows.  The sum grows with lam, and the bit patterns of the
-    nonnegative floats are ordered like the floats, so bisecting on the
-    patterns brackets lam between two adjacent floats.  The bracket grows from
-    a float seed (`_float_seed`) by galloping until the exact checks hold, a
-    few checks; without a seed it is the whole range.  Every comparison of
-    the sum with 1 is exact, in integers, so nothing overflows.
+    0 or overflows (inf stands for 2^1024); a tie goes to the lower float.
+    With 4^E near the least (1 / sums[k])^(1/k), read from bit lengths,
+    lam = 2^E * sqrt(y) for the root y of sum_k c_k y^k = 1, c_k = sums[k] *
+    4^(E k) <= 2.  Newton's method falls to it in u = ln y, with ln c_k from
+    a mantissa in (1/2, 2) and a small multiple of ln 2, so no c_k underflows.
+    The walk then moves the seed one float at a time until lam lies between
+    the midpoints to its neighbours.  Every comparison of the sum with 1 is
+    exact (`ExactEvaluator`), so nothing overflows.
     """
     if not sums:
         return None
-    g = Polynomial(1, {(k,): s for k, s in sums.items()})   # the sum, in lam^2
+    bits = [(k, s, s.numerator.bit_length() - s.denominator.bit_length()) for k, s in sums.items()]   # s ~ 2^e
+    E = min(-e // (2 * k) for k, _, e in bits)
+    logs = [(k, math.log((s.numerator << max(-e, 0)) / (s.denominator << max(e, 0))) + (e + 2 * E * k) * math.log(2))
+            for k, s, e in bits]
+    u = min(-l / k for k, l in logs)
+    while (v := u - (sum(math.exp(l + k * u) for k, l in logs) - 1)
+           / sum(k * math.exp(l + k * u) for k, l in logs)) < u:
+        u = v
+    try:
+        lam = math.ldexp(math.exp(u / 2), E)
+    except OverflowError:
+        lam = math.inf
+    g = ExactEvaluator(Polynomial(1, {(2 * k,): s for k, s in sums.items()}))
 
-    def below(lam: Fraction) -> bool:
-        terms, divisor = g.cleared(lam.denominator ** 2)
-        return sum(C * lam.numerator ** (2 * e) for (e,), C in terms) < divisor
+    def below_midpoint(a: float, b: float) -> bool:   # is the sum below 1 halfway from a to b > a?
+        return g.at([(Fraction(a) + (Fraction(2 ** 1024) if b == math.inf else Fraction(b))) / 2]) < 1
 
-    lo, hi = 0, _INF_BITS   # lam lies in (_value_of(lo), _value_of(hi)]
-    if seed := _float_seed(sums):   # gallop from the seed toward lam until the far end holds
-        up, edge, step = below(_value_of(seed)), seed, 1
-        sign = 1 if up else -1
-        while 0 < edge + sign * step < _INF_BITS and below(_value_of(edge + sign * step)) == up:
-            edge, step = edge + sign * step, 2 * step
-        lo, hi = sorted((edge, min(max(edge + sign * step, 0), _INF_BITS)))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(_value_of(mid)):
-            lo = mid
-        else:
-            hi = mid
-    nearest = hi if below((_value_of(lo) + _value_of(hi)) / 2) else lo
-    return None if nearest in (0, _INF_BITS) else _float_of(nearest)
+    while lam > 0 and not below_midpoint(down := math.nextafter(lam, 0), lam):
+        lam = down
+    while lam < math.inf and below_midpoint(lam, up := math.nextafter(lam, math.inf)):
+        lam = up
+    return None if lam in (0, math.inf) else lam
 
 
 def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True) -> ArcMembershipReport:

@@ -50,9 +50,11 @@ def _emit_report(payload: dict, args, var_names: List[str]) -> None:
 
 
 def _parse_vars(spec: str) -> List[str]:
-    names = [v.strip() for v in spec.split(",") if v.strip()]
-    if not names:
+    names = [v.strip() for v in spec.split(",")]
+    if not any(names):
         raise UserError("--vars must list at least one variable name")
+    if not all(names):
+        raise UserError(f"--vars {spec!r} has a blank variable name")
     if len(set(names)) != len(names):
         raise UserError("duplicate variable names")
     return names

@@ -460,9 +460,9 @@ def _tokenize(text: str):
         if ch in _WHITESPACE:
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("NUM", text[i:j], i))
             i = j

@@ -29,7 +29,7 @@ from milnorarc import (
 )
 from milnorarc import arcs
 from milnorarc.arcs import _LaurentSystem, _composed_conditions, _conditions, _lambda_estimate, unknown_name
-from milnorarc.poly import CompiledPolynomials, LaurentScalar, compose_laurent
+from milnorarc.poly import CompiledPolynomials, ExactEvaluator, LaurentScalar, compose_laurent
 from milnorarc.tracer import CLUSTER_TOL
 
 VARS2 = ["x", "y"]
@@ -305,16 +305,22 @@ class TestLambdaEstimate:
         assert _lambda_estimate({1: Fraction(1, 10 ** 700)}) is None
         assert _lambda_estimate({}) is None
 
-    @pytest.mark.parametrize("sums", [{1: Fraction(4)}, {3: Fraction(2, 7), 9: Fraction(11, 3)},
-                                      {2: Fraction(1, 10 ** 200), 5: Fraction(10 ** 100)}])
-    def test_float_seed_needs_few_exact_sums(self, sums, monkeypatch):
-        # each exact comparison of the sum with 1 clears it once; a bisection
-        # over the whole range makes 64 of them, one from a float seed a few
+    @pytest.mark.parametrize("sums", [
+        {1: Fraction(4)}, {3: Fraction(2, 7), 9: Fraction(11, 3)},
+        {2: Fraction(1, 10 ** 200), 5: Fraction(10 ** 100)},
+        # sphere sums outside the normal floats; the third gives a subnormal lam
+        {1: Fraction(10 ** 400)}, {1: Fraction(1, 10 ** 400)}, {1: Fraction(10 ** 645)},
+        {27: Fraction(1, 10 ** 400), 3: Fraction(7)},
+        {1000: Fraction(3)},   # its rescaled sum 3 * 4^-1000 is below the least float
+    ])
+    def test_every_estimate_needs_few_exact_comparisons(self, sums, monkeypatch):
+        # each exact comparison of the sum with 1 is one ExactEvaluator.at call;
+        # a bisection over the bit patterns of the floats makes 64 of them
         calls = []
-        cleared = Polynomial.cleared
-        monkeypatch.setattr(Polynomial, "cleared", lambda self, D: calls.append(D) or cleared(self, D))
+        at = ExactEvaluator.at
+        monkeypatch.setattr(ExactEvaluator, "at", lambda self, point: calls.append(point) or at(self, point))
         assert _lambda_estimate(sums) == _bisected_lambda(sums)
-        assert len(calls) <= 10
+        assert 1 <= len(calls) <= 4
 
 
 # ---------------------------------------------------------------------------

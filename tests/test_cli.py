@@ -487,6 +487,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("argv, message", [
         (["milnor", "x + x^2*y", "--vars", ","], "--vars must list at least one variable name"),
         (["milnor", "x + x^2*y", "--vars", "x,x"], "duplicate variable names"),
+        (["milnor", "x + x^2*y", "--vars", "x,,y"], "--vars 'x,,y' has a blank variable name"),
         (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0,0"],
          "center '0,0,0' has 3 coordinates, expected 2"),
         (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "1,,2"],
@@ -497,8 +498,15 @@ class TestAnalyze:
         (["milnor", "x + x^2*y", "--vars", "x,y", "--pivot", "3"],
          "--pivot must be between 1 and 2, got 3"),
         (["arc-search", "x", "--vars", "x,y"], "polynomial degree must be at least 2"),
-    ], ids=["empty-vars", "duplicate-vars", "center-coordinates", "center-blank-coordinate",
-            "center-not-rational", "pivot-0", "pivot-3", "arc-search-degree"])
+        # '²' is a digit to str.isdigit but not to int()
+        (["analyze", "x + 2²*y", "--vars", "x,y"],
+         "polynomial parse error: unexpected character '²' (at position 5)"),
+        (["arc-check", "x + x^2*y", "x: 2² t^-1; y: t", "--vars", "x,y"],
+         "arc clause 'x: 2² t^-1': unexpected character '²' (at position 1) in '2² t^-1'"),
+        (["milnor", "x^2²", "--vars", "x,y"], "polynomial parse error: unexpected character '²' (at position 3)"),
+    ], ids=["empty-vars", "duplicate-vars", "blank-var", "center-coordinates", "center-blank-coordinate",
+            "center-not-rational", "pivot-0", "pivot-3", "arc-search-degree", "superscript-analyze",
+            "superscript-arc-check", "superscript-milnor"])
     def test_bad_variables_center_pivot_or_degree_is_one_error_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -141,7 +141,7 @@ class TestParser:
             parse("x + w", VARS2)
 
     def test_garbage(self):
-        for bad in ["x +", "^2", "x^", "(x", "x^-2", "1/0"]:
+        for bad in ["x +", "^2", "x^", "(x", "x^-2", "1/0", "x^2²", "2²*y"]:
             with pytest.raises(ParseError):
                 parse(bad, VARS2)
 
