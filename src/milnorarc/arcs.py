@@ -319,7 +319,7 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
 
 
 MAX_ITER = 400        # Levenberg-Marquardt iterations per start
-LAMBDA0 = 3e-2        # initial damping, relative to the largest squared singular value of J
+LAMBDA0 = 3e-2        # initial damping, relative to the largest eigenvalue of J^T J
 STOP_REL = 1e-14      # relative step or cost change that ends a run
 STOP_COST = 1e-30     # sum of squares that ends a run
 DEDUPE_DIST = 1e-6    # candidates closer than this in the unknowns are one
@@ -476,30 +476,38 @@ class _LaurentSystem:
         return float(self._series(u)[-self._lo])
 
 
+def _damped_step(J: np.ndarray, r: np.ndarray, lam: float) -> Tuple[np.ndarray, float]:
+    """The step h of (J^T J + lam I) h = -J^T r and the decrease h^T (lam h - J^T r) it predicts."""
+    A, g = J.T @ J, J.T @ r
+    A.flat[::len(g) + 1] += lam
+    h = np.linalg.solve(A, -g)
+    return h, h @ (lam * h - g)
+
+
 def _levenberg_marquardt(system: _LaurentSystem, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the sum of squares from u; returns the last point and its residuals.
 
-    Each iteration takes the damped minimum-norm step -V (s / (s^2 + lam)) U^T r
-    from one SVD of J, keeps it only if the sum of squares falls, and updates
-    lam by Nielsen's gain ratio (Madsen, Nielsen and Tingleff, "Methods for
-    non-linear least squares problems", 2004).
+    Each iteration takes the step of the damped normal equations (`_damped_step`;
+    lam starts at LAMBDA0 times the largest eigenvalue of J^T J), keeps it only if
+    the sum of squares falls, and updates lam by Nielsen's gain ratio (Madsen,
+    Nielsen and Tingleff, "Methods for non-linear least squares problems", 2004,
+    section 3.2).  A LinAlgError (J = 0 with lam = 0, or J^T J overflows) ends the run.
     """
     r, J = system.evaluate(u)
     cost, lam, nu = r @ r, None, 2.0
     for _ in range(MAX_ITER):
         if cost < STOP_COST:
             break
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
-        lam = LAMBDA0 * s[0] ** 2 if lam is None else lam
-        g = U.T @ r
-        step = -Vt.T @ (s / (s * s + lam) * g)
+        try:
+            lam = LAMBDA0 * np.linalg.eigvalsh(J.T @ J)[-1] if lam is None else lam
+            step, predicted = _damped_step(J, r, lam)
+        except np.linalg.LinAlgError:
+            break
         done = np.linalg.norm(step) <= STOP_REL * np.linalg.norm(u)
         r_new, J_new = system.evaluate(u + step)
         cost_new = r_new @ r_new
         if cost_new < cost:
-            # the actual decrease over the linear model's, sum g^2 (1 - w^2)
-            w = lam / (s * s + lam)
-            rho = (cost - cost_new) / (g @ g - (w * g) @ (w * g))
+            rho = (cost - cost_new) / predicted   # the actual decrease over the linear model's
             lam, nu = lam * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
             done = done or cost - cost_new <= STOP_REL * cost
             u, r, J, cost = u + step, r_new, J_new, cost_new
@@ -532,8 +540,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     starts = rng.standard_normal((config.starts, N)) * 0.5
     # normalize the positive-exponent block toward the sphere for a sane start
     n = f.num_vars
-    for s in starts:
-        positive = s[(1 - window.k_min) * n:]
+    for positive in starts[:, (1 - window.k_min) * n:]:
         norm = np.linalg.norm(positive)
         if norm > 1e-9:
             positive /= norm
@@ -548,11 +555,8 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
         if any(np.linalg.norm(u - p) < DEDUPE_DIST for p in kept_points):
             continue
         kept_points.append(u)
-        coeffs: Dict[int, Tuple[float, ...]] = {}
-        for k, block in zip(range(window.k_min, window.k_max + 1), u.reshape(-1, n)):
-            vec = tuple(float(v) for v in block)
-            if any(abs(v) > 1e-12 for v in vec):
-                coeffs[k] = vec
+        blocks = zip(range(window.k_min, window.k_max + 1), u.reshape(-1, n).tolist())
+        coeffs = {k: tuple(vec) for k, vec in blocks if any(abs(v) > 1e-12 for v in vec)}
         candidates.append(ArcCandidate(coeffs=coeffs, b0_estimate=system.b0(u),
                                        residual=residual, start_index=si))
     return candidates

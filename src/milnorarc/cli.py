@@ -55,6 +55,12 @@ def _parse_vars(spec: str) -> List[str]:
         raise UserError("--vars must list at least one variable name")
     if not all(names):
         raise UserError(f"--vars {spec!r} has a blank variable name")
+    try:
+        readable = all(poly._tokenize(v)[:-1] == [("NAME", v, 0)] for v in names)
+    except ParseError:   # a character the grammar has no token for
+        readable = False
+    if not readable:
+        raise UserError(f"--vars {spec!r} has a name that is not a letter or _ followed by letters, digits or _")
     if len(set(names)) != len(names):
         raise UserError("duplicate variable names")
     return names

@@ -1,10 +1,12 @@
 """Tests for the bounded arc space: windows, membership, constraints, search."""
 
+import json
 import os
 import random
 import struct
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -28,7 +30,10 @@ from milnorarc import (
     truncate,
 )
 from milnorarc import arcs
-from milnorarc.arcs import _LaurentSystem, _composed_conditions, _conditions, _lambda_estimate, unknown_name
+from milnorarc.arcs import (
+    _LaurentSystem, _composed_conditions, _conditions, _damped_step, _lambda_estimate, _levenberg_marquardt, unknown_name,
+)
+from milnorarc.cli import main
 from milnorarc.poly import CompiledPolynomials, ExactEvaluator, LaurentScalar, compose_laurent
 from milnorarc.tracer import CLUSTER_TOL
 
@@ -290,8 +295,8 @@ class TestLambdaEstimate:
     @example({1: Fraction(4)})                      # lam = 1/2
     @example({3: Fraction(1, 2)})                   # lam = 2^(1/6)
     @example({2: Fraction(1, 10 ** 200)})           # lam = 10^50
-    @example({1: Fraction(10 ** 400)})              # past the float range: no seed, lam = 1e-200
-    @example({1: Fraction(1, 10 ** 400)})           # lam = 1e200, from the whole range
+    @example({1: Fraction(10 ** 400)})              # a sum above the float range: lam = 1e-200
+    @example({1: Fraction(1, 10 ** 400)})           # a sum below the float range: lam = 1e200
     @example({1: Fraction(10 ** 650)})              # lam = 1e-325 rounds to 0
     @example({1: Fraction(10 ** 645)})              # lam = 3.2e-323, a subnormal
     @example({1: Fraction(1, 10 ** 700)})           # lam = 1e350 overflows
@@ -503,6 +508,56 @@ class TestSearch:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) >= 1
+
+
+def _svd_step(J, r, lam):
+    """The damped minimum-norm step -V (s / (s^2 + lam)) U^T r from the SVD of J,
+    and the decrease sum g^2 (1 - w^2) it predicts, g = U^T r, w = lam / (s^2 + lam)."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    g = U.T @ r
+    w = lam / (s * s + lam)
+    return -Vt.T @ (s / (s * s + lam) * g), g @ g - (w * g) @ (w * g)
+
+
+class TestDampedStep:
+    # a d = 3 system (64 rows, 20 unknowns) and a d = 4 one of rank 11 in 34
+    # unknowns, like the Jacobian of x + x^3*y; lam from the start's
+    # LAMBDA0 * s_0^2 down to 1e-6 * s_0^2
+    @pytest.mark.parametrize("rows, unknowns, rank", [(64, 20, 20), (100, 34, 11)])
+    @pytest.mark.parametrize("scale", [arcs.LAMBDA0, 1e-6])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_svd_formulas(self, rows, unknowns, rank, scale, seed):
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, unknowns))
+        r = rng.standard_normal(rows)
+        assert np.linalg.matrix_rank(J) == rank
+        lam = scale * np.linalg.svd(J, compute_uv=False)[0] ** 2
+        step, predicted = _damped_step(J, r, lam)
+        svd_step, svd_predicted = _svd_step(J, r, lam)
+        assert np.linalg.norm(step - svd_step) <= 1e-9 * np.linalg.norm(svd_step)
+        assert predicted == pytest.approx(svd_predicted, rel=1e-9)
+
+    # J = 0 starts lam at 0, so J^T J + lam I is 0; J = 1e200 overflows J^T J
+    @pytest.mark.parametrize("entry", [0.0, 1e200])
+    def test_a_zero_or_overflowing_jacobian_stops_at_the_start(self, entry):
+        class Stub:
+            def evaluate(self, u):
+                return np.array([1.0, -2.0]), np.full((2, len(u)), entry)
+
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            point, r = _levenberg_marquardt(Stub(), np.arange(4.0))
+        assert point.tolist() == [0.0, 1.0, 2.0, 3.0] and r.tolist() == [1.0, -2.0]
+
+    def test_a_zero_jacobian_is_no_candidate_and_no_traceback(self, monkeypatch, capsys):
+        def evaluate(self, u):
+            return np.ones(3), np.zeros((3, self.num_unknowns))
+
+        monkeypatch.setattr(_LaurentSystem, "evaluate", evaluate)
+        assert search_arcs(F_FLAG, ArcSearchConfig(seed=0, starts=4)) == []
+        assert main(["arc-search", "x + x^2*y", "--vars", "x,y", "--starts", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["candidates"] == [] and err == ""
 
 
 def _assert_candidate_b0(f, cand, cfg, limit=None):

@@ -488,6 +488,13 @@ class TestAnalyze:
         (["milnor", "x + x^2*y", "--vars", ","], "--vars must list at least one variable name"),
         (["milnor", "x + x^2*y", "--vars", "x,x"], "duplicate variable names"),
         (["milnor", "x + x^2*y", "--vars", "x,,y"], "--vars 'x,,y' has a blank variable name"),
+        # the grammar reads '2' as a number and 'y z' as two names, and has no token for '$'
+        (["milnor", "x + x^2", "--vars", "x,2"],
+         "--vars 'x,2' has a name that is not a letter or _ followed by letters, digits or _"),
+        (["milnor", "x + x^2*y", "--vars", "x,y z"],
+         "--vars 'x,y z' has a name that is not a letter or _ followed by letters, digits or _"),
+        (["milnor", "x + x^2*y", "--vars", "x,y$"],
+         "--vars 'x,y$' has a name that is not a letter or _ followed by letters, digits or _"),
         (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0,0"],
          "center '0,0,0' has 3 coordinates, expected 2"),
         (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "1,,2"],
@@ -504,7 +511,8 @@ class TestAnalyze:
         (["arc-check", "x + x^2*y", "x: 2² t^-1; y: t", "--vars", "x,y"],
          "arc clause 'x: 2² t^-1': unexpected character '²' (at position 1) in '2² t^-1'"),
         (["milnor", "x^2²", "--vars", "x,y"], "polynomial parse error: unexpected character '²' (at position 3)"),
-    ], ids=["empty-vars", "duplicate-vars", "blank-var", "center-coordinates", "center-blank-coordinate",
+    ], ids=["empty-vars", "duplicate-vars", "blank-var", "number-var", "spaced-var", "untokenized-var",
+            "center-coordinates", "center-blank-coordinate",
             "center-not-rational", "pivot-0", "pivot-3", "arc-search-degree", "superscript-analyze",
             "superscript-arc-check", "superscript-milnor"])
     def test_bad_variables_center_pivot_or_degree_is_one_error_line(self, capsys, argv, message):
