@@ -1,52 +1,54 @@
 """`map_on_cores`: a list map over the cores this process may run on, with the serial results.
 
 Independent solves (the tracer's n >= 3 slices, the arc search's starts) run
-on a fork-context process pool with one worker per usable core.  `fn` and
-the items reach the workers through fork; only indices, results and the
-warnings a worker recorded cross the pipes.  Results come back in item order,
-and when items fail the exception of the lowest-index one is raised, which
-is the one the serial loop would hit first.  Recorded warnings are issued
-again in the parent in item order, through the warning registry of the
-module that issued them, so each shows as often as the serial loop shows it.
-
-The plain loop runs instead with fewer than 2 items or usable cores, without
-the fork start method, while another thread runs (fork copies only the
-calling thread, and a lock held by another one stays held in the child), and
-inside a worker.  Spawned workers would start from a fresh import, which
-costs more than the solves save.  This module imports no sibling module.
+in this process and one forked child per further usable core.  Each process
+claims the next ticket, a block of contiguous items, with one read from a pipe
+the parent filled before it forked, so a slow item holds up no other.  A child
+sends its (index, raised, result or exception, warnings) records back as one
+pickle and ends with `os._exit`.  Results come in item order; the lowest
+failing item's exception is raised, as in the serial loop, and items a child
+did not send back give RuntimeError.  Warnings are issued again in item order
+through the registry of the module that issued them, so each shows as often
+as in the serial loop.  The plain loop runs instead with fewer than 2 items
+or usable cores, without `os.fork`, while another thread runs (fork copies
+only the calling thread, and a lock another one holds stays held in the
+child), and inside a map.  Spawned children would start from a fresh import,
+which costs more than the solves save.  This module imports no sibling module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
 import sys
 import threading
 import warnings
 from typing import Callable, Iterable
 
-# set in a worker process only, by _start_worker
-_job: tuple = ()
-_in_worker = False
+TICKET = 4            # bytes per ticket: the index of a block of items
+MAX_TICKETS = 1024    # 4 KiB of tickets fit the smallest pipe buffer
+
+_in_map = False       # set while a map runs, in the parent and in its children
 
 
 def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform: stay serial
-        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1   # no affinity call: serial
 
 
-def _start_worker(fn, items) -> None:
-    global _job, _in_worker
-    _job, _in_worker = (fn, items), True
-
-
-def _call(index: int):
-    """fn(items[index]) in a worker, with the warnings it issued."""
-    fn, items = _job
-    with warnings.catch_warnings(record=True) as caught:
-        result = fn(items[index])
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+def _run_tickets(fn, items: list, block: int, tickets: int) -> list:
+    """(index, raised, result or exception, warnings) for the items of every ticket claimed."""
+    records = []
+    while ticket := os.read(tickets, TICKET):
+        start = int.from_bytes(ticket, "little") * block
+        for i in range(start, min(start + block, len(items))):
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    record = [i, False, fn(items[i])]
+                except Exception as error:
+                    record = [i, True, error]
+            records.append((*record, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
+    return records
 
 
 def _reissue(caught) -> None:
@@ -58,25 +60,46 @@ def _reissue(caught) -> None:
 
 
 def map_on_cores(fn: Callable, items: Iterable) -> list:
-    """[fn(x) for x in items], computed on up to one worker per usable core."""
+    """[fn(x) for x in items], computed by this process and one forked child per further usable core."""
+    global _in_map
     items = list(items)
-    workers = min(len(items), _usable_cores())
-    if workers < 2 or _in_worker or threading.active_count() > 1:
+    processes = min(len(items), _usable_cores())
+    if processes < 2 or _in_map or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(x) for x in items]
-    import multiprocessing  # only a parallel map needs it
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the workers fork at the first submit, before the pool starts its threads
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(fn, items))
+    block = -(-len(items) // MAX_TICKETS)
+    tickets, write = os.pipe()
+    os.write(write, b"".join(k.to_bytes(TICKET, "little") for k in range(-(-len(items) // block))))
+    os.close(write)
+    children = {}   # pid: the read end of its result pipe
+    _in_map = True
     try:
-        results = []
-        for future in [pool.submit(_call, i) for i in range(len(items))]:
-            result, caught = future.result()    # a failed item raises here, in item order
-            _reissue(caught)
-            results.append(result)
-        return results
+        for _ in range(processes - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(_run_tickets(fn, items, block, tickets)))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        records = _run_tickets(fn, items, block, tickets)
+        for pipe in children.values():
+            with contextlib.suppress(Exception):   # from a child that died, or whose records do not pickle and unpickle
+                records += pickle.loads(pipe.read())
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        _in_map = False
+        os.close(tickets)
+        for pid, pipe in children.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+    records.sort(key=lambda record: record[0])
+    if len(records) < len(items):
+        raise RuntimeError(f"{len(items) - len(records)} of {len(items)} items got no result: "
+                           "a child process died or could not pickle its results")
+    for _, raised, value, caught in records:
+        _reissue(caught)
+        if raised:
+            raise value
+    return [value for _, _, value, _ in records]

@@ -27,9 +27,9 @@ coefficient of a polynomial of degree <= d composed with the current arc, so
 the system is never expanded in the unknowns.  `emit_constraints` is that
 expansion, exact over Q, by `_composed_conditions` on an arc whose
 coefficients are the unknowns; it is the tests' oracle for the search's
-rows.  The starts are solved on the cores the process may run on
-(`_cores.map_on_cores`), then filtered and deduplicated in start order, so
-the candidates do not depend on the core count.
+rows.  The starts are solved by this process and one forked child per
+further usable core (`_cores.map_on_cores`), then filtered and deduplicated
+in start order, so the candidates do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -429,6 +429,8 @@ class _LaurentSystem:
                 rows.append((p, m))
                 partials.append(dP)
 
+        if any(_float_or_none(c) is None for P in polys for c in P.terms.values()):
+            raise ValueError("a coefficient of f, of a partial or of an x_j * df/dx_i is past the float range")
         self._C = np.zeros((len(polys), len(monos)))
         for p, P in enumerate(polys):
             for e, c in P.terms.items():
@@ -441,6 +443,7 @@ class _LaurentSystem:
         inside = (shift >= 0) & (shift < K)
         self._toeplitz = np.concatenate(
             [np.where(inside, shift * n + j, n * K) for j in range(n)], axis=1)
+        self._u = np.zeros(n * K + 1)   # u and the zero the gather reads outside the window
 
         zero = L   # the zero cell (0, L) of S
         p, m = np.array(rows).T
@@ -455,7 +458,8 @@ class _LaurentSystem:
     def _series(self, u: np.ndarray) -> np.ndarray:
         """S = C @ M at u, flattened."""
         L = self._L
-        T = np.append(u, 0.0)[self._toeplitz]
+        self._u[:-1] = u
+        T = self._u[self._toeplitz]
         M = np.zeros((self._C.shape[1], L + 1))
         M[0, -self._lo] = 1.0
         for prev, level, pick in self._levels:
@@ -466,10 +470,11 @@ class _LaurentSystem:
         """The residuals and the Jacobian at u, from one composition."""
         S = self._series(u)
         positive = u[self._sphere:]
-        J = np.zeros((len(self._res_index) + 1, self.num_unknowns))
-        J[:-1] = S[self._jac_index]
-        J[-1, self._sphere:] = 2.0 * positive
-        return np.append(S[self._res_index], positive @ positive - 1.0), J
+        r, J = np.empty(len(self._res_index) + 1), np.zeros((len(self._res_index) + 1, self.num_unknowns))
+        S.take(self._res_index, out=r[:-1])
+        S.take(self._jac_index, out=J[:-1])
+        r[-1], J[-1, self._sphere:] = positive @ positive - 1.0, 2.0 * positive
+        return r, J
 
     def b0(self, u: np.ndarray) -> float:
         """The t^0 coefficient of f(xi); f was registered first, as row 0 of S."""
@@ -503,7 +508,7 @@ def _levenberg_marquardt(system: _LaurentSystem, u: np.ndarray) -> Tuple[np.ndar
             step, predicted = _damped_step(J, r, lam)
         except np.linalg.LinAlgError:
             break
-        done = np.linalg.norm(step) <= STOP_REL * np.linalg.norm(u)
+        done = math.sqrt(step @ step) <= STOP_REL * math.sqrt(u @ u)
         r_new, J_new = system.evaluate(u + step)
         cost_new = r_new @ r_new
         if cost_new < cost:

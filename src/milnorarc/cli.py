@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -312,6 +313,7 @@ def _add_common(p, seed: bool = False):
     if seed:   # for the commands that draw at random
         p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    p._negative_number_matcher = re.compile(r"-[\d.]")   # `--center -1/49,7/6` is a value, not a flag
 
 
 class _Parser(argparse.ArgumentParser):

@@ -31,8 +31,8 @@ missed) on the pivot chart and the sphere, a square system; points are
 rechecked against all the minors where the pivot partial nearly vanishes, and
 merged within SPHERE_TOL * R, the sphere window's width.  Its rows back-track
 in one batch and leave it at a bitwise fixed point.
-`trace_branches` solves the slices of all radii first, on the cores the
-process may run on (`_cores.map_on_cores`, the same bits as one at a time),
+`trace_branches` solves the slices of all radii first, in this process and
+forked children (`_cores.map_on_cores`, the same bits as one at a time),
 and then matches them; n = 2 circles stay serial.
 """
 
@@ -415,7 +415,7 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     if sys.num_vars == 2:  # a circle costs less than a fork, and the system keeps it for the screen
         slices = [_slice(sys, R, config.seed) for R in radii]
     else:
-        sys.compiled, sys.compiled_f, sys.compiled_revalidation  # compiled once, before the workers fork
+        sys.compiled, sys.compiled_f, sys.compiled_revalidation  # compiled once, before the children fork
         slices = _cores.map_on_cores(functools.partial(_slice, sys, seed=config.seed), radii)
     a = _float_center(sys)[0]
     branches: List[BranchTrace] = []

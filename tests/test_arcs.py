@@ -560,6 +560,64 @@ class TestDampedStep:
         assert json.loads(out)["candidates"] == [] and err == ""
 
 
+def _appending_evaluate(system, u):
+    """`_LaurentSystem.evaluate` in its np.append form: the reference for its buffer and slots."""
+    L = system._L
+    T = np.append(u, 0.0)[system._toeplitz]
+    M = np.zeros((system._C.shape[1], L + 1))
+    M[0, -system._lo] = 1.0
+    for prev, level, pick in system._levels:
+        M[level, :L] = (M[prev, :L] @ T).reshape(-1, L)[pick]
+    S = (system._C @ M).ravel()
+    positive = u[system._sphere:]
+    J = np.zeros((len(system._res_index) + 1, system.num_unknowns))
+    J[:-1] = S[system._jac_index]
+    J[-1, system._sphere:] = 2.0 * positive
+    return np.append(S[system._res_index], positive @ positive - 1.0), J
+
+
+def _norm_levenberg_marquardt(system, u):
+    """`_levenberg_marquardt` with np.linalg.norm and `_appending_evaluate`: the reference loop."""
+    r, J = _appending_evaluate(system, u)
+    cost, lam, nu = r @ r, None, 2.0
+    for _ in range(arcs.MAX_ITER):
+        if cost < arcs.STOP_COST:
+            break
+        try:
+            lam = arcs.LAMBDA0 * np.linalg.eigvalsh(J.T @ J)[-1] if lam is None else lam
+            step, predicted = _damped_step(J, r, lam)
+        except np.linalg.LinAlgError:
+            break
+        done = np.linalg.norm(step) <= arcs.STOP_REL * np.linalg.norm(u)
+        r_new, J_new = _appending_evaluate(system, u + step)
+        cost_new = r_new @ r_new
+        if cost_new < cost:
+            rho = (cost - cost_new) / predicted
+            lam, nu = lam * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+            done = done or cost - cost_new <= arcs.STOP_REL * cost
+            u, r, J, cost = u + step, r_new, J_new, cost_new
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+        if done:
+            break
+    return u, r
+
+
+# the flagship, the planted bench input at seed 0 and a degree-four map, with their bench start counts
+@pytest.mark.parametrize("text, starts", [
+    ("x + x^2*y", 32), ("1/4 + 2*((y + 1/2) + (y + 1/2)^2*(x - 1/3))", 8), ("x^2*y^2 + x", 8),
+])
+def test_the_loop_keeps_the_bits_of_its_reference(text, starts):
+    system = _LaurentSystem(parse(text, VARS2))
+    for u in np.random.default_rng(0).standard_normal((starts, system.num_unknowns)) * 0.5:
+        r, J = system.evaluate(u)
+        r_ref, J_ref = _appending_evaluate(system, u)
+        assert r.tobytes() == r_ref.tobytes() and J.tobytes() == J_ref.tobytes()
+        point, r = _levenberg_marquardt(system, u)
+        point_ref, r_ref = _norm_levenberg_marquardt(system, u)
+        assert point.tobytes() == point_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+
+
 def _assert_candidate_b0(f, cand, cfg, limit=None):
     """The candidate is accepted, its b0 is the exact t^0 coefficient of f
     along its own (float, hence rational) arc, and it lies within CLUSTER_TOL

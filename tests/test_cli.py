@@ -559,6 +559,18 @@ class TestAnalyze:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_an_arc_search_coefficient_past_the_float_range_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "arc-search", "10^400*x + x^2*y", "--vars", "x,y", "--starts", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "trace", "milnor"])
+    def test_a_negative_first_center_coordinate_is_the_flag_value(self, capsys, command):
+        argv = (command, "x + x^3*y", "--vars", "x,y")
+        apart = run_cli(capsys, *argv, "--center", "-1/49,7/6")
+        assert apart == run_cli(capsys, *argv, "--center=-1/49,7/6")
+        assert apart[0] == 0 and apart[2] == ""
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "x + x^2*y", "--vars", "x,y", "--seed", "abc"],
         ["arc-search", "x + x^2*y", "--vars", "x,y", "--starts", "x"],
@@ -611,7 +623,7 @@ class TestTraceCommand:
     def test_radii_past_the_squares_print_nothing_on_stderr(self, radii):
         # at 1e90 the branch values pass 1e154, whose squares overflow in the
         # limit fit; at 1e100 Newton iterates far off the sphere overflow.  The
-        # n = 3 slices run in worker processes, so stderr is read from a process
+        # n = 3 slices run in forked children too, so stderr is read from a process
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "milnorarc.cli", "trace", "x + x^2*y + z^2",

@@ -1,11 +1,12 @@
-"""`map_on_cores`: the serial loop's results, errors and warnings, from worker processes.
+"""`map_on_cores`: the serial loop's results, errors and warnings, from several processes.
 
-`_cores._usable_cores` is patched to 1 (the serial path) or 2 (two forked
-workers, also on a one-core machine), so each answer is computed both ways.
+`_cores._usable_cores` is patched to 1 (the serial path) or 2 (the calling
+process and one forked child, also on a one-core machine), so each answer is
+computed both ways.
 """
 
-import multiprocessing
 import os
+import signal
 import threading
 import time
 import warnings
@@ -19,7 +20,8 @@ from milnorarc.cli import main
 @pytest.fixture(autouse=True)
 def no_process_left():
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):   # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def cores(monkeypatch, count):
@@ -30,12 +32,23 @@ def pid_of(_):
     return os.getpid()
 
 
-def test_two_cores_fork_workers(monkeypatch):
+def slow_pid_of(_):
+    time.sleep(0.05)
+    return os.getpid()
+
+
+def test_two_cores_share_the_items_with_the_parent(monkeypatch):
     cores(monkeypatch, 2)
-    for _ in range(2):   # the pool's threads are gone after a call, so the next one forks too
-        pids = _cores.map_on_cores(pid_of, range(6))
-        assert os.getpid() not in pids and 1 <= len(set(pids)) <= 2
+    for _ in range(2):   # a call leaves nothing behind, so the next one forks too
+        pids = _cores.map_on_cores(slow_pid_of, range(6))
+        assert os.getpid() in pids and len(set(pids)) == 2
         assert threading.active_count() == 1
+
+
+def test_a_large_map_returns(monkeypatch):
+    # 20000 one-item tickets would overfill the ticket pipe before the fork
+    cores(monkeypatch, 2)
+    assert _cores.map_on_cores(abs, range(-20000, 0)) == list(range(20000, 0, -1))
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -61,14 +74,49 @@ def test_the_lowest_failing_item_raises(monkeypatch, count):
         _cores.map_on_cores(fail_at_3_and_5, range(8))
 
 
-def test_a_call_inside_a_worker_runs_serially(monkeypatch):
+def test_a_call_inside_a_map_runs_serially(monkeypatch):
     cores(monkeypatch, 2)
 
     def nested(_):
-        return os.getpid(), _cores.map_on_cores(pid_of, range(3))
+        return os.getpid(), _cores.map_on_cores(slow_pid_of, range(3))
 
-    for pid, inner in _cores.map_on_cores(nested, range(2)):
-        assert pid != os.getpid() and inner == [pid] * 3
+    outer = _cores.map_on_cores(nested, range(4))
+    assert os.getpid() in dict(outer)
+    for pid, inner in outer:
+        assert inner == [pid] * 3
+
+
+def test_a_child_that_dies_gives_runtime_error(monkeypatch):
+    cores(monkeypatch, 2)
+    parent = os.getpid()
+
+    def die_in_the_child(i):
+        time.sleep(0.02)
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(RuntimeError, match="child process died"):
+        _cores.map_on_cores(die_in_the_child, range(8))
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def test_an_unpicklable_exception_reaches_the_caller(monkeypatch):
+    cores(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fail_in_the_child(i):
+        time.sleep(0.02)
+        if os.getpid() != parent:
+            raise Unpicklable(i)
+        return i
+
+    with pytest.raises(RuntimeError, match="could not pickle"):
+        _cores.map_on_cores(fail_in_the_child, range(8))
 
 
 @pytest.mark.parametrize("items", [range(1), range(4)], ids=["one-item", "another-thread"])
@@ -88,6 +136,7 @@ def test_serial_fallbacks(monkeypatch, items):
 
 
 def warn_once_per_item(i):
+    time.sleep(0.02)   # so the child takes items too
     warnings.warn("from a slice", UserWarning)
     return i
 
