@@ -18,7 +18,7 @@ float.
 x_j * df/dx_i with the lowest forbidden power of t of each; the numerical
 search reads it, and the exact check (`check_membership`) and the symbolic
 system (`emit_constraints`) compose it with an arc by `_composed_conditions`,
-one power table for all of it.
+over Q on one packed integer per arc component (Kronecker substitution).
 
 The numerical search (`search_arcs`) solves the same conditions plus the
 sphere by a numpy Levenberg-Marquardt loop over the arc coefficients.  It
@@ -44,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _cores
-from .poly import ClearedComponents, ExactEvaluator, LaurentScalar, Polynomial, RationalArc, divided
+from .poly import ClearedComponents, ExactEvaluator, LaurentScalar, Polynomial, RationalArc, compose_laurent, divided
 
 
 class WindowViolationError(ValueError):
@@ -101,14 +101,22 @@ def _conditions(f: Polynomial) -> List[Tuple[str, Polynomial, Optional[int], int
 
 def _composed_conditions(f: Polynomial, components: Sequence[LaurentScalar]) -> Iterator[Tuple[str, dict, int]]:
     """(label, the coefficients of P(xi) at t^0 and above, lowest) for each of
-    `_conditions` (every lowest is 0 or 1; t^0 of f(xi) is b0).  f and the
-    partials read one power table (`ClearedComponents`), and each x_j * g(xi)
-    is one product of xi_j's cleared series with the sums of g(xi)."""
-    arc = ClearedComponents(components)
-    for label, g, j, lowest in _conditions(f):
+    `_conditions` (every lowest is 0 or 1; t^0 of f(xi) is b0).  Over Q, f and
+    the partials are packed on one `ClearedComponents` and x_j * g(xi) is g's
+    packed value times xi_j's; over Polynomials (the generic arc) LaurentScalar
+    products do the same."""
+    conditions = _conditions(f)
+    if any(isinstance(c, Polynomial) for xi in components for c in xi.terms.values()):
+        for label, g, j, lowest in conditions:
+            G = compose_laurent(g, components) if j is None else G
+            yield label, divided(G if j is None else G * components[j], 1, 0), lowest
+        return
+    arc = ClearedComponents(components, [g for _, g, j, _ in conditions if j is None], products=True)
+    for label, g, j, lowest in conditions:
         if j is None:   # f, or df/dx_i just before its products
-            S, divisor = arc.sums(g)
-        yield label, divided(S, divisor, 0) if j is None else divided(S * arc.series[j], divisor * arc.D, 0), lowest
+            V, low, divisor = arc.packed(g)
+        S = arc.unpacked(V if j is None else V * arc.values[j], low if j is None else low + arc.lows[j], 0)
+        yield label, divided(S, divisor if j is None else divisor * arc.D, 0), lowest
 
 
 def dims(n: int, d: int) -> Tuple[int, int]:

@@ -109,10 +109,10 @@ class HalfAngleTable:
     sum_k c_k(R) tau^k, k = 0..2D: the homogenised equation at
     X = a1(1+tau^2) + R(1-tau^2), Y = a2(1+tau^2) + 2R tau, W = 1+tau^2.
     Each c_k(R) = sum_j c_kj R^j has degree <= D in R, so one exact
-    composition (`ClearedComponents`, as in `compose_laurent`) with R
-    replaced by tau^M, M = 2D + 1, holds them all: its term m is
-    c_{m mod M, m div M}.  A radius then costs one integer dot product per
-    coefficient.
+    composition (`ClearedComponents`, one integer sum of packed products, as
+    in `compose_laurent`) with R replaced by tau^M, M = 2D + 1, holds them
+    all: its term m is c_{m mod M, m div M}.  A radius then costs one integer
+    dot product per coefficient.
     """
 
     def __init__(self, eq: Polynomial, center: Sequence[Fraction]):
@@ -123,7 +123,7 @@ class HalfAngleTable:
         X = LaurentScalar({0: a1, 2: a1, M: Fraction(1), M + 2: Fraction(-1)})
         Y = LaurentScalar({0: a2, 2: a2, M + 1: Fraction(2)})
         W = LaurentScalar({0: Fraction(1), 2: Fraction(1)})
-        sums, self.divisor = ClearedComponents([X, Y, W]).sums(homogenised)
+        sums, self.divisor = ClearedComponents([X, Y, W], [homogenised]).sums(homogenised)
         self._rows = [[sums.terms.get(k + M * j, 0) for j in range(D + 1)] for k in range(M)]
 
     def at(self, radius) -> Tuple[List[int], int]:

@@ -7,15 +7,15 @@ module is exact, apart from the float lowering `CompiledPolynomials`.
 `LaurentScalar` is the one Laurent polynomial in t.  Its coefficients are
 Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
 whose coefficients are unknowns); `compose_laurent` substitutes Laurent
-components into a polynomial, and `ClearedComponents` into several, on one power table.
+components into a polynomial by the route of their coefficient ring.
 
 Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` (through
 `ExactEvaluator`, which also rounds exact values at float points to floats)
 and `compose_laurent` with Fraction coefficients clear the common
 denominators (`Polynomial.cleared`), sum integer products and divide once per
-result.
-`compose_laurent` runs the same sums over Polynomial coefficients, with no
-denominator to clear.
+result.  There `ClearedComponents` packs each component into one integer
+(Kronecker substitution): a composition is one sum of integer products.
+Over Polynomial coefficients `compose_laurent` multiplies LaurentScalars.
 
 `real_roots` finds the real roots of a univariate polynomial over Q exactly:
 float eigenvalue seeds propose isolating dyadic cells, which exact signs and
@@ -717,47 +717,61 @@ class LaurentScalar:
         return f"LaurentScalar({dict(sorted(self.terms.items()))})"
 
 
-def _convolve(a: list, b: list) -> list:
-    """Coefficient list of the product of two nonempty coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
+def _product_of_powers(tables: List[list], exp: Exponent, start):
+    """start * prod_k x_k^e_k from the power tables [1, x_k, x_k^2, ...],
+    each extended on first use."""
+    for table, e in zip(tables, exp):
+        while e and len(table) <= e:
+            table.append(table[-1] * table[1])
+        start = start * table[e] if e else start
+    return start
 
 
 class ClearedComponents:
-    """Laurent components over their common denominator D (1 over Polynomials,
-    the generic arc), whose powers are built by convolution on first use and
-    kept, so every polynomial composed with them reads one power table."""
+    """Laurent components over Q, packed by Kronecker substitution: on their
+    common denominator D, t^-low_k * D * xi_k (low_k its lowest power) is one
+    int, its value at t = 2^K (`values`), and so is each power of it.  K is a
+    multiple of 8 with a sign bit above the l1 bound sum |C_e| prod ||D xi_k||_1^e_k
+    (C_e from `Polynomial.cleared`) of each coefficient of `polys` composed, times
+    max(1, ||D xi_k||_1) with `products`, so x_k * g(xi) may be read as one product."""
 
-    def __init__(self, components: Sequence[LaurentScalar]):
-        rational = all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values())
-        self.D = D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values())) if rational else 1
-        self._lows = [min(xi.terms, default=0) for xi in components]
-        self._powers = [[[1], [c.numerator * (D // c.denominator) if rational else c for c in
-                               [xi.terms.get(m, 0) for m in range(low, max(xi.terms, default=0) + 1)]]]
-                        for xi, low in zip(components, self._lows)]
+    def __init__(self, components: Sequence[LaurentScalar], polys: Sequence[Polynomial], products: bool = False):
+        self.D = D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values()))
+        self.lows = [min(xi.terms, default=0) for xi in components]
+        cleared = [{m - low: c.numerator * (D // c.denominator) for m, c in xi.terms.items()}
+                   for xi, low in zip(components, self.lows)]
+        norms = [sum(map(abs, terms.values())) for terms in cleared]
+        bound = max((sum(abs(C) * math.prod(w ** e for w, e in zip(norms, exp)) for exp, C in f.cleared(D)[0])
+                     for f in polys), default=0)
+        self.K = K = ((bound * max([1, *norms]) if products else bound).bit_length() + 8) // 8 * 8
+        self.values = [sum(c << K * i for i, c in terms.items()) for terms in cleared]
+        self._powers = [[1, v] for v in self.values]
 
-    @cached_property
-    def series(self) -> List[LaurentScalar]:
-        """D * xi_k for each component k."""
-        return [LaurentScalar(dict(enumerate(table[1], low))) for table, low in zip(self._powers, self._lows)]
+    def packed(self, f: Polynomial) -> Tuple[int, int, int]:
+        """(V, low, divisor): divisor * f(components) = sum_i s_i t^(low + i)
+        and V = sum_i s_i 2^(K i), each term shifted by its power offset."""
+        terms, divisor = f.cleared(self.D)
+        offsets = [sum(lo * e for lo, e in zip(self.lows, exp)) for exp, _ in terms]
+        low = min(offsets, default=0)
+        V = sum(_product_of_powers(self._powers, exp, C) << self.K * (offset - low)
+                for (exp, C), offset in zip(terms, offsets))
+        return V, low, divisor
+
+    def unpacked(self, V: int, low: int, lowest: float = -math.inf) -> LaurentScalar:
+        """The terms s_i t^(low + i) at powers >= lowest of V = sum_i s_i 2^(K i).
+        With sum_i 2^(K-1) 2^(K i) added, every digit is s_i + 2^(K-1) >= 0."""
+        size, half = self.K // 8, 1 << (self.K - 1)
+        count = abs(V).bit_length() // self.K + 1
+        skip = min(count, max(0, lowest - low))
+        offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+        raw = ((V + offset) >> self.K * skip).to_bytes((count - skip) * size, "little")
+        return LaurentScalar({low + skip + i // size: int.from_bytes(raw[i:i + size], "little") - half
+                              for i in range(0, len(raw), size)})
 
     def sums(self, f: Polynomial) -> Tuple[LaurentScalar, int]:
-        """(S, divisor) with f(components) = S / divisor, from `Polynomial.cleared`."""
-        terms, divisor = f.cleared(self.D)
-        sums: Dict[int, object] = {}
-        for exp, C in terms:
-            product = [C]
-            for table, e in zip(self._powers, exp):
-                while len(table) <= e:
-                    table.append(_convolve(table[-1], table[1]))
-                product = _convolve(product, table[e]) if e else product
-            for m, v in enumerate(product, sum(lo * e for lo, e in zip(self._lows, exp))):
-                sums[m] = sums.get(m, 0) + v
-        return LaurentScalar(sums), divisor
+        """(S, divisor) with f(components) = S / divisor."""
+        V, low, divisor = self.packed(f)
+        return self.unpacked(V, low), divisor
 
 
 def divided(S: LaurentScalar, divisor: int, lowest: float = -math.inf) -> dict:
@@ -767,12 +781,15 @@ def divided(S: LaurentScalar, divisor: int, lowest: float = -math.inf) -> dict:
 
 
 def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
-    """f(components) as a LaurentScalar: the sums of `ClearedComponents`,
-    each divided once.  Over Fractions every product is an integer product,
-    as in `Polynomial.evaluate`."""
+    """f(components) as a LaurentScalar.  Over Q, the sums of
+    `ClearedComponents`, each divided once; over Polynomials, LaurentScalar
+    products on a table of each component's powers."""
     if len(components) != f.num_vars:
         raise ValueError("wrong number of substitution values")
-    return LaurentScalar(divided(*ClearedComponents(components).sums(f)))
+    if all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values()):
+        return LaurentScalar(divided(*ClearedComponents(components, [f]).sums(f)))
+    tables = [[LaurentScalar({0: Fraction(1)}), xi] for xi in components]
+    return sum((_product_of_powers(tables, exp, LaurentScalar({0: c})) for exp, c in f.terms.items()), LaurentScalar())
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,10 @@ from milnorarc.arcs import (
     _LaurentSystem, _composed_conditions, _conditions, _damped_step, _lambda_estimate, _levenberg_marquardt, unknown_name,
 )
 from milnorarc.cli import main
-from milnorarc.poly import CompiledPolynomials, ExactEvaluator, LaurentScalar, compose_laurent
+from milnorarc.poly import CompiledPolynomials, ExactEvaluator, LaurentScalar
 from milnorarc.tracer import CLUSTER_TOL
+
+from test_poly import _horner
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -224,7 +226,7 @@ class TestTruncate:
 # ---------------------------------------------------------------------------
 
 
-COEFFICIENTS = st.one_of(st.integers(-9, 9),
+COEFFICIENTS = st.one_of(st.integers(-2 ** 128, 2 ** 128),
                          st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12))
 UNKNOWNS = [Polynomial.variable(4, i) for i in range(4)]
 
@@ -248,16 +250,32 @@ class TestComposedConditions:
               [LaurentScalar({-1: 3, 2: Fraction(-1, 4)}), LaurentScalar(), LaurentScalar({-3: 1, 1: 1})]))
     @example((parse("1/2*x + 2/3*x^2*y - y^3", VARS2),   # a small generic arc
               [LaurentScalar({-1: UNKNOWNS[0], 1: UNKNOWNS[1]}), LaurentScalar({-1: UNKNOWNS[2], 1: UNKNOWNS[3]})]))
+    # x cleared to +-1 and y, z one term each: y * df/dx, read at t^3 or t^4,
+    # is the l1 bound of the packing slot (that of df/dx times ||y||_1), of a
+    # bit length divisible by 8, so a slot without its sign bit misreads it
+    @example((parse("x*y^2", VARS2),
+              [LaurentScalar({-2: Fraction(-1, 11)}), LaurentScalar({1: Fraction(2 ** 72 - 1, 11)})]))
+    @example((parse("x*y^2", VARS2),
+              [LaurentScalar({-1: Fraction(1, 11)}), LaurentScalar({1: Fraction(-(2 ** 208 - 1), 11)})]))
+    @example((parse("x*y^2", VARS3),   # z is empty
+              [LaurentScalar({-2: Fraction(-1, 11)}), LaurentScalar({1: Fraction(-(2 ** 64 - 1), 11)}),
+               LaurentScalar()]))
+    @example((parse("x*y^2*z", VARS3),
+              [LaurentScalar({-3: Fraction(1, 11)}), LaurentScalar({1: Fraction(2 ** 64 - 1, 11)}),
+               LaurentScalar({1: Fraction(-(2 ** 64 - 1), 11)})]))
+    @example((parse("x*y^2", VARS2),   # interior zeros between t^-1 and t^2
+              [LaurentScalar({-2: Fraction(-1, 11)}), LaurentScalar({-1: Fraction(2 ** 72 - 1, 11), 2: 5})]))
     @settings(max_examples=120, deadline=None)
     def test_each_condition_is_its_own_composition(self, case):
-        # one power table and the x_j * df/dx_i products by convolution give
-        # each condition's coefficients at t^0 and above, in increasing order
+        # the packed products (Kronecker substitution over Q, ring products
+        # over Polynomials) give each condition's coefficients at t^0 and
+        # above, in increasing order, as Horner's scheme composes them
         f, comps = case
         composed = list(_composed_conditions(f, comps))
         assert len(composed) == len(_conditions(f)) == 1 + f.num_vars * (1 + f.num_vars)
         for (label, terms, lowest), (label_p, g, j, lowest_p) in zip(composed, _conditions(f)):
             P = g if j is None else Polynomial.variable(f.num_vars, j) * g
-            expected = {m: c for m, c in sorted(compose_laurent(P, comps).terms.items()) if m >= 0}
+            expected = {m: c for m, c in sorted((LaurentScalar() + _horner(P, comps)).terms.items()) if m >= 0}
             assert (label, lowest) == (label_p, lowest_p)
             assert list(terms.items()) == list(expected.items())
 

@@ -47,8 +47,9 @@ def small_integer_points(num_vars: int):
 
 
 def laurent_scalars():
-    """Fraction or int coefficients at t^-6..t^6; empty (zero) and single terms included."""
-    coeffs = st.one_of(rationals, st.integers(-9, 9))
+    """Fraction or int coefficients at t^-6..t^6, ints up to 2^128 in size;
+    empty (zero) and single terms included."""
+    coeffs = st.one_of(rationals, st.integers(-2 ** 128, 2 ** 128))
     return st.dictionaries(st.integers(-6, 6), coeffs, max_size=4).map(LaurentScalar)
 
 
@@ -831,10 +832,25 @@ class TestComposeArc:
     @example((parse("1/2*x + 2/3*x^2*y - y^3", VARS2),   # a small generic arc
               [LaurentScalar({-1: UNKNOWNS[0], 1: UNKNOWNS[1]}),
                LaurentScalar({-1: UNKNOWNS[2], 1: UNKNOWNS[3]})]))
+    # a monomial of one-term components: its one coefficient, cleared, is
+    # the l1 bound that sizes the packing slot, and each bound below has a
+    # bit length divisible by 8, so a slot without its sign bit misreads it
+    @example((parse("x", ["x"]), [LaurentScalar({-1: Fraction(-(2 ** 72 - 1), 11)})]))
+    @example((parse("x", ["x"]), [LaurentScalar({2: Fraction(2 ** 72 - 1, 11)})]))
+    @example((parse("-x^3", ["x"]), [LaurentScalar({-2: Fraction(2 ** 208 - 1, 11)})]))
+    @example((parse("x^2*y", VARS2), [LaurentScalar({3: Fraction(2 ** 208 - 1, 11)}),
+                                      LaurentScalar({-6: Fraction(-(2 ** 64 - 1), 11)})]))
+    @example((parse("x^3*y^2", VARS2), [LaurentScalar({-1: -(2 ** 64 - 1)}), LaurentScalar({2: 2 ** 64})]))
+    @example((parse("x^2", VARS2), [LaurentScalar({-3: Fraction(-(2 ** 72 - 1), 11)}), LaurentScalar()]))
+    @example((parse("x*y*z", VARS3), [LaurentScalar({-1: -(2 ** 64 - 1)}), LaurentScalar({1: 2 ** 64 - 1}),
+                                      LaurentScalar({2: 2 ** 64 - 1})]))
+    @example((parse("x*y", VARS2),       # interior zeros between t^-4 and t^3
+              [LaurentScalar({-4: Fraction(2 ** 72 - 1, 11), 3: Fraction(-1, 11)}), LaurentScalar({1: -(2 ** 64)})]))
     @settings(max_examples=150, deadline=None)
     def test_integer_route_matches_horner(self, case):
-        # compose_laurent sums over common denominators; the reference runs
-        # Horner's scheme in LaurentScalar arithmetic
+        # compose_laurent packs rational components into one integer each
+        # (Kronecker substitution) and composes over Polynomials by ring
+        # products; the reference runs Horner's scheme in LaurentScalar arithmetic
         f, comps = case
         F = compose_laurent(f, comps)
         assert (F - _horner(f, comps)).is_zero()

@@ -27,8 +27,10 @@ from milnorarc import (
 )
 from milnorarc import poly, tracer
 from milnorarc.milnor import HalfAngleTable, rabier_nu
-from milnorarc.poly import LaurentScalar, Polynomial, compose_laurent
+from milnorarc.poly import LaurentScalar, Polynomial
 from milnorarc.tracer import Sample, _center_text, _dedupe, _newton_steps
+
+from test_poly import _horner
 
 VARS2 = ["x", "y"]
 F_FLAG = parse("x + x^2*y", VARS2)
@@ -41,7 +43,7 @@ def _system(f, center):
 
 def _half_angle_poly(eq, a, radius):
     """Reference for `HalfAngleTable`: the circle restriction at one radius,
-    composed with that radius by `compose_laurent`."""
+    composed with that radius by Horner's scheme in LaurentScalar arithmetic."""
     Rq = Fraction(radius)
     a1, a2 = Fraction(a[0]), Fraction(a[1])
     D = int(eq.degree)
@@ -49,7 +51,7 @@ def _half_angle_poly(eq, a, radius):
     X = LaurentScalar({0: a1 + Rq, 2: a1 - Rq})
     Y = LaurentScalar({0: a2, 1: 2 * Rq, 2: a2})
     W = LaurentScalar({0: Fraction(1), 2: Fraction(1)})
-    restriction = compose_laurent(homogenised, [X, Y, W])
+    restriction = LaurentScalar() + _horner(homogenised, [X, Y, W])
     return [restriction.coefficient(k) for k in range(2 * D + 1)]
 
 
@@ -436,9 +438,11 @@ class TestHalfAngle:
     @example({(1, 0): 1, (2, 1): 1}, (Fraction(0), Fraction(0)), 10.0)
     @example({(3, 0): Fraction(-1, 7), (0, 2): 3}, (Fraction(10 ** 15 - 1, 10 ** 15), Fraction(-77, 64)), 1e150)
     @example({(0, 0): 5}, (Fraction(1, 3), Fraction(1, 9)), 1e-3)
+    @example({(2, 1): Fraction(-3, 7), (0, 3): 1, (1, 0): 2},   # a center of height above 2^100
+             (Fraction(2 ** 101 + 1, 3), Fraction(-(2 ** 103 + 5), 2 ** 100 + 7)), 0.375)
     @settings(max_examples=60, deadline=None)
     def test_table_matches_the_composition_at_each_radius(self, terms, center, radius):
-        # one table per center, against compose_laurent at each dyadic radius
+        # one table per center, against Horner's scheme at each dyadic radius
         eq = Polynomial(2, terms)
         if eq.is_zero():
             return
