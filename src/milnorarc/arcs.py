@@ -18,7 +18,7 @@ float.
 x_j * df/dx_i with the lowest forbidden power of t of each; the numerical
 search reads it, and the exact check (`check_membership`) and the symbolic
 system (`emit_constraints`) compose it with an arc by `_composed_conditions`,
-over Q on one packed integer per arc component (Kronecker substitution).
+one call of `poly.composed_coefficients` over either coefficient ring.
 
 The numerical search (`search_arcs`) solves the same conditions plus the
 sphere by a numpy Levenberg-Marquardt loop over the arc coefficients.  It
@@ -44,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _cores
-from .poly import ClearedComponents, ExactEvaluator, LaurentScalar, Polynomial, RationalArc, compose_laurent, divided
+from .poly import ExactEvaluator, LaurentScalar, Polynomial, RationalArc, composed_coefficients
 
 
 class WindowViolationError(ValueError):
@@ -101,22 +101,11 @@ def _conditions(f: Polynomial) -> List[Tuple[str, Polynomial, Optional[int], int
 
 def _composed_conditions(f: Polynomial, components: Sequence[LaurentScalar]) -> Iterator[Tuple[str, dict, int]]:
     """(label, the coefficients of P(xi) at t^0 and above, lowest) for each of
-    `_conditions` (every lowest is 0 or 1; t^0 of f(xi) is b0).  Over Q, f and
-    the partials are packed on one `ClearedComponents` and x_j * g(xi) is g's
-    packed value times xi_j's; over Polynomials (the generic arc) LaurentScalar
-    products do the same."""
+    `_conditions` (every lowest is 0 or 1; t^0 of f(xi) is b0), by one
+    `composed_coefficients` call."""
     conditions = _conditions(f)
-    if any(isinstance(c, Polynomial) for xi in components for c in xi.terms.values()):
-        for label, g, j, lowest in conditions:
-            G = compose_laurent(g, components) if j is None else G
-            yield label, divided(G if j is None else G * components[j], 1, 0), lowest
-        return
-    arc = ClearedComponents(components, [g for _, g, j, _ in conditions if j is None], products=True)
-    for label, g, j, lowest in conditions:
-        if j is None:   # f, or df/dx_i just before its products
-            V, low, divisor = arc.packed(g)
-        S = arc.unpacked(V if j is None else V * arc.values[j], low if j is None else low + arc.lows[j], 0)
-        yield label, divided(S, divisor if j is None else divisor * arc.D, 0), lowest
+    composed = composed_coefficients(components, [(g, j) for _, g, j, _ in conditions], 0)
+    return ((label, terms, lowest) for (label, _, _, lowest), terms in zip(conditions, composed))
 
 
 def dims(n: int, d: int) -> Tuple[int, int]:
@@ -238,7 +227,7 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
         cond_b=not witnesses["b"],
         cond_c=not witnesses["c"],
         cond_d=not witnesses["d"],
-        witnesses_b=sorted(witnesses["b"]),
+        witnesses_b=witnesses["b"],
         witnesses_c=sorted(set(witnesses["c"])),
         witnesses_d=sorted(set(witnesses["d"])),
         b0=None if witnesses["b"] else b0,
@@ -550,7 +539,10 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     window = system.window
 
     rng = np.random.default_rng(config.seed)
-    starts = rng.standard_normal((config.starts, N)) * 0.5
+    try:
+        starts = rng.standard_normal((config.starts, N)) * 0.5
+    except MemoryError as exc:   # numpy refuses an array past the memory at once
+        raise ValueError(f"{config.starts} starts of {N} unknowns do not fit in memory: {exc}") from exc
     # normalize the positive-exponent block toward the sphere for a sane start
     n = f.num_vars
     for positive in starts[:, (1 - window.k_min) * n:]:

@@ -4,9 +4,9 @@ All JSON output is byte-deterministic for identical input, seed and config
 (sorted keys, fixed float repr), and every report embeds enough provenance
 to re-run it exactly.
 
-Exit codes: 0 success, 1 user error (parse failure, bad arguments, a center
-too large or a radius too small for floating point), 2 analysis ran but every
-center was degenerate.
+Exit codes: 0 success, 1 user error (bad input or arguments, an unwritable
+--out path, a center too large or a radius too small for floating point), 2
+analysis ran but every center was degenerate.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ def _json_dumps(obj) -> str:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:   # a missing directory, a directory, no permission
+            raise UserError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -6,16 +6,17 @@ module is exact, apart from the float lowering `CompiledPolynomials`.
 
 `LaurentScalar` is the one Laurent polynomial in t.  Its coefficients are
 Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
-whose coefficients are unknowns); `compose_laurent` substitutes Laurent
-components into a polynomial by the route of their coefficient ring.
+whose coefficients are unknowns).  `composed_coefficients` is the one exact
+composition: for each pair (P, j), the coefficients of P(xi), times xi_j when
+j is given, by the route of the coefficient ring (`compose_laurent` for one).
 
 Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` (through
 `ExactEvaluator`, which also rounds exact values at float points to floats)
-and `compose_laurent` with Fraction coefficients clear the common
-denominators (`Polynomial.cleared`), sum integer products and divide once per
-result.  There `ClearedComponents` packs each component into one integer
-(Kronecker substitution): a composition is one sum of integer products.
-Over Polynomial coefficients `compose_laurent` multiplies LaurentScalars.
+and `composed_coefficients` over Fractions clear the common denominators
+(`Polynomial.cleared`), sum integer products and divide once per coefficient.
+There `ClearedComponents` packs each component into one integer (Kronecker
+substitution), a format no other module reads; over Polynomials
+`composed_coefficients` multiplies LaurentScalars.
 
 `real_roots` finds the real roots of a univariate polynomial over Q exactly:
 float eigenvalue seeds propose isolating dyadic cells, which exact signs and
@@ -728,68 +729,71 @@ def _product_of_powers(tables: List[list], exp: Exponent, start):
 
 
 class ClearedComponents:
-    """Laurent components over Q, packed by Kronecker substitution: on their
-    common denominator D, t^-low_k * D * xi_k (low_k its lowest power) is one
-    int, its value at t = 2^K (`values`), and so is each power of it.  K is a
-    multiple of 8 with a sign bit above the l1 bound sum |C_e| prod ||D xi_k||_1^e_k
-    (C_e from `Polynomial.cleared`) of each coefficient of `polys` composed, times
-    max(1, ||D xi_k||_1) with `products`, so x_k * g(xi) may be read as one product."""
+    """Laurent components over Q, packed by Kronecker substitution for the
+    compositions (P, j) of `composed_coefficients`: on their common
+    denominator D, t^-low_k * D * xi_k (low_k its lowest power) is one int,
+    its value at t = 2^K, and so is each power of it.  K is a multiple of 8
+    with a sign bit above the l1 bound of every coefficient asked for:
+    sum |C_e| prod ||D xi_k||_1^e_k (C_e from `Polynomial.cleared`) for P,
+    times ||D xi_j||_1 for a product.  Each P is cleared and packed once."""
 
-    def __init__(self, components: Sequence[LaurentScalar], polys: Sequence[Polynomial], products: bool = False):
-        self.D = D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values()))
-        self.lows = [min(xi.terms, default=0) for xi in components]
+    def __init__(self, components: Sequence[LaurentScalar], compositions: Sequence[Tuple[Polynomial, Optional[int]]]):
+        self._D = D = math.lcm(*(c.denominator for xi in components for c in xi.terms.values()))
+        self._lows = lows = [min(xi.terms, default=0) for xi in components]
         cleared = [{m - low: c.numerator * (D // c.denominator) for m, c in xi.terms.items()}
-                   for xi, low in zip(components, self.lows)]
+                   for xi, low in zip(components, lows)]
         norms = [sum(map(abs, terms.values())) for terms in cleared]
-        bound = max((sum(abs(C) * math.prod(w ** e for w, e in zip(norms, exp)) for exp, C in f.cleared(D)[0])
-                     for f in polys), default=0)
-        self.K = K = ((bound * max([1, *norms]) if products else bound).bit_length() + 8) // 8 * 8
-        self.values = [sum(c << K * i for i, c in terms.items()) for terms in cleared]
-        self._powers = [[1, v] for v in self.values]
+        polys = {id(P): P.cleared(D) for P in {id(P): P for P, _ in compositions}.values()}
+        bounds = {key: sum(abs(C) * math.prod(w ** e for w, e in zip(norms, exp)) for exp, C in terms)
+                  for key, (terms, _) in polys.items()}
+        bound = max((bounds[id(P)] * (1 if j is None else norms[j]) for P, j in compositions), default=0)
+        self._K = K = (bound.bit_length() + 8) // 8 * 8
+        self._values = [sum(c << K * i for i, c in terms.items()) for terms in cleared]
+        powers = [[1, v] for v in self._values]
+        self._packed = {}   # id(P): (V, low, divisor), divisor * P(xi) = sum_i s_i t^(low + i), V = sum_i s_i 2^(K i)
+        for key, (terms, divisor) in polys.items():
+            offsets = [sum(lo * e for lo, e in zip(lows, exp)) for exp, _ in terms]
+            low = min(offsets, default=0)
+            self._packed[key] = sum(_product_of_powers(powers, exp, C) << K * (offset - low)
+                                    for (exp, C), offset in zip(terms, offsets)), low, divisor
 
-    def packed(self, f: Polynomial) -> Tuple[int, int, int]:
-        """(V, low, divisor): divisor * f(components) = sum_i s_i t^(low + i)
-        and V = sum_i s_i 2^(K i), each term shifted by its power offset."""
-        terms, divisor = f.cleared(self.D)
-        offsets = [sum(lo * e for lo, e in zip(self.lows, exp)) for exp, _ in terms]
-        low = min(offsets, default=0)
-        V = sum(_product_of_powers(self._powers, exp, C) << self.K * (offset - low)
-                for (exp, C), offset in zip(terms, offsets))
-        return V, low, divisor
-
-    def unpacked(self, V: int, low: int, lowest: float = -math.inf) -> LaurentScalar:
-        """The terms s_i t^(low + i) at powers >= lowest of V = sum_i s_i 2^(K i).
-        With sum_i 2^(K-1) 2^(K i) added, every digit is s_i + 2^(K-1) >= 0."""
-        size, half = self.K // 8, 1 << (self.K - 1)
-        count = abs(V).bit_length() // self.K + 1
+    def composed(self, P: Polynomial, j: Optional[int], lowest: float) -> Dict[int, Fraction]:
+        """`composed_coefficients` of (P, j), from V = sum_i s_i 2^(K i): with
+        sum_i 2^(K-1) 2^(K i) added, every K-bit digit is s_i + 2^(K-1) >= 0."""
+        V, low, divisor = self._packed[id(P)]
+        if j is not None:   # x_j * P(xi) is P's packed value times xi_j's
+            V, low, divisor = V * self._values[j], low + self._lows[j], divisor * self._D
+        size, half = self._K // 8, 1 << (self._K - 1)
+        count = abs(V).bit_length() // self._K + 1
         skip = min(count, max(0, lowest - low))
         offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-        raw = ((V + offset) >> self.K * skip).to_bytes((count - skip) * size, "little")
-        return LaurentScalar({low + skip + i // size: int.from_bytes(raw[i:i + size], "little") - half
-                              for i in range(0, len(raw), size)})
-
-    def sums(self, f: Polynomial) -> Tuple[LaurentScalar, int]:
-        """(S, divisor) with f(components) = S / divisor."""
-        V, low, divisor = self.packed(f)
-        return self.unpacked(V, low), divisor
+        raw = ((V + offset) >> self._K * skip).to_bytes((count - skip) * size, "little")
+        digits = (int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size))
+        return {m: Fraction(s, divisor) for m, s in enumerate(digits, low + skip) if s}
 
 
-def divided(S: LaurentScalar, divisor: int, lowest: float = -math.inf) -> dict:
-    """The coefficients of S / divisor at the powers >= lowest, in increasing order."""
-    scale = Fraction(1, divisor)
-    return {m: S.terms[m] * scale for m in sorted(S.terms) if m >= lowest}
+def composed_coefficients(components: Sequence[LaurentScalar], compositions: Sequence[Tuple[Polynomial, Optional[int]]],
+                          lowest: float = -math.inf) -> List[dict]:
+    """For each composition (P, j), the nonzero coefficients of P(components),
+    times components[j] when j is not None, at the powers >= lowest in
+    increasing order.  Over Q (int and Fraction coefficients) they are
+    Fractions, read from `ClearedComponents`; over Polynomials, LaurentScalar
+    products on one table of powers per component give them."""
+    if all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values()):
+        arc = ClearedComponents(components, compositions)
+        return [arc.composed(P, j, lowest) for P, j in compositions]
+    tables = [[LaurentScalar({0: Fraction(1)}), xi] for xi in components]
+    composed = {id(P): sum((_product_of_powers(tables, exp, LaurentScalar({0: c})) for exp, c in P.terms.items()),
+                           LaurentScalar()) for P in {id(P): P for P, _ in compositions}.values()}
+    products = (composed[id(P)] if j is None else composed[id(P)] * components[j] for P, j in compositions)
+    return [{m: S.terms[m] for m in sorted(S.terms) if m >= lowest} for S in products]
 
 
 def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
-    """f(components) as a LaurentScalar.  Over Q, the sums of
-    `ClearedComponents`, each divided once; over Polynomials, LaurentScalar
-    products on a table of each component's powers."""
+    """f(components) as a LaurentScalar, by `composed_coefficients`."""
     if len(components) != f.num_vars:
         raise ValueError("wrong number of substitution values")
-    if all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values()):
-        return LaurentScalar(divided(*ClearedComponents(components, [f]).sums(f)))
-    tables = [[LaurentScalar({0: Fraction(1)}), xi] for xi in components]
-    return sum((_product_of_powers(tables, exp, LaurentScalar({0: c})) for exp, c in f.terms.items()), LaurentScalar())
+    return LaurentScalar(composed_coefficients(components, [(f, None)])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,14 @@ class TestComposedConditions:
                LaurentScalar({1: Fraction(-(2 ** 64 - 1), 11)})]))
     @example((parse("x*y^2", VARS2),   # interior zeros between t^-1 and t^2
               [LaurentScalar({-2: Fraction(-1, 11)}), LaurentScalar({-1: Fraction(2 ** 72 - 1, 11), 2: 5})]))
+    # each product sizes the slot by its own component's norm: x * df/dy sets
+    # K at t^-3, unread, and y * df/dy, with the smaller-norm y, is read at t^0
+    # with the same bit length, 208, so a slot without its sign bit misreads it
+    @example((parse("x*y^2", VARS2),
+              [LaurentScalar({-2: Fraction(-(2 ** 69 - 1), 11)}), LaurentScalar({1: Fraction(2 ** 69 - 3, 11)})]))
+    # y is empty, so every product with it or with df/dx = y has bound 0, and
+    # f's own constant, of bit length 72, sets K
+    @example((parse(f"{2 ** 72 - 1}/11 + x*y", VARS2), [LaurentScalar({-1: 1}), LaurentScalar()]))
     @settings(max_examples=120, deadline=None)
     def test_each_condition_is_its_own_composition(self, case):
         # the packed products (Kronecker substitution over Q, ring products

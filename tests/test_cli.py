@@ -564,6 +564,14 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_a_start_array_past_the_memory_is_one_error_line(self, capsys):
+        # numpy refuses the 14 PiB of starts at once; no value that could
+        # really be allocated is tried
+        code, out, err = run_cli(capsys, "arc-search", "x + x^2*y", "--vars", "x,y", "--starts", "100000000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 100000000000000 starts of 20 unknowns do not fit in memory: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["analyze", "trace", "milnor"])
     def test_a_negative_first_center_coordinate_is_the_flag_value(self, capsys, command):
         argv = (command, "x + x^3*y", "--vars", "x,y")
@@ -682,3 +690,13 @@ class TestDeterminism:
         assert out == ""
         code, out, _ = run_cli(capsys, "dims", "2", "3")
         assert target.read_text() == out
+
+    @pytest.mark.parametrize("argv, target, reason", [
+        (["dims", "2", "2"], "missing/f", "No such file or directory"),
+        (["analyze", "x + x^2*y", "--vars", "x,y", "--center", "0,0"], ".", "Is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_an_unwritable_out_path_is_one_error_line(self, tmp_path, capsys, argv, target, reason):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, *argv, "--out", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write --out {path!r}: {reason}\n"

@@ -1,4 +1,5 @@
-"""Module layering (poly -> milnor -> tracer, arcs -> poly, the leaf _cores under both), no scipy, and source syntax."""
+"""Module layering (poly -> milnor -> tracer, arcs -> poly, the leaf _cores under both), the Kronecker packing
+kept inside poly, no scipy, and source syntax."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,31 @@ def external_imports(module: str) -> set:
 ])
 def test_module_imports_only_lower_layers(module, allowed):
     assert sibling_imports(module) <= allowed
+
+
+def packing_names() -> tuple:
+    """The methods of poly's `ClearedComponents` and the fields it sets on itself."""
+    tree = ast.parse((PACKAGE / "poly.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ClearedComponents")
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    fields = {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"} - methods
+    return methods, fields
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "poly"])
+def test_only_poly_knows_the_packing(module):
+    # the Kronecker packing is read only through poly.composed_coefficients;
+    # a field name that is called (a dict's .values()) is some other method
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in import_nodes(module) for alias in node.names}
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    methods, fields = packing_names()
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and (node.attr in methods or node.attr in fields and id(node) not in called)}
+    assert "ClearedComponents" not in names
+    assert not used
 
 
 @pytest.mark.parametrize("module", MODULES)
