@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,6 +205,11 @@ def _lambda_estimate(sums: Dict[int, Fraction]) -> Optional[float]:
     return None if lam in (0, math.inf) else lam
 
 
+def _merged(runs: List[tuple]) -> List[tuple]:
+    """sorted(set(runs)) for ascending runs end to end, without hashing: sorted merges the runs."""
+    return [w for w, _ in itertools.groupby(sorted(runs))]
+
+
 def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True) -> ArcMembershipReport:
     """Exact membership report for the asymptotic conditions (b)-(d)."""
     if f.num_vars != xi.num_vars:
@@ -228,8 +234,8 @@ def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True
         cond_c=not witnesses["c"],
         cond_d=not witnesses["d"],
         witnesses_b=witnesses["b"],
-        witnesses_c=sorted(set(witnesses["c"])),
-        witnesses_d=sorted(set(witnesses["d"])),
+        witnesses_c=_merged(witnesses["c"]),
+        witnesses_d=_merged(witnesses["d"]),
         b0=None if witnesses["b"] else b0,
         lambda_estimate=_lambda_estimate(sums),
     )
@@ -318,7 +324,7 @@ def emit_constraints(f: Polynomial) -> ConstraintSystem:
 MAX_ITER = 400        # Levenberg-Marquardt iterations per start
 LAMBDA0 = 3e-2        # initial damping, relative to the largest eigenvalue of J^T J
 STOP_REL = 1e-14      # relative step or cost change that ends a run
-STOP_COST = 1e-30     # sum of squares that ends a run
+POLISH = 1e-8         # a start is finished below POLISH * tol, its acceptance threshold
 DEDUPE_DIST = 1e-6    # candidates closer than this in the unknowns are one
 
 
@@ -486,19 +492,20 @@ def _damped_step(J: np.ndarray, r: np.ndarray, lam: float) -> Tuple[np.ndarray, 
     return h, h @ (lam * h - g)
 
 
-def _levenberg_marquardt(system: _LaurentSystem, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _levenberg_marquardt(system: _LaurentSystem, stop: float, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the sum of squares from u; returns the last point and its residuals.
 
     Each iteration takes the step of the damped normal equations (`_damped_step`;
     lam starts at LAMBDA0 times the largest eigenvalue of J^T J), keeps it only if
     the sum of squares falls, and updates lam by Nielsen's gain ratio (Madsen,
     Nielsen and Tingleff, "Methods for non-linear least squares problems", 2004,
-    section 3.2).  A LinAlgError (J = 0 with lam = 0, or J^T J overflows) ends the run.
+    section 3.2).  A sum of squares below `stop`, a relative step or decrease below
+    STOP_REL, or a LinAlgError (J = 0 with lam = 0, or J^T J overflows) ends the run.
     """
     r, J = system.evaluate(u)
     cost, lam, nu = r @ r, None, 2.0
     for _ in range(MAX_ITER):
-        if cost < STOP_COST:
+        if cost < stop:
             break
         try:
             lam = LAMBDA0 * np.linalg.eigvalsh(J.T @ J)[-1] if lam is None else lam
@@ -526,8 +533,9 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
     The residuals are the rows of `emit_constraints` plus the sphere, but they
     are computed by composing float Laurent arcs, never by expanding the
     system symbolically (`emit_constraints` is the exact expansion and the
-    tests' oracle for these rows).  A start is a candidate when its sum of
-    squares ends below `config.tol`, unless it is within DEDUPE_DIST of one.
+    tests' oracle for these rows).  A start ends once its sum of squares is
+    below POLISH * `config.tol`, and is a candidate when its sum of squares
+    ends below `config.tol`, unless it is within DEDUPE_DIST of one.
 
     Approximate and deliberately incomplete: finding a candidate proves
     nothing about exhausting the asymptotic arc set, and an empty result does
@@ -552,7 +560,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
 
     candidates: List[ArcCandidate] = []
     kept_points: List[np.ndarray] = []
-    solved = _cores.map_on_cores(functools.partial(_levenberg_marquardt, system), starts)
+    solved = _cores.map_on_cores(functools.partial(_levenberg_marquardt, system, POLISH * config.tol), starts)
     for si, (u, r) in enumerate(solved):
         residual = float(np.sum(r ** 2))
         if residual >= config.tol:

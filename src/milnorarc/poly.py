@@ -57,7 +57,10 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
+
+    def __reduce__(self):   # unpickled by __init__, as a forked child's exception is
+        return type(self), (self.message, self.position)
 
 
 def _grlex_key(exp: Exponent) -> Tuple[int, Exponent]:

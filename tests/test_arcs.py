@@ -31,7 +31,8 @@ from milnorarc import (
 )
 from milnorarc import arcs
 from milnorarc.arcs import (
-    _LaurentSystem, _composed_conditions, _conditions, _damped_step, _lambda_estimate, _levenberg_marquardt, unknown_name,
+    _LaurentSystem, _composed_conditions, _conditions, _damped_step, _lambda_estimate, _levenberg_marquardt, _merged,
+    unknown_name,
 )
 from milnorarc.cli import main
 from milnorarc.poly import CompiledPolynomials, ExactEvaluator, LaurentScalar
@@ -167,6 +168,23 @@ class TestMembership:
         assert d["b0"] == "0"
         assert d["b0_float"] == 0.0
         assert d["is_member"] is True
+
+
+# the witnesses of each condition of one kind: distinct ascending powers,
+# with few values, so that equal pairs and equal powers with different values
+# both occur between conditions
+WITNESS_LISTS = st.lists(
+    st.dictionaries(st.integers(-4, 4), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)))
+    .map(lambda terms: sorted(terms.items())),
+    max_size=6,
+)
+
+
+@settings(max_examples=50)
+@given(lists=WITNESS_LISTS)
+def test_merged_witnesses_are_the_sorted_set(lists):
+    runs = [w for witnesses in lists for w in witnesses]
+    assert _merged(runs) == sorted(set(runs))
 
 
 class TestScaleInvariance:
@@ -473,7 +491,7 @@ class TestSearch:
 
     def test_starts_that_reach_one_point_are_one_candidate(self, monkeypatch):
         # every start converges to p, or to p moved by 2 DEDUPE_DIST when its first unknown is positive
-        def levenberg_marquardt(system, u):
+        def levenberg_marquardt(system, stop, u):
             point = np.full(system.num_unknowns, 0.25)
             point[0] += 2 * arcs.DEDUPE_DIST * (u[0] > 0)
             return point, np.zeros(1)
@@ -572,7 +590,7 @@ class TestDampedStep:
 
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
-            point, r = _levenberg_marquardt(Stub(), np.arange(4.0))
+            point, r = _levenberg_marquardt(Stub(), arcs.POLISH * ArcSearchConfig().tol, np.arange(4.0))
         assert point.tolist() == [0.0, 1.0, 2.0, 3.0] and r.tolist() == [1.0, -2.0]
 
     def test_a_zero_jacobian_is_no_candidate_and_no_traceback(self, monkeypatch, capsys):
@@ -602,12 +620,12 @@ def _appending_evaluate(system, u):
     return np.append(S[system._res_index], positive @ positive - 1.0), J
 
 
-def _norm_levenberg_marquardt(system, u):
+def _norm_levenberg_marquardt(system, stop, u):
     """`_levenberg_marquardt` with np.linalg.norm and `_appending_evaluate`: the reference loop."""
     r, J = _appending_evaluate(system, u)
     cost, lam, nu = r @ r, None, 2.0
     for _ in range(arcs.MAX_ITER):
-        if cost < arcs.STOP_COST:
+        if cost < stop:
             break
         try:
             lam = arcs.LAMBDA0 * np.linalg.eigvalsh(J.T @ J)[-1] if lam is None else lam
@@ -634,14 +652,58 @@ def _norm_levenberg_marquardt(system, u):
     ("x + x^2*y", 32), ("1/4 + 2*((y + 1/2) + (y + 1/2)^2*(x - 1/3))", 8), ("x^2*y^2 + x", 8),
 ])
 def test_the_loop_keeps_the_bits_of_its_reference(text, starts):
-    system = _LaurentSystem(parse(text, VARS2))
+    system, stop = _LaurentSystem(parse(text, VARS2)), arcs.POLISH * ArcSearchConfig().tol   # the search's stop
     for u in np.random.default_rng(0).standard_normal((starts, system.num_unknowns)) * 0.5:
         r, J = system.evaluate(u)
         r_ref, J_ref = _appending_evaluate(system, u)
         assert r.tobytes() == r_ref.tobytes() and J.tobytes() == J_ref.tobytes()
-        point, r = _levenberg_marquardt(system, u)
-        point_ref, r_ref = _norm_levenberg_marquardt(system, u)
+        point, r = _levenberg_marquardt(system, stop, u)
+        point_ref, r_ref = _norm_levenberg_marquardt(system, stop, u)
         assert point.tobytes() == point_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+
+
+# the same inputs at two seeds: a finished start is where its fully polishing
+# run (stop 1e-30, the former absolute stop) first evaluates a point below
+# POLISH * tol; that run accepts the point, since no cost before it was below
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("text, starts", [
+    ("x + x^2*y", 32), ("1/4 + 2*((y + 1/2) + (y + 1/2)^2*(x - 1/3))", 8), ("x^2*y^2 + x", 8),
+])
+def test_a_finished_start_stops_where_full_polish_first_passes_its_stop(text, starts, seed, monkeypatch):
+    f, cfg = parse(text, VARS2), ArcSearchConfig(seed=seed, starts=starts)
+    runs = []   # (stop, the points evaluated with their costs, the returned point and residuals) per start
+
+    def recording_levenberg_marquardt(system, stop, u):
+        points = []
+
+        class Recording:
+            def evaluate(self, v):
+                r, J = system.evaluate(v)
+                points.append((v, r @ r))
+                return r, J
+
+        runs.append((stop, points, _levenberg_marquardt(Recording(), stop, u)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(arcs._cores, "_usable_cores", lambda: 1)   # the records stay in this process
+    monkeypatch.setattr(arcs, "_levenberg_marquardt", recording_levenberg_marquardt)
+    stop = arcs.POLISH * cfg.tol
+    found = search_arcs(f, cfg)
+    monkeypatch.setattr(arcs, "POLISH", 1e-30 / cfg.tol)
+    reference = search_arcs(f, cfg)
+    assert [run[0] for run in runs] == [stop] * starts + [1e-30] * starts
+    runs, reference_runs = runs[:starts], runs[starts:]
+    for (_, _, (point, _)), (_, points, (reference_point, _)) in zip(runs, reference_runs):
+        first = next((v for v, cost in points if cost < stop), reference_point)
+        assert point.tobytes() == first.tobytes()
+
+    def accepted(runs):
+        return {si for si, (_, _, (_, r)) in enumerate(runs) if float(np.sum(r ** 2)) < cfg.tol}
+
+    assert accepted(runs) == accepted(reference_runs)
+    assert [c.start_index for c in found] == [c.start_index for c in reference]
+    for c, c_ref in zip(found, reference):
+        assert abs(c.b0_estimate - c_ref.b0_estimate) <= 1e-6
 
 
 def _assert_candidate_b0(f, cand, cfg, limit=None):

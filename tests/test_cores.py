@@ -6,6 +6,7 @@ computed both ways.
 """
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -15,6 +16,8 @@ import pytest
 
 from milnorarc import ArcSearchConfig, _cores, parse, search_arcs
 from milnorarc.cli import main
+from milnorarc.milnor import DegenerateCenterError
+from milnorarc.poly import ParseError
 
 
 @pytest.fixture(autouse=True)
@@ -117,6 +120,35 @@ def test_an_unpicklable_exception_reaches_the_caller(monkeypatch):
 
     with pytest.raises(RuntimeError, match="could not pickle"):
         _cores.map_on_cores(fail_in_the_child, range(8))
+
+
+# errors whose __init__ takes a field beyond the message
+ERRORS = [ParseError("bad", 3), DegenerateCenterError("m", ["a"])]
+
+
+def fields(error):
+    return type(error), error.args, vars(error)
+
+
+@pytest.mark.parametrize("error", ERRORS)
+def test_an_error_pickles_with_its_fields(error):
+    assert fields(pickle.loads(pickle.dumps(error))) == fields(error)
+
+
+@pytest.mark.parametrize("error", ERRORS)
+def test_an_error_raised_in_a_child_reaches_the_caller_as_itself(monkeypatch, error):
+    cores(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fail_in_the_child(i):
+        time.sleep(0.02)
+        if os.getpid() != parent:
+            raise error
+        return i
+
+    with pytest.raises(type(error)) as caught:
+        _cores.map_on_cores(fail_in_the_child, range(8))
+    assert fields(caught.value) == fields(error)
 
 
 @pytest.mark.parametrize("items", [range(1), range(4)], ids=["one-item", "another-thread"])
