@@ -3,17 +3,20 @@
 Independent solves (the tracer's n >= 3 slices, the arc search's starts) run
 in this process and one forked child per further usable core.  Each process
 claims the next ticket, a block of contiguous items, with one read from a pipe
-the parent filled before it forked, so a slow item holds up no other.  A child
-sends its (index, raised, result or exception, warnings) records back as one
-pickle and ends with `os._exit`.  Results come in item order; the lowest
-failing item's exception is raised, as in the serial loop, and items a child
-did not send back give RuntimeError.  Warnings are issued again in item order
-through the registry of the module that issued them, so each shows as often
-as in the serial loop.  The plain loop runs instead with fewer than 2 items
-or usable cores, without `os.fork`, while another thread runs (fork copies
-only the calling thread, and a lock another one holds stays held in the
-child), and inside a map.  Spawned children would start from a fresh import,
-which costs more than the solves save.  This module imports no sibling module.
+the parent filled before it forked, so a slow item holds up no other.  Each
+keeps the results of the items that returned with no exception and no
+recorded warning; a child sends them as one pickled {index: result} and ends
+with `os._exit`.  Once every child is reaped, the caller computes each item
+still missing itself, in item order: one that raised or warned, whose child
+died, or whose result did not pickle.  So every exception and warning comes
+from a genuine call in the calling process, as in `[fn(x) for x in items]`,
+and none crosses a pipe.  This relies on `fn` being deterministic, as the
+byte-identical output on one core and on several already requires.  The
+plain loop runs instead with fewer than 2 items or usable cores, without
+`os.fork`, while another thread runs (fork copies only the calling thread,
+and a lock another one holds stays held in the child), and inside a map.
+Spawned children would start from a fresh import, which costs more than the
+solves save.  This module imports no sibling module.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import sys
 import threading
 import warnings
 from typing import Callable, Iterable
@@ -36,27 +38,17 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1   # no affinity call: serial
 
 
-def _run_tickets(fn, items: list, block: int, tickets: int) -> list:
-    """(index, raised, result or exception, warnings) for the items of every ticket claimed."""
-    records = []
+def _run_tickets(fn, items: list, block: int, tickets: int) -> dict:
+    """{index: result} for the items of every ticket claimed that returned with no exception and no warning."""
+    results = {}
     while ticket := os.read(tickets, TICKET):
         start = int.from_bytes(ticket, "little") * block
         for i in range(start, min(start + block, len(items))):
-            with warnings.catch_warnings(record=True) as caught:
-                try:
-                    record = [i, False, fn(items[i])]
-                except Exception as error:
-                    record = [i, True, error]
-            records.append((*record, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
-    return records
-
-
-def _reissue(caught) -> None:
-    for message, category, filename, lineno in caught:
-        module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
-        registry = vars(module).setdefault("__warningregistry__", {}) if module else None
-        warnings.warn_explicit(message, category, filename, lineno,
-                               module=module.__name__ if module else None, registry=registry)
+            with warnings.catch_warnings(record=True) as caught, contextlib.suppress(Exception):
+                results[i] = fn(items[i])
+            if caught:
+                results.pop(i, None)
+    return results
 
 
 def map_on_cores(fn: Callable, items: Iterable) -> list:
@@ -84,22 +76,14 @@ def map_on_cores(fn: Callable, items: Iterable) -> list:
                     os._exit(0)
             os.close(write)
             children[pid] = open(read, "rb")
-        records = _run_tickets(fn, items, block, tickets)
+        results = _run_tickets(fn, items, block, tickets)
         for pipe in children.values():
-            with contextlib.suppress(Exception):   # from a child that died, or whose records do not pickle and unpickle
-                records += pickle.loads(pipe.read())
+            with contextlib.suppress(Exception):   # from a child that died, or whose results do not pickle and unpickle
+                results.update(pickle.loads(pipe.read()))
     finally:
         _in_map = False
         os.close(tickets)
         for pid, pipe in children.items():
             pipe.close()
             os.waitpid(pid, 0)
-    records.sort(key=lambda record: record[0])
-    if len(records) < len(items):
-        raise RuntimeError(f"{len(items) - len(records)} of {len(items)} items got no result: "
-                           "a child process died or could not pickle its results")
-    for _, raised, value, caught in records:
-        _reissue(caught)
-        if raised:
-            raise value
-    return [value for _, _, value, _ in records]
+    return [results[i] if i in results else fn(x) for i, x in enumerate(items)]

@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _cores
-from .poly import ExactEvaluator, LaurentScalar, Polynomial, RationalArc, composed_coefficients
+from .poly import ExactEvaluator, LaurentScalar, Polynomial, RationalArc, composed_coefficients, float_or_none
 
 
 class WindowViolationError(ValueError):
@@ -152,18 +152,10 @@ class ArcMembershipReport:
             "witnesses_c": [[k, str(c)] for k, c in self.witnesses_c],
             "witnesses_d": [[k, str(c)] for k, c in self.witnesses_d],
             "b0": None if self.b0 is None else str(self.b0),
-            "b0_float": None if self.b0 is None else _float_or_none(self.b0),
+            "b0_float": None if self.b0 is None else float_or_none(self.b0),
             "lambda_estimate": self.lambda_estimate,
             "is_member": self.is_member,
         }
-
-
-def _float_or_none(x: Fraction) -> Optional[float]:
-    """The float nearest x, or None when |x| is beyond the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return None
 
 
 def _lambda_estimate(sums: Dict[int, Fraction]) -> Optional[float]:
@@ -432,12 +424,12 @@ class _LaurentSystem:
                 rows.append((p, m))
                 partials.append(dP)
 
-        if any(_float_or_none(c) is None for P in polys for c in P.terms.values()):
-            raise ValueError("a coefficient of f, of a partial or of an x_j * df/dx_i is past the float range")
         self._C = np.zeros((len(polys), len(monos)))
         for p, P in enumerate(polys):
             for e, c in P.terms.items():
-                self._C[p, column[e]] = float(c)
+                if (value := float_or_none(c)) is None:
+                    raise ValueError("a coefficient of f, of a partial or of an x_j * df/dx_i is past the float range")
+                self._C[p, column[e]] = value
 
         # Toeplitz gather from u plus a trailing zero: column j * L + c of
         # T = (u, 0)[toeplitz] multiplies a series by xi_j into column c,

@@ -5,8 +5,8 @@ All JSON output is byte-deterministic for identical input, seed and config
 to re-run it exactly.
 
 Exit codes: 0 success, 1 user error (bad input or arguments, an unwritable
---out path, a center too large or a radius too small for floating point), 2
-analysis ran but every center was degenerate.
+--out path, a coefficient or center too large or a radius too small for
+floating point), 2 analysis ran but every center was degenerate.
 """
 
 from __future__ import annotations
@@ -173,9 +173,8 @@ def cmd_analyze(args) -> int:
         raise UserError("analyze requires at least 2 variables")
     f = _parse_poly(args.poly, var_names)
     cfg = _config(TraceConfig, args, **_parse_radii(args.radii))
-    centers = _resolve_centers(args, f, cfg)
-
     try:
+        centers = _resolve_centers(args, f, cfg)
         if len(centers) == 1:
             reports = [tracer.s_a_estimate(f, centers[0], cfg)]
             payload = {**reports[0].to_dict(), "mode": "single-center"}
@@ -250,8 +249,8 @@ def cmd_trace(args) -> int:
         raise UserError("trace requires at least 2 variables")
     f = _parse_poly(args.poly, var_names)
     cfg = _config(TraceConfig, args, **_parse_radii(args.radii))
-    center = _parse_center(args.center, f.num_vars) if args.center else tracer._pick_generic_system(f, cfg.seed)
     try:
+        center = _parse_center(args.center, f.num_vars) if args.center else tracer._pick_generic_system(f, cfg.seed)
         traces = tracer.trace_branches(f, center, cfg)
     except tracer.DegenerateMilnorError as exc:
         sys.stderr.write(f"error: degenerate Milnor system: {exc}\n")

@@ -36,9 +36,6 @@ class DegenerateCenterError(RuntimeError):
         super().__init__(message)
         self.diagnostics = diagnostics
 
-    def __reduce__(self):   # unpickled by __init__, as a forked child's exception is
-        return type(self), (self.args[0], self.diagnostics)
-
 
 @dataclass(frozen=True)
 class MilnorSystem:

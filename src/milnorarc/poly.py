@@ -59,9 +59,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.message, self.position = message, position
 
-    def __reduce__(self):   # unpickled by __init__, as a forked child's exception is
-        return type(self), (self.message, self.position)
-
 
 def _grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
     return (sum(exp), exp)
@@ -343,6 +340,14 @@ def default_var_names(num_vars: int) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+def float_or_none(x: Rational) -> Optional[float]:
+    """The float nearest x, or None when |x| is beyond the float range: the one rule for lowering an exact number."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 class _TermTable:
     """Float terms c * x^e, each summed into one output cell.
 
@@ -352,6 +357,7 @@ class _TermTable:
     variable at a time, left to right: the order in which `prod` reduces a
     term's gathered powers, so both give the same bits.  The power table has
     one row per power and one column per point: the gathers take whole rows.
+    A coefficient past the float range is a ValueError.
     """
 
     def __init__(self, cells: Sequence[List[Tuple[Exponent, Fraction]]], num_vars: int, stride: int):
@@ -361,7 +367,9 @@ class _TermTable:
             starts.append(len(coeffs))
             for exp, c in terms or zero:
                 exps.append(exp)
-                coeffs.append(float(c))
+                coeffs.append(float_or_none(c))
+        if None in coeffs:
+            raise ValueError("a polynomial coefficient is past the float range")
         exps = np.array(exps, dtype=np.int64)
         # row of x_k^e in the flattened power table is k * stride + e
         self.rows = list((exps + stride * np.arange(num_vars)).T.copy())

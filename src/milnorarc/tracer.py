@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _cores
 from .milnor import DegenerateCenterError, MilnorSystem, malgrange_quantities, milnor_equations
-from .poly import Polynomial, real_roots
+from .poly import CompiledPolynomials, Polynomial, real_roots
 
 STATUS_CONVERGENT = "convergent"
 STATUS_DIVERGENT = "divergent"
@@ -666,6 +666,7 @@ def pick_generic_center(f: Polynomial, seed: int) -> Tuple[Fraction, ...]:
     Deterministic in `seed`.  Entries have numerator in [-100, 100] and
     denominator in [1, 100].  Raises DegenerateCenterError if all
     CENTER_ATTEMPTS draws fail; the caller may then supply a center manually.
+    A coefficient of grad f past the float range is one ValueError, before any draw.
     For degree < 2 the first draw is returned unscreened.
     It returns coordinates only; the CLI passes the screened MilnorSystem on.
     """
@@ -680,6 +681,8 @@ def _pick_generic_system(f: Polynomial, seed: int) -> MilnorSystem:
     """
     rng = random.Random(seed)
     diagnostics = []
+    if f.degree >= 2:   # the screen evaluates grad f at every draw: past the float range, one ValueError for all
+        CompiledPolynomials(f.gradient()).scales(0.0)
     for attempt in range(CENTER_ATTEMPTS):
         sys = _system(f, tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(f.num_vars)))
         if f.degree < 2:

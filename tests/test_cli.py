@@ -559,10 +559,17 @@ class TestAnalyze:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
-    def test_an_arc_search_coefficient_past_the_float_range_is_one_error_line(self, capsys):
-        code, out, err = run_cli(capsys, "arc-search", "10^400*x + x^2*y", "--vars", "x,y", "--starts", "2")
+    @pytest.mark.parametrize("argv", [
+        ("arc-search", "10^400*x + x^2*y", "--vars", "x,y", "--starts", "2"),
+        ("analyze", "10^400*x + x^2*y", "--vars", "x,y", "--center", "1,2"),
+        ("analyze", "10^400*x + x^2*y", "--vars", "x,y", "--centers", "2"),   # not 16 failed draws and exit 2
+        ("trace", "10^400*x + x^2*y", "--vars", "x,y", "--seed", "0"),
+        ("trace", "10^400*x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1"),
+    ], ids=["arc-search", "analyze-center", "analyze-centers", "trace-n2-seeded", "trace-n3-center"])
+    def test_a_coefficient_past_the_float_range_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.endswith(" is past the float range\n") and err.count("\n") == 1
 
     def test_a_start_array_past_the_memory_is_one_error_line(self, capsys):
         # numpy refuses the 14 PiB of starts at once; no value that could

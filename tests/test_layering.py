@@ -1,5 +1,5 @@
 """Module layering (poly -> milnor -> tracer, arcs -> poly, the leaf _cores under both), the Kronecker packing
-kept inside poly, no scipy, and source syntax."""
+kept inside poly, pickling kept inside _cores, no scipy, and source syntax."""
 
 import ast
 from pathlib import Path
@@ -83,6 +83,15 @@ def test_only_poly_knows_the_packing(module):
             and (node.attr in methods or node.attr in fields and id(node) not in called)}
     assert "ClearedComponents" not in names
     assert not used
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "_cores"])
+def test_only_cores_pickles(module):
+    # map_on_cores sends only results across a pipe; an item that raised is
+    # computed again by the caller, so no exception needs to pickle
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert "pickle" not in external_imports(module)
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "__reduce__"]
 
 
 @pytest.mark.parametrize("module", MODULES)
