@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,9 +196,19 @@ def _lambda_estimate(sums: Dict[int, Fraction]) -> Optional[float]:
     return None if lam in (0, math.inf) else lam
 
 
-def _merged(runs: List[tuple]) -> List[tuple]:
-    """sorted(set(runs)) for ascending runs end to end, without hashing: sorted merges the runs."""
-    return [w for w, _ in itertools.groupby(sorted(runs))]
+def _merged(runs: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]]:
+    """sorted(set(runs)) for (power, rational) pairs, with no Fraction compared: the values
+    of one power are keyed by the exact ints numerator * (lcm of their denominators // denominator)."""
+    by_power: Dict[int, List[Fraction]] = {}
+    for k, c in runs:
+        by_power.setdefault(k, []).append(c)
+    merged = []
+    for k in sorted(by_power):
+        values = by_power[k]
+        lcm = math.lcm(*(c.denominator for c in values))
+        keyed = {c.numerator * (lcm // c.denominator): c for c in values}
+        merged.extend((k, keyed[key]) for key in sorted(keyed))
+    return merged
 
 
 def check_membership(f: Polynomial, xi: RationalArc, enforce_window: bool = True) -> ArcMembershipReport:

@@ -351,20 +351,34 @@ def float_or_none(x: Rational) -> Optional[float]:
 class _TermTable:
     """Float terms c * x^e, each summed into one output cell.
 
-    Terms are stored cell by cell; a cell without terms holds one 0 * x^0
-    term, so every cell is a nonempty contiguous segment for reduceat.  A
-    term is ((x_1^e_1 * x_2^e_2) * ...) * c, gathered and multiplied one
-    variable at a time, left to right: the order in which `prod` reduces a
-    term's gathered powers, so both give the same bits.  The power table has
-    one row per power and one column per point: the gathers take whole rows.
-    A coefficient past the float range is a ValueError.
+    `rows`, `coeffs` and `starts` list the terms cell by cell; a cell without
+    terms holds one 0 * x^0 term, so every cell is a nonempty contiguous
+    segment.  A term is ((x_1^e_1 * x_2^e_2) * ...) * c, gathered and
+    multiplied one variable at a time, left to right: the order in which
+    `prod` reduces a term's gathered powers, so both give the same bits.  The
+    power table has one row per power and one column per point: the gathers
+    take whole rows.  A coefficient past the float range is a ValueError.
+
+    Each cell sum has the bits of np.add.reduceat over the cell-ordered terms.
+    reduceat sums a cell t_0..t_{k-1} as t_0 + P(t_1..t_{k-1}), with P
+    numpy's pairwise sum, which adds fewer than 8 terms in sequence:
+    t_0 + (((t_1 + t_2) + t_3) ...), pinned by `TestReduceatOrder`.  So a cell
+    of at most 8 terms is summed slot by slot, one numpy add per slot for all
+    points where reduceat loops per point and per cell: slot j holds term j of
+    each such cell longer than j, the cells longest first, so slot j is the
+    first c_j cells of slot j - 1.  S = slot 1, S[:c_j] += slot j, then
+    slot 0[:c_1] += S, the operands in reduceat's order.  (Of two nans with
+    different payloads numpy's vector add keeps either, by array length, so
+    only such a sum may differ.)  Longer cells, whose rest numpy sums with 8
+    accumulators, keep reduceat.
     """
 
     def __init__(self, cells: Sequence[List[Tuple[Exponent, Fraction]]], num_vars: int, stride: int):
         zero = [((0,) * num_vars, Fraction(0))]
-        exps, coeffs, starts = [], [], []
+        exps, coeffs, starts, sizes = [], [], [], []
         for terms in cells:
             starts.append(len(coeffs))
+            sizes.append(len(terms or zero))
             for exp, c in terms or zero:
                 exps.append(exp)
                 coeffs.append(float_or_none(c))
@@ -377,13 +391,41 @@ class _TermTable:
         self.coeffs = np.array(coeffs, dtype=float)
         self.starts = np.array(starts, dtype=np.int64)
 
+        # the summing layout: the long cells' terms cell by cell, then slot j of the short cells, j = 0, 1, ...
+        order = sorted(range(len(cells)), key=sizes.__getitem__, reverse=True)   # stable
+        layout, long_starts, self._slots = [], [], []   # a slot is (offset in the layout, cells)
+        for i in order:
+            if sizes[i] > 8:
+                long_starts.append(len(layout))
+                layout += range(starts[i], starts[i] + sizes[i])
+        short = [i for i in order if sizes[i] <= 8]
+        for j in range(sizes[short[0]] if short else 1):
+            slot = [starts[i] + j for i in short if sizes[i] > j]
+            self._slots.append((len(layout), len(slot)))
+            layout += slot
+        self._long_starts = np.array(long_starts, dtype=np.int64)
+        layout = np.array(layout, dtype=np.int64)
+        self._rows, self._coeffs = [rows[layout] for rows in self.rows], self.coeffs[layout, None]
+        self._cells = None if order == sorted(order) else np.argsort(order)
+
     def sums(self, powers: np.ndarray) -> np.ndarray:
         """Cell sums (cells, m) from a power table (num_vars * stride, m)."""
-        terms = powers[self.rows[0]]
-        for rows in self.rows[1:]:
+        terms = powers[self._rows[0]]
+        for rows in self._rows[1:]:
             terms *= powers[rows]
-        terms *= self.coeffs[:, None]
-        return np.add.reduceat(terms, self.starts, axis=0)
+        terms *= self._coeffs
+        (first, count), *slots = self._slots
+        out = terms[first:first + count]
+        if slots:
+            (start, count), *rest = slots
+            S = terms[start:start + count]
+            for start, cells in rest:
+                S[:cells] += terms[start:start + cells]
+            out[:count] += S
+        if len(self._long_starts):
+            long = np.add.reduceat(terms[:first], self._long_starts, axis=0)
+            out = np.concatenate([long, out]) if len(out) else long
+        return out if self._cells is None else out[self._cells]
 
 
 class CompiledPolynomials:
@@ -396,9 +438,11 @@ class CompiledPolynomials:
     evaluation reads one table of the powers x_k^e, 0 <= e <= the largest
     exponent, built by repeated multiplication (relative error at most
     (e - 1) ulp, exact on small integers), once for values and Jacobians both.
-    Each term table is built on first use.  Every point is evaluated on its
-    own: its result does not depend on the other points, not even on an inf
-    or nan.
+    A polynomial's terms are summed in np.add.reduceat's order, first term
+    last: t_0 + (((t_1 + t_2) + t_3) ...) up to 8 terms, numpy's pairwise
+    order past them (see `_TermTable`).  Each term table is built on first
+    use.  Every point is evaluated on its own: its result does not depend on
+    the other points, not even on an inf or nan.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):

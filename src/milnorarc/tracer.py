@@ -291,14 +291,18 @@ def _distances(A: np.ndarray, B: np.ndarray) -> Iterator[np.ndarray]:
 
 def _dedupe(points: np.ndarray, dist: float) -> List[int]:
     """The indices of the points (m, n) farther than `dist` from every
-    earlier kept one, in order."""
+    earlier kept one, in order.
+
+    The first live point is kept, and the live points after it that are not
+    farther than `dist` from it leave, so each kept point is compared only
+    with the points still live.  Distances are summed as `_distances` sums
+    them, so they have its bits; a nan distance is not farther."""
     kept: List[int] = []
-    i = 0
-    for block in _distances(points, points):
-        for row in block > dist:
-            if row[kept].all():
-                kept.append(i)
-            i += 1
+    live = np.arange(len(points))
+    while live.size:
+        kept.append(int(live[0]))
+        diff = points[live[1:]] - points[live[0]]
+        live = live[1:][np.sqrt(np.add.reduce(diff * diff, axis=1)) > dist]
     return kept
 
 
@@ -339,21 +343,22 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     a = a[:, None]
     X = a + radius * U.T
-    scales = np.append(scales, radius ** 2)[:, None]
+    scales = scales[:, None]
 
     def residuals(X, values=None):
-        """The residuals F at the columns of X and their scaled norms."""
+        """The sphere residuals at the columns of X and the scaled norms of all the residuals."""
         sphere = functools.reduce(np.add, (X - a) ** 2) - radius ** 2
-        F = np.concatenate([sys.compiled.column_values(X) if values is None else values, sphere[None]])
-        return F, np.sqrt(functools.reduce(np.add, (F / scales) ** 2))
+        values = sys.compiled.column_values(X) if values is None else values
+        return sphere, np.sqrt(functools.reduce(np.add, (values / scales) ** 2) + (sphere / radius ** 2) ** 2)
 
     norms = np.empty(X.shape[1])   # each start's scaled residual at its latest iterate
     live = np.arange(X.shape[1])
     for _ in range(NEWTON_ITERS):
         Xl = X[:, live]
         values, jacobians = sys.compiled.column_values_and_jacobians(Xl)
-        F, norm_before = residuals(Xl, values)
+        sphere, norm_before = residuals(Xl, values)
         norms[live] = norm_before
+        F = np.concatenate([values, sphere[None]])
         J = np.concatenate([jacobians, 2.0 * (Xl - a)[None]])
         step = _newton_steps(J.transpose(2, 0, 1), F.T).T
         # damped update: a start takes the first of 1, 1/2, ..., 1/32 of its step that does
@@ -362,9 +367,10 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
         grew = np.flatnonzero(residuals(Xn)[1] > norm_before)
         if grew.size:
             trial = Xl[:, None, grew] - 0.5 ** np.arange(1, 7)[:, None] * step[:, None, grew]
-            after = residuals(trial[:, :-1].reshape(n, -1))[1].reshape(-1, grew.size)
-            stop = np.vstack([~(after > norm_before[grew]), np.ones(grew.size, bool)])
-            Xn[:, grew] = trial[:, np.argmax(stop, axis=0), np.arange(grew.size)]
+            grown = residuals(trial[:, :-1].reshape(n, -1))[1].reshape(-1, grew.size) > norm_before[grew]
+            fraction = np.argmin(grown, axis=0)
+            fraction[grown.all(axis=0)] = 5
+            Xn[:, grew] = trial[:, fraction, np.arange(grew.size)]
         # starts are evaluated independently, so a start at a bitwise fixed point stays there
         X[:, live] = Xn
         live = live[(Xn.view(np.uint64) != Xl.view(np.uint64)).any(axis=0)]
@@ -466,6 +472,7 @@ def _make_samples(sys: MilnorSystem, X: np.ndarray, residuals: np.ndarray, R: fl
     try:
         f_values = [sys.exact_f.at_float(x) for x in points]
     except OverflowError:
+        sys.compiled_f.scales(0.0)   # a coefficient of f past the float range is the error, at every radius
         raise ValueError(f"radius {R:g} is too large: f overflows floating point") from None
     return [Sample(radius=R, point=tuple(x), f_value=fx, malgrange=mq, residual=res)
             for x, fx, mq, res in zip(points, f_values, malgrange_quantities(sys.compiled_f, X), residuals.tolist())]
@@ -651,7 +658,8 @@ def _screen_center(sys: MilnorSystem) -> Tuple[bool, str]:
             XT = _slice(sys, R, 0, starts=SCREEN_STARTS)[0][:16].T
         except ValueError as exc:  # overflow or a singular solve fails the screen
             return False, f"slice solve failed at R={R}: {exc}"
-        gnorms = np.linalg.norm(sys.compiled_f.column_jacobians(XT)[0], axis=0)
+        with np.errstate(over="ignore"):   # an overflowing |grad f| is not near Sing f
+            gnorms = np.linalg.norm(sys.compiled_f.column_jacobians(XT)[0], axis=0)
         # points near Sing f are excluded from the screen
         J = sys.compiled.column_jacobians(XT).transpose(2, 0, 1)
         sv = np.linalg.svd(J[~(gnorms < 1e-9 * (1.0 + R))], compute_uv=False)

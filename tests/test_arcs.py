@@ -180,11 +180,17 @@ WITNESS_LISTS = st.lists(
 )
 
 
-@settings(max_examples=50)
-@given(lists=WITNESS_LISTS)
-def test_merged_witnesses_are_the_sorted_set(lists):
-    runs = [w for witnesses in lists for w in witnesses]
-    assert _merged(runs) == sorted(set(runs))
+# and unsorted runs of wide numerators and denominators, equal values included
+WIDE_RUNS = st.lists(st.tuples(st.integers(-3, 3), st.fractions(max_denominator=2 ** 70).map(lambda c: c * 2 ** 64)
+                               | st.integers(-3, 3).map(Fraction)), max_size=30)
+
+
+@settings(max_examples=100)
+@given(runs=WITNESS_LISTS.map(lambda lists: [w for witnesses in lists for w in witnesses]) | WIDE_RUNS)
+def test_merged_witnesses_are_the_sorted_set(runs):
+    merged = _merged(runs)
+    assert merged == sorted(set(runs))
+    assert [(k, str(c)) for k, c in merged] == [(k, str(c)) for k, c in sorted(set(runs))]
 
 
 class TestScaleInvariance:

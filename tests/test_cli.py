@@ -565,11 +565,24 @@ class TestAnalyze:
         ("analyze", "10^400*x + x^2*y", "--vars", "x,y", "--centers", "2"),   # not 16 failed draws and exit 2
         ("trace", "10^400*x + x^2*y", "--vars", "x,y", "--seed", "0"),
         ("trace", "10^400*x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1"),
-    ], ids=["arc-search", "analyze-center", "analyze-centers", "trace-n2-seeded", "trace-n3-center"])
+        # a constant term: grad f and the Milnor equations fit, f overflows at every radius
+        ("analyze", "10^400 + x + x^2*y", "--vars", "x,y", "--centers", "2"),
+        ("analyze", "10^400 + x + x^2*y", "--vars", "x,y", "--center", "1,2"),
+        ("trace", "10^400 + x + x^2*y + z^2", "--vars", "x,y,z", "--center", "1,2,-1"),
+    ], ids=["arc-search", "analyze-center", "analyze-centers", "trace-n2-seeded", "trace-n3-center",
+            "constant-analyze-centers", "constant-analyze-center", "constant-trace-n3-center"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_coefficient_past_the_float_range_is_one_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.endswith(" is past the float range\n") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_screen_gradient_prints_only_the_error(self, capsys):
+        # |grad f| overflows at the screen's points; the Milnor equations overflow at R = 640
+        code, out, err = run_cli(capsys, "trace", "10^300*x + 10^300*x^2*y", "--vars", "x,y", "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: radius 640 is too large: the Milnor equations overflow floating point\n"
 
     def test_a_start_array_past_the_memory_is_one_error_line(self, capsys):
         # numpy refuses the 14 PiB of starts at once; no value that could

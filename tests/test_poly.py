@@ -1,6 +1,8 @@
 """Tests for the exact polynomial core: parsing, arithmetic, composition."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -454,22 +456,65 @@ def _prod_oracle(compiled, table, X):
     return np.add.reduceat(terms, table.starts, axis=1)
 
 
+class TestReduceatOrder:
+    """numpy's np.add.reduceat sums a cell t_0..t_{k-1} of at most 8 terms as
+    t_0 + (((t_1 + t_2) + t_3) ...), the order `_TermTable` reproduces slot by
+    slot; a numpy that sums otherwise fails here rather than in golden files."""
+
+    @staticmethod
+    def _expected(cell):
+        """t_0 + the rest in sequence, in Python floats: one C double add each."""
+        return [t[0] + functools.reduce(operator.add, t[1:], -0.0) for t in cell.T.tolist()]
+
+    @pytest.mark.parametrize("m", [1, 3, 17, 1000])
+    def test_a_short_cell_is_its_first_term_plus_the_rest_in_sequence(self, m):
+        rng = np.random.default_rng(m)
+        plain_differs = False
+        for k in range(1, 9):
+            terms = rng.standard_normal((4 * k, m)) * 10.0 ** rng.integers(-12, 13, (4 * k, m))
+            sums = np.add.reduceat(terms, np.arange(0, 4 * k, k), axis=0)
+            for c in range(4):
+                cell = terms[c * k:(c + 1) * k]
+                assert sums[c].tobytes() == np.array(self._expected(cell)).tobytes()
+                plain = functools.reduce(np.add, cell)
+                plain_differs |= plain.tobytes() != sums[c].tobytes()
+        assert plain_differs   # the order is observable on these terms
+
+    @pytest.mark.parametrize("m", [1, 3, 17])
+    @np.errstate(invalid="ignore")
+    def test_signed_zeros_and_nans(self, m):
+        default_nan = np.array(np.inf) - np.inf   # the nan an invalid operation gives
+        cells = [[-0.0] * k for k in range(1, 9)] + [[-0.0, 0.0], [0.0, -0.0, -0.0], [-0.0, -0.0, 0.0]]
+        for nan in (math.nan, float(default_nan)):
+            cells += [[1.0] * j + [nan] + [-2.0] * (k - 1 - j) for k in range(1, 9) for j in range(k)]
+        cells.append([math.inf, 1.0, -math.inf])
+        for cell in cells:
+            terms = np.repeat(np.array(cell)[:, None], m, axis=1)
+            got = np.add.reduceat(terms, [0], axis=0)[0]
+            assert got.tobytes() == np.array(self._expected(terms)).tobytes(), cell
+
+
 class TestCompiledKernels:
     """Bit-for-bit agreement of the float kernels with the gather-and-`prod` oracle."""
 
     @staticmethod
     def _rows(draw, n):
+        """m >= 1 points, one of them with an inf or nan coordinate or none;
+        up to 20, so that numpy's vector loops run with remainders."""
         scale = draw(st.sampled_from([1e-3, 1.0, 1e2, 1e6]))
-        pts = draw(st.lists(st.tuples(*([st.floats(-1.0, 1.0)] * n)), min_size=1, max_size=6))
+        pts = draw(st.lists(st.tuples(*([st.floats(-1.0, 1.0)] * n)), max_size=draw(st.sampled_from([6, 20]))))
         rows = [tuple(scale * v for v in pt) for pt in pts]
-        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-        rows.insert(draw(st.integers(0, len(rows))), (bad,) + (2.0,) * (n - 1))
+        if not rows or draw(st.booleans()):
+            bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            rows.insert(draw(st.integers(0, len(rows))), (bad,) + (2.0,) * (n - 1))
         return np.array(rows)
 
     @given(st.data(), st.integers(2, 4))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_values_and_jacobians_match_the_prod_formula(self, data, n):
-        fs = [data.draw(polynomials(n)) for _ in range(2)]
+        # up to 16 terms, so that cells past 8 terms, summed by reduceat, are drawn
+        # next to short ones, and the cells of a table come in every order of length
+        fs = [data.draw(polynomials(n, max_terms=data.draw(st.sampled_from([6, 16])))) for _ in range(2)]
         X = self._rows(data.draw, n)
         compiled = CompiledPolynomials(fs)
         with np.errstate(all="ignore"):

@@ -279,23 +279,33 @@ class TestSliceSolve:
         assert _dedupe(np.zeros((0, 3)), 1.0) == []
 
     @given(st.integers(2, 4).flatmap(lambda n: st.lists(
-               st.lists(st.integers(-2, 2).map(float) | st.floats(-3, 3), min_size=n, max_size=n),
+               st.lists(st.integers(-2, 2).map(float) | st.floats(-3, 3) | st.just(math.nan), min_size=n, max_size=n),
                max_size=40)),
-           st.sampled_from([1.0, 2.0, math.sqrt(2.0), 0.5, 1e-9]),
-           st.sampled_from([1, 7, 1 << 15]))
-    @example([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]], 1.0, 1)
-    @example([[0.1, 0.2, 0.3]] * 5 + [[1.1, 0.2, 0.3]], 1.0, 7)
+           st.sampled_from([1.0, 2.0, math.sqrt(2.0), 0.5, 1e-9]))
+    @example([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]], 1.0)
+    @example([[0.1, 0.2, 0.3]] * 5 + [[1.1, 0.2, 0.3]], 1.0)
+    @example([[math.nan, 0.0], [0.0, 0.0]], 1.0)
     @settings(max_examples=120, deadline=None)
-    def test_dedupe_matches_the_point_by_point_loop(self, rows, dist, cells):
-        # exact duplicates and grid points exactly `dist` apart, in blocks
-        # of every size down to one row
+    def test_dedupe_matches_the_point_by_point_loop(self, rows, dist):
+        # exact duplicates, grid points exactly `dist` apart, and nan points,
+        # which are never farther than `dist`
         points = np.array(rows, dtype=float).reshape(len(rows), -1 if rows else 2)
+        assert _dedupe(points, dist) == _dedupe_loop(points, dist)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.lists(
+               st.lists(st.floats(-3, 3), min_size=n, max_size=n), min_size=1, max_size=12)] * 2)),
+           st.sampled_from([1, 7, 1 << 15]))
+    @settings(max_examples=60, deadline=None)
+    def test_distance_blocks_are_the_norms(self, pair, cells):
+        # blocks of every size down to one row
+        A, B = (np.array(rows, dtype=float) for rows in pair)
         old = tracer.DISTANCE_CELLS
         tracer.DISTANCE_CELLS = cells
         try:
-            assert _dedupe(points, dist) == _dedupe_loop(points, dist)
+            got = np.concatenate(list(tracer._distances(A, B)))
         finally:
             tracer.DISTANCE_CELLS = old
+        assert got.tobytes() == np.array([np.linalg.norm(a - B, axis=1) for a in A]).tobytes()
 
     @pytest.mark.parametrize("text, seeds", [("x + x^2*y", range(6)), ("y + 2*x*y^2 - x^3", range(4)),
                                              ("x^2*y^2 + x - y^3", range(4))])
