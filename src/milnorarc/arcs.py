@@ -569,8 +569,7 @@ def search_arcs(f: Polynomial, config: Optional[ArcSearchConfig] = None) -> List
         if any(np.linalg.norm(u - p) < DEDUPE_DIST for p in kept_points):
             continue
         kept_points.append(u)
-        blocks = zip(range(window.k_min, window.k_max + 1), u.reshape(-1, n).tolist())
-        coeffs = {k: tuple(vec) for k, vec in blocks if any(abs(v) > 1e-12 for v in vec)}
+        coeffs = dict(zip(range(window.k_min, window.k_max + 1), map(tuple, u.reshape(-1, n).tolist())))
         candidates.append(ArcCandidate(coeffs=coeffs, b0_estimate=system.b0(u),
                                        residual=residual, start_index=si))
     return candidates

@@ -33,7 +33,7 @@ merged within SPHERE_TOL * R, the sphere window's width.  Its rows back-track
 in one batch and leave it at a bitwise fixed point.
 `trace_branches` solves the slices of all radii first, in this process and
 forked children (`_cores.map_on_cores`, the same bits as one at a time),
-and then matches them; n = 2 circles stay serial.
+and then links them; n = 2 circles stay serial.
 """
 
 from __future__ import annotations
@@ -289,6 +289,20 @@ def _distances(A: np.ndarray, B: np.ndarray) -> Iterator[np.ndarray]:
         yield np.sqrt(np.add.reduce(diff * diff, axis=2))
 
 
+def _links(old_dirs: np.ndarray, dirs: np.ndarray) -> Dict[int, int]:
+    """{i: j} for row i of old_dirs (m, n) linked to row j of dirs (k, n) by trace_branches' rule, in link order."""
+    links: Dict[int, int] = {}
+    if len(old_dirs) and len(dirs):
+        dist = np.concatenate(list(_distances(old_dirs, dirs))).ravel()
+        near = np.flatnonzero(dist <= MATCH_TOL)
+        linked = set()
+        for i, j in (divmod(flat, len(dirs)) for flat in near[np.argsort(dist[near], kind="stable")].tolist()):
+            if i not in links and j not in linked:
+                links[i] = j
+                linked.add(j)
+    return links
+
+
 def _dedupe(points: np.ndarray, dist: float) -> List[int]:
     """The indices of the points (m, n) farther than `dist` from every
     earlier kept one, in order.
@@ -412,8 +426,11 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     `config.radii()`; `center` is its coordinates or a MilnorSystem of f
     (else ValueError, before any slice).
 
-    Points at consecutive radii are matched by escape direction, greedy
-    globally nearest pair first; unmatched points open or close branches.
+    Points at consecutive radii are linked by escape direction: the pairs of
+    an open branch and a point within MATCH_TOL are walked nearest first, ties
+    in (branch, point) index order, and a pair links when neither its branch
+    nor its point is linked yet.  Unlinked branches close; unlinked points
+    open branches after the linked ones, in point order.
     """
     config = config or TraceConfig()
     sys = _system(f, center)
@@ -421,7 +438,6 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
     if sys.num_vars == 2:  # a circle costs less than a fork, and the system keeps it for the screen
         slices = [_slice(sys, R, config.seed) for R in radii]
     else:
-        sys.compiled, sys.compiled_f, sys.compiled_revalidation  # compiled once, before the children fork
         slices = _cores.map_on_cores(functools.partial(_slice, sys, seed=config.seed), radii)
     a = _float_center(sys)[0]
     branches: List[BranchTrace] = []
@@ -431,31 +447,14 @@ def trace_branches(f: Polynomial, center: Union[Sequence, MilnorSystem],
         offsets = points - a
         dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
         samples = _make_samples(sys, points, residuals, R)
-
-        matched_old, matched_new = set(), set()
-        if open_branches and len(points):
-            old_dirs = np.array([d_old for _, d_old in open_branches])
-            dist = np.concatenate(list(_distances(old_dirs, dirs)))
-            while True:
-                k = np.unravel_index(np.argmin(dist), dist.shape)
-                if dist[k] > MATCH_TOL:
-                    break
-                i_old, j_new = int(k[0]), int(k[1])
-                matched_old.add(i_old)
-                matched_new.add(j_new)
-                trace = open_branches[i_old][0]
-                trace.samples.append(samples[j_new])
-                open_branches[i_old] = (trace, dirs[j_new])
-                dist[i_old, :] = np.inf
-                dist[:, j_new] = np.inf
-
-        # unmatched branches close; unmatched points open new ones
-        open_branches = [ob for i_old, ob in enumerate(open_branches) if i_old in matched_old]
-        for j_new, sample in enumerate(samples):
-            if j_new not in matched_new:
-                trace = BranchTrace(branch_id=len(branches), samples=[sample])
-                branches.append(trace)
-                open_branches.append((trace, dirs[j_new]))
+        links = _links(np.array([d_old for _, d_old in open_branches]), dirs)
+        for i_old, j_new in links.items():
+            open_branches[i_old][0].samples.append(samples[j_new])
+        open_branches = [(trace, dirs[links[i]]) for i, (trace, _) in enumerate(open_branches) if i in links]
+        for j_new in sorted(set(range(len(samples))) - set(links.values())):
+            trace = BranchTrace(branch_id=len(branches), samples=[samples[j_new]])
+            branches.append(trace)
+            open_branches.append((trace, dirs[j_new]))
 
     return branches
 

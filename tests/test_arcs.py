@@ -38,7 +38,7 @@ from milnorarc.cli import main
 from milnorarc.poly import CompiledPolynomials, ExactEvaluator, LaurentScalar
 from milnorarc.tracer import CLUSTER_TOL
 
-from test_poly import _horner
+from test_poly import _affine, _horner
 
 VARS2 = ["x", "y"]
 VARS3 = ["x", "y", "z"]
@@ -230,6 +230,68 @@ class TestScaleInvariance:
             report = check_membership(F_FLAG, WITNESS.reparametrize(lam))
             assert report.is_member
             assert report.b0 == 0
+
+
+def _inverse(M):
+    """M^-1 over the Fractions by Gauss-Jordan elimination; M must be invertible."""
+    n = len(M)
+    rows = [list(row) + [Fraction(int(i == k)) for i in range(n)] for k, row in enumerate(M)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        rows = [row if r == col else [a - row[col] * b for a, b in zip(row, rows[col])] for r, row in enumerate(rows)]
+    return [row[n:] for row in rows]
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def affine_cases(draw):
+    """f of degree 2 or 3 in 2 or 3 variables, an arc in its window, an
+    invertible rational M = L U (L unit lower, U upper triangular), a shift
+    s, and a value map c f + e with c != 0."""
+    n = draw(st.sampled_from([2, 3]))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    f = draw(st.dictionaries(exponents, SMALL.filter(bool), min_size=1, max_size=5)
+             .map(lambda terms: Polynomial(n, terms)).filter(lambda f: f.degree >= 2))
+    window = arc_window(n, int(f.degree))
+    xi = RationalArc(n, draw(st.dictionaries(st.integers(window.k_min, window.k_max),
+                                             st.tuples(*[SMALL] * n), max_size=4)))
+    L = [[Fraction(int(i == k)) if i >= k else draw(SMALL) for i in range(n)] for k in range(n)]
+    U = [[draw(SMALL.filter(bool)) if i == k else draw(SMALL) if i > k else Fraction(0) for i in range(n)]
+         for k in range(n)]
+    M = [[sum(L[k][j] * U[j][i] for j in range(n)) for i in range(n)] for k in range(n)]
+    return f, xi, M, tuple(draw(SMALL) for _ in range(n)), draw(SMALL.filter(bool)), draw(SMALL)
+
+
+class TestAffineInvariance:
+    """g(u) = c f(M u + s) + e and eta = M^-1 (xi - s) have g(eta) = c f(xi) + e,
+    grad g(eta) = c M^T grad f(xi), and eta (x) grad g(eta) = c M^-1 (xi - s)
+    (x) M^T grad f(xi); so escaping, (b), (c), (c) and (d) together, and
+    membership are unchanged, and b0 becomes c b0 + e, exactly."""
+
+    @given(affine_cases())
+    @example((F_FLAG, WITNESS, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
+              (Fraction(1, 2), Fraction(-1, 3)), Fraction(3), Fraction(5)))
+    @settings(max_examples=60, deadline=None)
+    def test_membership_under_an_affine_map(self, case):
+        f, xi, M, s, c, e = case
+        g = c * _affine(f, M, s) + e
+        shifted = {k: tuple(v - (s_l if k == 0 else 0) for v, s_l in zip(xi.coeffs.get(k, (0,) * f.num_vars), s))
+                   for k in set(xi.coeffs) | {0}}
+        eta = RationalArc(f.num_vars, {k: tuple(sum(row[l] * vec[l] for l in range(f.num_vars)) for row in _inverse(M))
+                                       for k, vec in shifted.items()})
+        before, after = check_membership(f, xi), check_membership(g, eta)
+        assert after.escapes == before.escapes
+        assert after.cond_b == before.cond_b
+        assert after.cond_c == before.cond_c
+        assert (after.cond_c and after.cond_d) == (before.cond_c and before.cond_d)
+        assert after.is_member == before.is_member
+        assert after.b0 == (None if before.b0 is None else c * before.b0 + e)
+        if xi == WITNESS and f == F_FLAG:
+            assert after.is_member and after.b0 == 5
 
 
 class TestTruncate:

@@ -92,6 +92,13 @@ def _horner(f: Polynomial, values):
     return nest(list(f.terms.items()), 0) if f.terms else Fraction(0)
 
 
+def _affine(f: Polynomial, M, s) -> Polynomial:
+    """f(M u + s) as a polynomial in u, for a square matrix M and a vector s of Fractions."""
+    n = f.num_vars
+    u = [Polynomial.variable(n, l) for l in range(n)]
+    return _horner(f, [sum((M[k][l] * u[l] for l in range(n)), Polynomial.constant(n, s[k])) for k in range(n)])
+
+
 def _derivative(L: LaurentScalar) -> LaurentScalar:
     """d/dt of a Laurent polynomial."""
     return LaurentScalar({k - 1: k * c for k, c in L.terms.items() if k != 0})

@@ -1,6 +1,7 @@
 """Tests for sphere slicing, branch tracing and limit estimation."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import types
@@ -30,7 +31,7 @@ from milnorarc.milnor import HalfAngleTable, rabier_nu
 from milnorarc.poly import LaurentScalar, Polynomial
 from milnorarc.tracer import Sample, _center_text, _dedupe, _newton_steps
 
-from test_poly import _horner
+from test_poly import _affine, _horner
 
 VARS2 = ["x", "y"]
 F_FLAG = parse("x + x^2*y", VARS2)
@@ -67,6 +68,57 @@ def _dedupe_loop(points, dist):
         if np.all(np.linalg.norm(points[kept] - x, axis=1) > dist):
             kept.append(i)
     return kept
+
+
+def _links_loop(old_dirs, dirs):
+    """Reference for `tracer._links`: one full-matrix argmin per link, the
+    linked row and column masked with inf, until the nearest pair left is
+    farther than MATCH_TOL."""
+    links = []
+    if len(old_dirs) and len(dirs):
+        dist = np.concatenate(list(tracer._distances(old_dirs, dirs)))
+        while dist[k := np.unravel_index(np.argmin(dist), dist.shape)] <= tracer.MATCH_TOL:
+            links.append((int(k[0]), int(k[1])))
+            dist[k[0], :] = np.inf
+            dist[:, k[1]] = np.inf
+    return links
+
+
+def _trace_loop(dir_sets):
+    """Reference for `trace_branches`' linking over consecutive direction
+    sets: each branch as its (set, row) list, and at each set the open
+    branches in order, as their indices."""
+    branches, open_branches, orders = [], [], []   # open: (branch index, last direction)
+    for r, dirs in enumerate(dir_sets):
+        orders.append([b for b, _ in open_branches])
+        links = dict(_links_loop(np.array([d for _, d in open_branches]), dirs))
+        for i, j in links.items():
+            branches[open_branches[i][0]].append((r, j))
+            open_branches[i] = (open_branches[i][0], dirs[j])
+        open_branches = [ob for i, ob in enumerate(open_branches) if i in links]
+        for j in range(len(dirs)):
+            if j not in links.values():
+                branches.append([(r, j)])
+                open_branches.append((len(branches) - 1, dirs[j]))
+    return branches, orders
+
+
+@st.composite
+def _direction_sets(draw, count):
+    """n from 2 to 4 and `count` sets of up to 7 rows from a pool of at most 6
+    nonzero rows on the grid of quarters in [-1/2, 1/2]^n: duplicate rows
+    (exact ties), empty sets, and rows exactly MATCH_TOL apart."""
+    n = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any), min_size=1, max_size=6))
+    return n, [np.array(draw(st.lists(st.sampled_from(pool), max_size=7)), dtype=float).reshape(-1, n) / 4
+               for _ in range(count)]
+
+
+@functools.lru_cache(maxsize=None)
+def _origin_system(n):
+    """A Milnor system in n variables at the origin, for stubbed slices."""
+    names = ["x", "y", "z", "w"][:n]
+    return _system(parse(" + ".join(["x + x^2*y"] + [f"{v}^2" for v in names[2:]]), names), (0,) * n)
 
 
 def _screen_loop(sys):
@@ -544,6 +596,49 @@ class TestTraceBranches:
             assert s.malgrange == float(np.linalg.norm(x)) * rabier_nu(g)
             assert s.residual == float(scaled.max())
 
+    @given(_direction_sets(2))
+    @example((2, [np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5]])]))
+    @example((3, [np.zeros((0, 3)), np.eye(3) / 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_links_match_the_masked_argmin_loop(self, case):
+        _, (old_dirs, dirs) = case
+        assert list(tracer._links(old_dirs, dirs).items()) == _links_loop(old_dirs, dirs)
+
+    @given(_direction_sets(4))
+    @example((2, [np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0]] * 3), np.array([[1.0, 0.0]] * 2),
+                  np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])]))
+    @settings(max_examples=60, deadline=None)
+    def test_branches_and_open_order_match_the_masked_argmin_loop(self, case):
+        # every set's rows are the slice points at one radius around the
+        # origin, so the directions are the rows normalized; `_links` sees the
+        # open branches' last directions in their order
+        n, dir_sets = case
+        sys = _origin_system(n)
+        cfg = TraceConfig(radius_count=len(dir_sets))
+        points = dict(zip(cfg.radii(), dir_sets))
+        seen, real_links = [], tracer._links
+
+        def links(old_dirs, dirs):
+            seen.append(old_dirs)
+            return real_links(old_dirs, dirs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracer, "_slice", lambda sys, R, seed: (points[R], np.zeros(len(points[R]))))
+            mp.setattr(tracer._cores, "map_on_cores", lambda fn, items: [fn(x) for x in items])
+            mp.setattr(tracer, "_make_samples", lambda sys, X, residuals, R: [
+                Sample(R, tuple(x), float(j), 0.0, 0.0) for j, x in enumerate(X)])
+            mp.setattr(tracer, "_links", links)
+            traces = trace_branches(sys.f, sys, cfg)
+        normalized = [X / np.linalg.norm(X, axis=1, keepdims=True) for X in dir_sets]
+        branches, orders = _trace_loop(normalized)
+        radius_index = {R: r for r, R in enumerate(cfg.radii())}
+        assert [t.branch_id for t in traces] == list(range(len(branches)))
+        assert [[(radius_index[s.radius], int(s.f_value)) for s in t.samples] for t in traces] == branches
+        for r, order in enumerate(orders):
+            last = [next(j for q, j in reversed(branches[b]) if q < r) for b in order]
+            expected = np.array([normalized[r - 1][j] for j in last]) if r else np.array([])
+            assert np.array_equal(seen[r], expected.reshape(seen[r].shape))
+
     def test_requires_enough_radii(self):
         # the schedule is the config's, so the config refuses a short or
         # non-increasing one
@@ -560,6 +655,28 @@ class TestTraceBranches:
     def test_degenerate_center(self):
         with pytest.raises(DegenerateMilnorError):
             trace_branches(parse("x^2 + y^2", VARS2), (0, 0), TraceConfig())
+
+
+SWAP = ([[0, 1], [1, 0]], (0, 0))
+ROTATION = ([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]], (Fraction(1, 2), Fraction(-1, 3)))
+
+
+@pytest.mark.parametrize("isometry", [SWAP, ROTATION], ids=["swap", "rotation-and-shift"])
+@pytest.mark.parametrize("f, center", [(F_FLAG, (Fraction(1, 3), Fraction(2, 7))),
+                                       (F_FLAG, (Fraction(-5, 11), Fraction(3, 4))),
+                                       (F_TANGENT, (0, 1)), (F_TANGENT, (0, 0))],
+                         ids=["flagship-(1/3,2/7)", "flagship-(-5/11,3/4)", "tangent-(0,1)", "tangent-(0,0)"])
+def test_n2_report_under_an_isometry(f, center, isometry):
+    # u -> M u + s, M orthogonal, maps the circles around M^T (a - s) onto
+    # those around a, and f(M u + s) takes f's values on them
+    M, s = isometry
+    moved = tuple(sum(M[k][l] * (center[k] - s[k]) for k in range(2)) for l in range(2))
+    before, after = s_a_estimate(f, center), s_a_estimate(_affine(f, M, s), moved)
+    assert after.status == before.status
+    assert sorted(t.status for t in after.traces) == sorted(t.status for t in before.traces)
+    assert len(after.limit_values) == len(before.limit_values)
+    for lv_after, lv_before in zip(after.limit_values, before.limit_values):
+        assert abs(lv_after.value - lv_before.value) <= max(lv_after.uncertainty, lv_before.uncertainty)
 
 
 def _synthetic_trace(branch_id, radii, values):
