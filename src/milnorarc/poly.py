@@ -408,11 +408,14 @@ class _TermTable:
         self._rows, self._coeffs = [rows[layout] for rows in self.rows], self.coeffs[layout, None]
         self._cells = None if order == sorted(order) else np.argsort(order)
 
-    def sums(self, powers: np.ndarray) -> np.ndarray:
-        """Cell sums (cells, m) from a power table (num_vars * stride, m)."""
-        terms = powers[self._rows[0]]
+    def sums(self, powers: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Cell sums (cells, m) from a power table (num_vars * stride, m), as a new array; the
+        terms and each gathered power block are built in `work`, at least 2 * terms * m floats."""
+        k, m = len(self.coeffs), powers.shape[1]
+        terms, block = work[:k * m].reshape(k, m), work[k * m:2 * k * m].reshape(k, m)
+        powers.take(self._rows[0], 0, terms, "clip")   # the default mode "raise" buffers `out`
         for rows in self._rows[1:]:
-            terms *= powers[rows]
+            terms *= powers.take(rows, 0, block, "clip")
         terms *= self._coeffs
         (first, count), *slots = self._slots
         out = terms[first:first + count]
@@ -425,6 +428,8 @@ class _TermTable:
         if len(self._long_starts):
             long = np.add.reduceat(terms[:first], self._long_starts, axis=0)
             out = np.concatenate([long, out]) if len(out) else long
+        elif self._cells is None:
+            out = out.copy()   # no result aliases `work`
         return out if self._cells is None else out[self._cells]
 
 
@@ -443,6 +448,10 @@ class CompiledPolynomials:
     order past them (see `_TermTable`).  Each term table is built on first
     use.  Every point is evaluated on its own: its result does not depend on
     the other points, not even on an inf or nan.
+
+    The power table, the terms and the gathered powers are built in a flat
+    buffer from `workspace`, which a loop passes to all its calls; a call without
+    one builds its own.  Results never alias it, and the object keeps none.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -466,27 +475,38 @@ class CompiledPolynomials:
         partials = [f.partial(k).sorted_terms() for f in self._polys for k in range(self.num_vars)]
         return _TermTable(partials, self.num_vars, self._stride)
 
-    def _powers(self, XT) -> np.ndarray:
-        """The power table (n * stride, m): row k * stride + e holds x_k^e at every column of XT."""
+    def _work_size(self, points: int, *tables: _TermTable) -> int:
+        return points * (self.num_vars * self._stride + 2 * max([len(table.coeffs) for table in tables]))
+
+    def workspace(self, points: int, jacobian_points: int) -> np.ndarray:
+        """A buffer for kernel calls at up to `points` points, or with Jacobians at up to `jacobian_points`."""
+        both = self._values, self._jacobians
+        return np.empty(max(self._work_size(points, self._values), self._work_size(jacobian_points, *both)))
+
+    def _powers(self, XT, work: Optional[np.ndarray], *tables: _TermTable) -> Tuple[np.ndarray, np.ndarray]:
+        """The power table (n * stride, m), built at the head of `work` (when None, a new buffer
+        for `tables` at XT), and the rest of `work`: row k * stride + e holds x_k^e at every column of XT."""
         XT = np.asarray(XT, dtype=float)
-        P = np.empty((self.num_vars, self._stride, XT.shape[1]))
+        n, m = XT.shape
+        work = np.empty(self._work_size(m, *tables)) if work is None else work
+        P = work[:n * self._stride * m].reshape(n, self._stride, m)
         P[:, 0] = 1.0
         for e in range(1, self._stride):
-            P[:, e] = P[:, e - 1] * XT
-        return P.reshape(self.num_vars * self._stride, XT.shape[1])
+            np.multiply(P[:, e - 1], XT, out=P[:, e])
+        return P.reshape(n * self._stride, m), work[P.size:]
 
-    def column_values(self, XT) -> np.ndarray:
+    def column_values(self, XT, work: Optional[np.ndarray] = None) -> np.ndarray:
         """Values at the columns of XT (n, m): shape (p, m)."""
-        return self._values.sums(self._powers(XT))
+        return self._values.sums(*self._powers(XT, work, self._values))
 
-    def column_jacobians(self, XT) -> np.ndarray:
+    def column_jacobians(self, XT, work: Optional[np.ndarray] = None) -> np.ndarray:
         """Jacobians at the columns of XT (n, m): shape (p, n, m)."""
-        return self._jacobians.sums(self._powers(XT)).reshape(self.num_polys, self.num_vars, -1)
+        return self._jacobians.sums(*self._powers(XT, work, self._jacobians)).reshape(self.num_polys, self.num_vars, -1)
 
-    def column_values_and_jacobians(self, XT) -> Tuple[np.ndarray, np.ndarray]:
+    def column_values_and_jacobians(self, XT, work: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
         """`column_values(XT)` and `column_jacobians(XT)`, from one power table."""
-        P = self._powers(XT)
-        return self._values.sums(P), self._jacobians.sums(P).reshape(self.num_polys, self.num_vars, -1)
+        P, rest = self._powers(XT, work, self._values, self._jacobians)
+        return self._values.sums(P, rest), self._jacobians.sums(P, rest).reshape(self.num_polys, self.num_vars, -1)
 
     def scales(self, bound: float) -> np.ndarray:
         """Magnitude bounds sum |c| * bound^deg + 1, one per polynomial.

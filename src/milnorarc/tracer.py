@@ -30,7 +30,8 @@ For n >= 3 a multistart damped Newton solver is best-effort (branches may be
 missed) on the pivot chart and the sphere, a square system; points are
 rechecked against all the minors where the pivot partial nearly vanishes, and
 merged within SPHERE_TOL * R, the sphere window's width.  Its rows back-track
-in one batch and leave it at a bitwise fixed point.
+in one batch and leave it at a bitwise fixed point; the float kernel builds
+its temporaries in one workspace per slice, which no result aliases.
 `trace_branches` solves the slices of all radii first, in this process and
 forked children (`_cores.map_on_cores`, the same bits as one at a time),
 and then links them; n = 2 circles stay serial.
@@ -350,7 +351,8 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
     as rows (k, n).  The iterates are the columns of X (n, m); the sphere term and the
     scaled norm add rows left to right, (r0 + r1) + r2 ..., as np.add.reduce(axis=1) does
     on point-major rows shorter than 8 (numpy sums longer ones pairwise), so for n < 8
-    every start has the bits of a point-major loop."""
+    every start has the bits of a point-major loop.  One workspace, sized to the trial batch
+    and to all starts' values and Jacobians, serves every kernel call; no result aliases it."""
     n = a.shape[0]
     rng = np.random.default_rng([seed, int(round(radius * 1024)) & 0x7FFFFFFF])
     U = rng.standard_normal((starts, n))
@@ -358,18 +360,19 @@ def _slice_solve_newton(sys: MilnorSystem, a: np.ndarray, radius: float, scales:
     a = a[:, None]
     X = a + radius * U.T
     scales = scales[:, None]
+    work = sys.compiled.workspace(5 * starts, starts)
 
     def residuals(X, values=None):
         """The sphere residuals at the columns of X and the scaled norms of all the residuals."""
         sphere = functools.reduce(np.add, (X - a) ** 2) - radius ** 2
-        values = sys.compiled.column_values(X) if values is None else values
+        values = sys.compiled.column_values(X, work) if values is None else values
         return sphere, np.sqrt(functools.reduce(np.add, (values / scales) ** 2) + (sphere / radius ** 2) ** 2)
 
     norms = np.empty(X.shape[1])   # each start's scaled residual at its latest iterate
     live = np.arange(X.shape[1])
     for _ in range(NEWTON_ITERS):
         Xl = X[:, live]
-        values, jacobians = sys.compiled.column_values_and_jacobians(Xl)
+        values, jacobians = sys.compiled.column_values_and_jacobians(Xl, work)
         sphere, norm_before = residuals(Xl, values)
         norms[live] = norm_before
         F = np.concatenate([values, sphere[None]])

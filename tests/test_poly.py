@@ -457,7 +457,7 @@ class TestCompiledPolynomials:
 
 def _prod_oracle(compiled, table, X):
     """Reference cell sums (m, cells): gather every term's powers, then `prod` over them."""
-    powers = compiled._powers(X.T).T
+    powers = compiled._powers(X.T, None, table)[0].T
     index = np.stack(table.rows, axis=1)
     terms = powers.take(index, axis=1).prod(axis=2) * table.coeffs
     return np.add.reduceat(terms, table.starts, axis=1)
@@ -534,6 +534,32 @@ class TestCompiledKernels:
         assert jacobians.transpose(2, 0, 1).tobytes() == oracle_jacobians.reshape(len(X), 2, n).tobytes()
         assert both[0].tobytes() == values.tobytes()
         assert both[1].tobytes() == jacobians.tobytes()
+
+    @given(st.data(), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_one_workspace_serves_a_growing_and_shrinking_sequence(self, data, n):
+        fs = [data.draw(polynomials(n, max_terms=data.draw(st.sampled_from([6, 16])))) for _ in range(2)]
+        compiled = CompiledPolynomials(fs)
+
+        def evaluate(kind, X, work=None):
+            out = getattr(compiled, kind)(X.T, work)
+            return out if isinstance(out, tuple) else (out,)
+
+        kinds = ["column_values", "column_jacobians", "column_values_and_jacobians"]
+        calls = [(data.draw(st.sampled_from(kinds)), self._rows(data.draw, n)) for _ in range(data.draw(st.integers(2, 5)))]
+        calls.sort(key=lambda call: len(call[1]))
+        calls += calls[-2::-1]   # up to the largest point count, then down again
+        work = compiled.workspace(max(len(X) for _, X in calls),
+                                  max((len(X) for kind, X in calls if kind != "column_values"), default=0))
+        results = []
+        with np.errstate(all="ignore"):
+            for kind, X in calls:
+                got = evaluate(kind, X, work)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in evaluate(kind, X)]
+                assert not any(np.shares_memory(a, work) for a in got)
+                results.append((got, [a.tobytes() for a in got]))
+        # a later call leaves every earlier result as it was
+        assert all([a.tobytes() for a in got] == before for got, before in results)
 
 
 def _product(*factors):

@@ -438,7 +438,7 @@ class TestSliceSolve:
             monkeypatch.setattr(np.random, "default_rng", default_rng)
         iterates = []
         evaluate = sys.compiled.column_values_and_jacobians
-        monkeypatch.setattr(sys.compiled, "column_values_and_jacobians", lambda X: iterates.append(1) or evaluate(X))
+        monkeypatch.setattr(sys.compiled, "column_values_and_jacobians", lambda X, *work: iterates.append(1) or evaluate(X, *work))
         for seed in (0, 3):
             for R in radii:
                 out = []
