@@ -449,9 +449,8 @@ class CompiledPolynomials:
     use.  Every point is evaluated on its own: its result does not depend on
     the other points, not even on an inf or nan.
 
-    The power table, the terms and the gathered powers are built in a flat
-    buffer from `workspace`, which a loop passes to all its calls; a call without
-    one builds its own.  Results never alias it, and the object keeps none.
+    Each call builds the power table, the terms and the gathered powers in
+    one flat buffer of its own, which no result aliases.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -475,37 +474,29 @@ class CompiledPolynomials:
         partials = [f.partial(k).sorted_terms() for f in self._polys for k in range(self.num_vars)]
         return _TermTable(partials, self.num_vars, self._stride)
 
-    def _work_size(self, points: int, *tables: _TermTable) -> int:
-        return points * (self.num_vars * self._stride + 2 * max([len(table.coeffs) for table in tables]))
-
-    def workspace(self, points: int, jacobian_points: int) -> np.ndarray:
-        """A buffer for kernel calls at up to `points` points, or with Jacobians at up to `jacobian_points`."""
-        both = self._values, self._jacobians
-        return np.empty(max(self._work_size(points, self._values), self._work_size(jacobian_points, *both)))
-
-    def _powers(self, XT, work: Optional[np.ndarray], *tables: _TermTable) -> Tuple[np.ndarray, np.ndarray]:
-        """The power table (n * stride, m), built at the head of `work` (when None, a new buffer
-        for `tables` at XT), and the rest of `work`: row k * stride + e holds x_k^e at every column of XT."""
+    def _powers(self, XT, *tables: _TermTable) -> Tuple[np.ndarray, np.ndarray]:
+        """The power table (n * stride, m), built at the head of a new flat buffer sized for `tables`
+        at XT, and the rest of the buffer: row k * stride + e holds x_k^e at every column of XT."""
         XT = np.asarray(XT, dtype=float)
         n, m = XT.shape
-        work = np.empty(self._work_size(m, *tables)) if work is None else work
+        work = np.empty(m * (n * self._stride + 2 * max([len(table.coeffs) for table in tables])))
         P = work[:n * self._stride * m].reshape(n, self._stride, m)
         P[:, 0] = 1.0
         for e in range(1, self._stride):
             np.multiply(P[:, e - 1], XT, out=P[:, e])
         return P.reshape(n * self._stride, m), work[P.size:]
 
-    def column_values(self, XT, work: Optional[np.ndarray] = None) -> np.ndarray:
+    def column_values(self, XT) -> np.ndarray:
         """Values at the columns of XT (n, m): shape (p, m)."""
-        return self._values.sums(*self._powers(XT, work, self._values))
+        return self._values.sums(*self._powers(XT, self._values))
 
-    def column_jacobians(self, XT, work: Optional[np.ndarray] = None) -> np.ndarray:
+    def column_jacobians(self, XT) -> np.ndarray:
         """Jacobians at the columns of XT (n, m): shape (p, n, m)."""
-        return self._jacobians.sums(*self._powers(XT, work, self._jacobians)).reshape(self.num_polys, self.num_vars, -1)
+        return self._jacobians.sums(*self._powers(XT, self._jacobians)).reshape(self.num_polys, self.num_vars, -1)
 
-    def column_values_and_jacobians(self, XT, work: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    def column_values_and_jacobians(self, XT) -> Tuple[np.ndarray, np.ndarray]:
         """`column_values(XT)` and `column_jacobians(XT)`, from one power table."""
-        P, rest = self._powers(XT, work, self._values, self._jacobians)
+        P, rest = self._powers(XT, self._values, self._jacobians)
         return self._values.sums(P, rest), self._jacobians.sums(P, rest).reshape(self.num_polys, self.num_vars, -1)
 
     def scales(self, bound: float) -> np.ndarray:
