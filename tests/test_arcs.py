@@ -1,5 +1,6 @@
 """Tests for the bounded arc space: windows, membership, constraints, search."""
 
+import hashlib
 import json
 import os
 import random
@@ -445,6 +446,27 @@ class TestLambdaEstimate:
 # ---------------------------------------------------------------------------
 
 
+ORACLE_MAPS = [
+    ("x + x^2*y", VARS2),
+    ("x^3 + 2*x^2*y - x*y^2 + 3*y^3 + x^2 - y^2 + x*y + x - 2*y + 1", VARS2),
+    ("x + y^3", VARS2),       # df/dx is the constant 1
+    ("x^3 + x", VARS2),       # df/dy is zero: no c:2 or d:2 rows
+    ("x*y + z^2 + x*z - y", VARS3),
+]
+
+# sha256 of each system's text: one "label equation" line per equation, then
+# the sphere and b0, as the LaurentScalar expansion over an arc of unknowns
+# printed them
+ORACLE_DIGESTS = {
+    "x + x^2*y": "f36d2ae072f5d36c82f2b61f0fd69bd26872b9445b11d385fafdd4c288ca981c",
+    "x^3 + 2*x^2*y - x*y^2 + 3*y^3 + x^2 - y^2 + x*y + x - 2*y + 1":
+        "2f11c9cf98449d9763e8d50ffc8474b595241775238a79e6c6fe68415462e2bc",
+    "x + y^3": "b3adfee993c66f0abbc3f3a586dcd492446d5a41bcdcdde3db863a1938d31cba",
+    "x^3 + x": "c517d118d93630b4249ad2049cbb93ddc613e5f2c1652089a91a0f3715389839",
+    "x*y + z^2 + x*z - y": "237e1f0bf0f44aa870a8a99d17309de3449716492a1fcc4fd99d5e2cef2b4bc9",
+}
+
+
 @lru_cache(maxsize=None)
 def _emitted(text, names):
     """The symbolic system of one map, expanded once per test session (no
@@ -474,32 +496,44 @@ class TestConstraints:
         text = eq.to_text(cs.unknowns)
         assert text == "a_3_1^2*a_3_2"
 
-    def test_consistency_with_compose_arc(self):
+    @pytest.mark.parametrize("text, names", ORACLE_MAPS)
+    def test_system_text_is_pinned(self, text, names):
+        cs = _emitted(text, tuple(names))
+        lines = [f"{label} {p.to_text(cs.unknowns)}\n" for label, p in cs.equations]
+        lines += [f"sphere {cs.sphere.to_text(cs.unknowns)}\n", f"b0 {cs.b0.to_text(cs.unknowns)}\n"]
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == ORACLE_DIGESTS[text]
+
+    @pytest.mark.parametrize("text, names", ORACLE_MAPS)
+    def test_consistency_with_compose_arc(self, text, names):
         # substituting a concrete arc's coefficients into each symbolic
-        # equation (Polynomial-coefficient Laurent arithmetic) reproduces the
-        # Laurent coefficient computed directly (Fraction coefficients)
-        cs = _emitted("x + x^2*y", ("x", "y"))
+        # equation reproduces the Laurent coefficient composed directly, and
+        # every nonzero forbidden coefficient has its equation
+        f = parse(text, names)
+        n = f.num_vars
+        cs = _emitted(text, tuple(names))
         window = cs.window
+        equations = dict(cs.equations)
         rng = random.Random(5)
         for _ in range(10):
             coeffs = {
-                k: tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2))
+                k: tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
                 for k in rng.sample(range(window.k_min, window.k_max + 1), 3)
             }
-            xi = RationalArc(2, coeffs)
-            values = []
-            for k in range(window.k_min, window.k_max + 1):
-                vec = xi.coeffs.get(k, (Fraction(0), Fraction(0)))
-                values.extend(vec)
-            expected = {"b:": compose_arc(F_FLAG, xi)}
-            for i in range(2):
-                g = compose_arc(F_FLAG.partial(i), xi)
+            xi = RationalArc(n, coeffs)
+            values = [c for k in range(window.k_min, window.k_max + 1)
+                      for c in xi.coeffs.get(k, (Fraction(0),) * n)]
+            expected = {"b:": compose_arc(f, xi)}
+            for i in range(n):
+                g = compose_arc(f.partial(i), xi)
                 expected[f"c:{i + 1}:"] = g
-                for j in range(2):
+                for j in range(n):
                     expected[f"d:{i + 1},{j + 1}:"] = xi.component(j) * g
             for label, eq in cs.equations:
                 prefix, m = label.split("t^")
                 assert eq.evaluate(values) == expected[prefix].coefficient(int(m))
+            for prefix, L in expected.items():
+                lowest = 1 if prefix == "b:" else 0
+                assert all(f"{prefix}t^{m}" in equations for m in L.support() if m >= lowest)
             assert cs.b0.evaluate(values) == expected["b:"].coefficient(0)
 
     def test_constant_partial_gives_a_polynomial_equation(self):
@@ -789,15 +823,6 @@ def _assert_candidate_b0(f, cand, cfg, limit=None):
 # ---------------------------------------------------------------------------
 # The search's float rows against the exact system
 # ---------------------------------------------------------------------------
-
-ORACLE_MAPS = [
-    ("x + x^2*y", VARS2),
-    ("x^3 + 2*x^2*y - x*y^2 + 3*y^3 + x^2 - y^2 + x*y + x - 2*y + 1", VARS2),
-    ("x + y^3", VARS2),       # df/dx is the constant 1
-    ("x^3 + x", VARS2),       # df/dy is zero: no c:2 or d:2 rows
-    ("x*y + z^2 + x*z - y", VARS3),
-]
-
 
 # Below the normal range a rounded product keeps no relative accuracy, only
 # an absolute one of half a subnormal spacing: the error bound of a row is
