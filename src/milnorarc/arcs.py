@@ -16,20 +16,20 @@ float.
 
 `_conditions` is the one list of the polynomials P = f, df/dx_i and
 x_j * df/dx_i with the lowest forbidden power of t of each; the numerical
-search reads it, and the exact check (`check_membership`) and the symbolic
-system (`emit_constraints`) compose it with an arc by `_composed_conditions`,
-one call of `poly.composed_coefficients` over either coefficient ring.
+search and the symbolic system (`emit_constraints`) read it, and the exact
+check (`check_membership`) composes it with an arc by `_composed_conditions`,
+one call of `poly.composed_coefficients`.
 
 The numerical search (`search_arcs`) solves the same conditions plus the
 sphere by a numpy Levenberg-Marquardt loop over the arc coefficients.  It
 composes float Laurent arcs: each residual and Jacobian entry is a Laurent
 coefficient of a polynomial of degree <= d composed with the current arc, so
 the system is never expanded in the unknowns.  `emit_constraints` is that
-expansion, exact over Q, by `_composed_conditions` on an arc whose
-coefficients are the unknowns; it is the tests' oracle for the search's
-rows.  The starts are solved by this process and one forked child per
-further usable core (`_cores.map_on_cores`), then filtered and deduplicated
-in start order, so the candidates do not depend on the core count.
+expansion, exact over Q, as polynomial arithmetic in the unknowns and t; it
+is the tests' oracle for the search's rows.  The starts are solved by this
+process and one forked child per further usable core
+(`_cores.map_on_cores`), then filtered and deduplicated in start order, so
+the candidates do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _cores
-from .poly import ExactEvaluator, LaurentScalar, Polynomial, RationalArc, composed_coefficients, float_or_none
+from .poly import (
+    ExactEvaluator, LaurentScalar, Polynomial, RationalArc, _product_of_powers, composed_coefficients, float_or_none,
+)
 
 
 class WindowViolationError(ValueError):
@@ -100,9 +102,9 @@ def _conditions(f: Polynomial) -> List[Tuple[str, Polynomial, Optional[int], int
 
 
 def _composed_conditions(f: Polynomial, components: Sequence[LaurentScalar]) -> Iterator[Tuple[str, dict, int]]:
-    """(label, the coefficients of P(xi) at t^0 and above, lowest) for each of
-    `_conditions` (every lowest is 0 or 1; t^0 of f(xi) is b0), by one
-    `composed_coefficients` call."""
+    """(label, the Fraction coefficients of P(xi) at t^0 and above, lowest) for
+    each of `_conditions` (every lowest is 0 or 1; t^0 of f(xi) is b0), by one
+    `composed_coefficients` call on an arc over Q."""
     conditions = _conditions(f)
     composed = composed_coefficients(components, [(g, j) for _, g, j, _ in conditions], 0)
     return ((label, terms, lowest) for (label, _, _, lowest), terms in zip(conditions, composed))
@@ -279,36 +281,42 @@ class ConstraintSystem:
         return len(self.equations)
 
 
-def _generic_arc(n: int, window: ArcWindow) -> Tuple[List[str], List[LaurentScalar]]:
-    """Unknown names and the components of the arc whose coefficients are the
-    unknowns.  The unknowns run k-major: a_k occupies indices
-    (k - k_min) * n .. (k - k_min) * n + n - 1, so the positive-exponent
-    block is the tail."""
-    ks = range(window.k_min, window.k_max + 1)
-    names = [unknown_name(k, j + 1) for k in ks for j in range(n)]
-    N = len(names)
-    comps = [LaurentScalar({k: Polynomial.variable(N, (k - window.k_min) * n + j) for k in ks})
-             for j in range(n)]
-    return names, comps
-
-
 def emit_constraints(f: Polynomial) -> ConstraintSystem:
-    """Symbolic composition of each of `_conditions` with a
-    generic-coefficient arc; one equation per forbidden power of t."""
+    """Each of `_conditions` composed with the arc whose coefficients are the
+    unknowns; one equation per forbidden power of t.
+
+    The unknowns run k-major: a_k occupies indices (k - k_min) * n ..
+    (k - k_min) * n + n - 1, so the positive-exponent block is the tail.  The
+    expansion is plain Polynomial arithmetic in them and one more variable s
+    for t: y_j = sum_k a_{k,j} s^(k - k_min) is t^-k_min * xi_j, so for P of
+    degree D, t^(-D k_min) P(xi) is P homogenised at (y, s^-k_min), and its
+    terms of s-degree m - D k_min are the equation for t^m."""
     n = f.num_vars
     window = _window_of(f)
-    names, comps = _generic_arc(n, window)
+    k_min = window.k_min
+    ks = range(k_min, window.k_max + 1)
+    names = [unknown_name(k, j + 1) for k in ks for j in range(n)]
     N = len(names)
-    zero = Polynomial.zero(N)  # adding it lifts a Fraction coefficient into the unknowns' ring
+
+    s, zero = Polynomial.variable(N + 1, N), Polynomial.zero(N + 1)
+    ys = [sum((Polynomial.variable(N + 1, (k - k_min) * n + j) * s ** (k - k_min) for k in ks), zero) for j in range(n)]
+    tables = [[Polynomial.constant(N + 1, 1), v] for v in ys + [s ** -k_min]]
 
     equations: List[Tuple[str, Polynomial]] = []
-    for label, terms, lowest in _composed_conditions(f, comps):
-        equations.extend((f"{label}t^{m}", zero + c) for m, c in terms.items() if m >= lowest)
+    for label, g, j, lowest in _conditions(f):
+        P = g if j is None else Polynomial.variable(n, j) * g
+        D = max(map(sum, P.terms), default=0)
+        H = sum((_product_of_powers(tables, exp + (D - sum(exp),), c) for exp, c in P.terms.items()), zero)
+        by_power: Dict[int, dict] = {}   # m: the terms of s-degree m - D k_min, without s
+        for exp, c in H.terms.items():
+            by_power.setdefault(exp[N] + D * k_min, {})[exp[:N]] = c
+        equations.extend((f"{label}t^{m}", Polynomial._trusted(N, terms))
+                         for m, terms in sorted(by_power.items()) if m >= lowest)
         if label == "b:":
-            b0 = zero + terms.get(0, Fraction(0))
+            b0 = Polynomial._trusted(N, by_power.get(0, {}))
 
     sphere = Polynomial.constant(N, -1)
-    for idx in range((1 - window.k_min) * n, N):
+    for idx in range((1 - k_min) * n, N):
         v = Polynomial.variable(N, idx)
         sphere = sphere + v * v
 

@@ -12,7 +12,8 @@ m_ij, i < j, which hold everywhere, as `MilnorSystem.minors`.
 
 For n = 2 the Milnor set meets the circle ||x - a|| = R where the one
 equation's restriction to it vanishes; `HalfAngleTable` gives that
-restriction exactly, as polynomials in R, by one `compose_laurent` per center.
+restriction exactly, as polynomials in R, by one `composed_coefficients` call
+per center.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .poly import CompiledPolynomials, ExactEvaluator, LaurentScalar, Polynomial, Rational, compose_laurent
+from .poly import CompiledPolynomials, ExactEvaluator, LaurentScalar, Polynomial, Rational, composed_coefficients
 
 
 class DegenerateCenterError(RuntimeError):
@@ -109,10 +110,10 @@ class HalfAngleTable:
     sum_k c_k(R) tau^k, k = 0..2D: the homogenised equation at
     X = a1(1+tau^2) + R(1-tau^2), Y = a2(1+tau^2) + 2R tau, W = 1+tau^2.
     Each c_k(R) = sum_j c_kj R^j has degree <= D in R, so one
-    `compose_laurent` with R replaced by tau^M, M = 2D + 1, holds them all:
-    its term m is c_{m mod M, m div M}.  They are cleared once, to integers
-    over one common denominator, so a radius costs one integer dot product
-    per coefficient.
+    `composed_coefficients` call, with R replaced by tau^M, M = 2D + 1, holds
+    them all: its term m is c_{m mod M, m div M}.  They are cleared once, to
+    integers over one common denominator, so a radius costs one integer dot
+    product per coefficient.
     """
 
     def __init__(self, eq: Polynomial, center: Sequence[Fraction]):
@@ -123,7 +124,7 @@ class HalfAngleTable:
         X = LaurentScalar({0: a1, 2: a1, M: Fraction(1), M + 2: Fraction(-1)})
         Y = LaurentScalar({0: a2, 2: a2, M + 1: Fraction(2)})
         W = LaurentScalar({0: Fraction(1), 2: Fraction(1)})
-        terms = compose_laurent(homogenised, [X, Y, W]).terms
+        terms, = composed_coefficients([X, Y, W], [(homogenised, None)])
         self.divisor = math.lcm(*(c.denominator for c in terms.values()))
         self._rows = [[int(terms.get(k + M * j, 0) * self.divisor) for j in range(D + 1)] for k in range(M)]
 

@@ -4,19 +4,16 @@ A polynomial is a finite map from exponent tuples to nonzero Fraction
 coefficients; the zero polynomial is the empty map.  Every result of this
 module is exact, apart from the float lowering `CompiledPolynomials`.
 
-`LaurentScalar` is the one Laurent polynomial in t.  Its coefficients are
-Fractions (arcs, the n=2 circle restriction) or Polynomials (the generic arc
-whose coefficients are unknowns).  `composed_coefficients` is the one exact
-composition: for each pair (P, j), the coefficients of P(xi), times xi_j when
-j is given, by the route of the coefficient ring (`compose_laurent` for one).
+`LaurentScalar` is the one Laurent polynomial in t over Q (arcs, the n=2
+circle restriction).  `composed_coefficients` is the one exact composition:
+for each pair (P, j), the coefficients of P(xi), times xi_j when j is given.
 
 Exact evaluation over Q runs in Python integers: `Polynomial.evaluate` (through
 `ExactEvaluator`, which also rounds exact values at float points to floats)
-and `composed_coefficients` over Fractions clear the common denominators
+and `composed_coefficients` clear the common denominators
 (`Polynomial.cleared`), sum integer products and divide once per coefficient.
 There `ClearedComponents` packs each component into one integer (Kronecker
-substitution), a format no other module reads; over Polynomials
-`composed_coefficients` multiplies LaurentScalars.
+substitution), a format no other module reads.
 
 `real_roots` finds the real roots of a univariate polynomial over Q exactly:
 float eigenvalue seeds propose isolating dyadic cells, which exact signs and
@@ -38,6 +35,7 @@ order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -86,7 +84,7 @@ class Polynomial:
         clean: Dict[Exponent, Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
-                exp = tuple(exp)
+                exp = tuple(map(operator.index, exp))
                 if len(exp) != num_vars:
                     raise ValueError(f"exponent {exp} has length {len(exp)}, expected {num_vars}")
                 if any(e < 0 for e in exp):
@@ -685,17 +683,16 @@ def parse_laurent(text: str) -> "LaurentScalar":
 
 
 class LaurentScalar:
-    """Finite Laurent polynomial in one variable t over a coefficient ring.
+    """Finite Laurent polynomial in one variable t over Q.
 
-    The coefficients are Fractions (arcs, the circle restriction) or
-    Polynomials (the generic arc of the constraint system); int and Fraction
-    scalars enter at t^0.  A falsy coefficient is dropped.
+    The coefficients are ints or Fractions, and so are the scalars that enter
+    at t^0; a zero coefficient is dropped.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping] = None):
-        clean = {int(k): c for k, c in terms.items() if c} if terms else {}
+        clean = {operator.index(k): c for k, c in terms.items() if c} if terms else {}
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -773,12 +770,8 @@ class LaurentScalar:
     __hash__ = None
 
     def __str__(self) -> str:
-        """In the grammar of `parse_laurent`, ascending: '1/2*t^-1 - t'; a
-        Polynomial coefficient prints in parentheses, '(-x)*t^2'."""
-        def term(k, c):
-            power = [_power_text("t", k)] if k else []
-            return (1, [f"({c})"] + power) if isinstance(c, Polynomial) else (c, power)
-        return _terms_text(term(k, self.terms[k]) for k in sorted(self.terms))
+        """In the grammar of `parse_laurent`, ascending: '1/2*t^-1 - t'."""
+        return _terms_text((self.terms[k], [_power_text("t", k)] if k else []) for k in sorted(self.terms))
 
     def __repr__(self) -> str:
         return f"LaurentScalar({dict(sorted(self.terms.items()))})"
@@ -839,27 +832,15 @@ class ClearedComponents:
 
 
 def composed_coefficients(components: Sequence[LaurentScalar], compositions: Sequence[Tuple[Polynomial, Optional[int]]],
-                          lowest: float = -math.inf) -> List[dict]:
+                          lowest: float = -math.inf) -> List[Dict[int, Fraction]]:
     """For each composition (P, j), the nonzero coefficients of P(components),
     times components[j] when j is not None, at the powers >= lowest in
-    increasing order.  Over Q (int and Fraction coefficients) they are
-    Fractions, read from `ClearedComponents`; over Polynomials, LaurentScalar
-    products on one table of powers per component give them."""
-    if all(isinstance(c, (int, Fraction)) for xi in components for c in xi.terms.values()):
-        arc = ClearedComponents(components, compositions)
-        return [arc.composed(P, j, lowest) for P, j in compositions]
-    tables = [[LaurentScalar({0: Fraction(1)}), xi] for xi in components]
-    composed = {id(P): sum((_product_of_powers(tables, exp, LaurentScalar({0: c})) for exp, c in P.terms.items()),
-                           LaurentScalar()) for P in {id(P): P for P, _ in compositions}.values()}
-    products = (composed[id(P)] if j is None else composed[id(P)] * components[j] for P, j in compositions)
-    return [{m: S.terms[m] for m in sorted(S.terms) if m >= lowest} for S in products]
-
-
-def compose_laurent(f: Polynomial, components: Sequence[LaurentScalar]) -> LaurentScalar:
-    """f(components) as a LaurentScalar, by `composed_coefficients`."""
-    if len(components) != f.num_vars:
+    increasing order, as Fractions read from `ClearedComponents`.  Each P
+    takes one component per variable."""
+    if any(P.num_vars != len(components) for P, _ in compositions):
         raise ValueError("wrong number of substitution values")
-    return LaurentScalar(composed_coefficients(components, [(f, None)])[0])
+    arc = ClearedComponents(components, compositions)
+    return [arc.composed(P, j, lowest) for P, j in compositions]
 
 
 # ---------------------------------------------------------------------------
@@ -1215,11 +1196,11 @@ class RationalArc:
             raise ValueError("num_vars must be positive")
         clean: Dict[int, Tuple[Fraction, ...]] = {}
         for k, vec in self.coeffs.items():
-            vec = tuple(Fraction(v) for v in vec)
+            k, vec = operator.index(k), tuple(Fraction(v) for v in vec)
             if len(vec) != self.num_vars:
                 raise ValueError(f"coefficient vector at t^{k} has length {len(vec)}")
             if any(v != 0 for v in vec):
-                clean[int(k)] = vec
+                clean[k] = vec
         object.__setattr__(self, "coeffs", clean)
 
     def component(self, index: int) -> LaurentScalar:
@@ -1251,4 +1232,4 @@ def compose_arc(f: Polynomial, xi: RationalArc) -> LaurentScalar:
     """Exact Laurent expansion of f(xi(t))."""
     if f.num_vars != xi.num_vars:
         raise ValueError(f"polynomial has {f.num_vars} variables, arc has {xi.num_vars}")
-    return compose_laurent(f, xi.components())
+    return LaurentScalar(composed_coefficients(xi.components(), [(f, None)])[0])
